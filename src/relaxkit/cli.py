@@ -4,9 +4,8 @@ Tables are emitted as CSV (default) or JSON; figures are reproduced as data
 tables, never rendered.  Delta weights of distributional quantities appear
 in a header comment, not as sampled values.  Exit codes: 0 success, 2 bad
 flags or malformed input, 3 numeric failure, 4 fit non-convergence, 5 failed
-verification checks.  The environment variable RELAXKIT_THREADS caps the
-parallelism used for grid evaluation (default 1; output order is fixed
-either way).
+verification checks.  Closed-form quantities (spectral, permittivity) are
+evaluated on the whole grid in one array call.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,24 +82,6 @@ class GridSpec:
             raise DomainError(f"bad grid {text!r}: {exc}") from None
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RELAXKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, values):
-    """Apply fn over the grid, optionally threaded, preserving order."""
-    n = _thread_count()
-    vals = [float(v) for v in values]
-    if n <= 1:
-        return [fn(v) for v in vals]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, vals))
-
-
 def _write_atomic(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -150,43 +130,39 @@ def _eval_table(args) -> tuple[list[str], list[tuple], list[str]]:
         raise DomainError("eval needs --grid start:stop:points[:log|:lin] or --at VALUE")
 
     q = args.quantity
+    xs = grid.tolist()
     if q == "spectral":
-        rows = _grid_map(lambda w: (w,) + _c2(models.spectral(spec, w)), grid)
+        phi = models.spectral(spec, grid)
+        rows = list(zip(xs, phi.real.tolist(), phi.imag.tolist()))
         return ["omega_tau", "re", "im"], rows, comments
     if q == "permittivity":
-        scale = _scale_from_args(args)
-        rows = _grid_map(lambda w: (w,) + models.permittivity(spec, scale, w), grid)
+        eps_re, eps_im = models.permittivity(spec, _scale_from_args(args), grid)
+        rows = list(zip(xs, eps_re.tolist(), eps_im.tolist()))
         return ["omega", "eps_re", "eps_im"], rows, comments
     if q == "response":
         tr = models.time_response(spec)
         comments.append(f"delta_weight = {tr.singular_weight:g}")
-        rows = _grid_map(lambda t: (t, tr.regular(t)), grid)
+        rows = [(t, tr.regular(t)) for t in xs]
         return ["t", "phi"], rows, comments
     if q == "relaxation":
-        rows = _grid_map(lambda t: (t, models.relaxation(spec, t)), grid)
+        rows = [(t, models.relaxation(spec, t)) for t in xs]
         return ["t", "n"], rows, comments
     if q == "pdf":
-        rows = _grid_map(lambda xi: (xi, models.pdf_g(spec, xi)), grid)
+        rows = [(xi, models.pdf_g(spec, xi)) for xi in xs]
         return ["xi", "g"], rows, comments
     if q in ("kernelM", "kernelK"):
         cfg = kernels.KernelConfig(spec)
         which = "M" if q == "kernelM" else "k"
         weight = kernels.kernel_singular_weight(cfg, which)
         comments.append(f"delta_weight = {weight:g}")
-        if which == "M":
-            rows = _grid_map(lambda t: (t, kernels.memory_M_time(cfg, t)), grid)
-        else:
-            rows = _grid_map(lambda t: (t, kernels.memory_k_time(cfg, t)), grid)
+        kernel = kernels.memory_M_time if which == "M" else kernels.memory_k_time
+        rows = [(t, kernel(cfg, t)) for t in xs]
         return ["t", q[-1]], rows, comments
     if q == "psi":
         cfg = kernels.KernelConfig(spec)
-        rows = _grid_map(lambda s: (s, kernels.characteristic_exponent(cfg, s)), grid)
+        rows = [(s, kernels.characteristic_exponent(cfg, s)) for s in xs]
         return ["s", "psi"], rows, comments
     raise DomainError(f"unknown quantity {q!r}")
-
-
-def _c2(z: complex) -> tuple[float, float]:
-    return z.real, z.imag
 
 
 def _render_table(columns, rows, comments, fmt: str) -> str:

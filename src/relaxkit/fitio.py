@@ -9,6 +9,10 @@ parameter space that enforces the feasible box by construction:
 * ``tau = exp(u3)``;
 * frequency fits add ``eps_inf`` (free) and ``delta_eps = exp(u5)``.
 
+Frequency residuals are evaluated per grid, with one array call of
+``models.permittivity`` per parameter vector.  Both sigmoids are floored at
+1e-12, so a saturated transform still maps to a valid model.
+
 Accepted steps never increase the residual norm; termination is on gradient
 norm < 1e-10, step norm < 1e-12 or 200 iterations, and everything is
 deterministic (fixed evaluation order, seeded noise).
@@ -218,8 +222,7 @@ def synthesize(
     if domain == "frequency":
         if scale is None:
             raise DomainError("frequency synthesis needs a PermittivityScale")
-        values = np.array([permittivity(spec, scale, float(w)) for w in grid])
-        re, im = values[:, 0].copy(), values[:, 1].copy()
+        re, im = permittivity(spec, scale, grid)
         if noise_rel > 0.0:
             re *= 1.0 + noise_rel * rng.standard_normal(re.size)
             im *= 1.0 + noise_rel * rng.standard_normal(im.size)
@@ -237,6 +240,9 @@ def synthesize(
 # ---------------------------------------------------------------------------
 
 
+_SIGMOID_FLOOR = 1e-12
+
+
 def _sigmoid(u: float) -> float:
     if u >= 0.0:
         return 1.0 / (1.0 + math.exp(-u))
@@ -245,7 +251,7 @@ def _sigmoid(u: float) -> float:
 
 
 def _logit(p: float) -> float:
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
+    p = min(max(p, _SIGMOID_FLOOR), 1.0 - _SIGMOID_FLOOR)
     return math.log(p / (1.0 - p))
 
 
@@ -329,17 +335,18 @@ class _Problem:
     # -- transforms ---------------------------------------------------------
 
     def unpack(self, u: np.ndarray) -> tuple[ModelSpec, Optional[PermittivityScale]]:
+        # a saturated sigmoid rounds to 0.0, which ModelSpec rejects and
+        # beta = s / alpha divides by; floor both at the bound _logit uses
         i = 0
         alpha = 1.0
         beta = 1.0
         if self.free_alpha:
-            alpha = _sigmoid(u[i])
+            alpha = max(_sigmoid(u[i]), _SIGMOID_FLOOR)
             i += 1
         if self.free_beta:
-            if self.strict:
-                beta = _sigmoid(u[i])
-            else:
-                beta = _sigmoid(u[i]) / alpha
+            beta = max(_sigmoid(u[i]), _SIGMOID_FLOOR)
+            if not self.strict:
+                beta /= alpha
             i += 1
         tau = math.exp(u[i])
         i += 1
@@ -360,7 +367,7 @@ class _Problem:
         alpha = 1.0
         if self.free_alpha:
             s = _sigmoid(u[i])
-            alpha = s
+            alpha = max(s, _SIGMOID_FLOOR)
             grads.append(s * (1.0 - s))
             i += 1
         if self.free_beta:
@@ -377,11 +384,10 @@ class _Problem:
     def residuals(self, u: np.ndarray) -> np.ndarray:
         spec, scale = self.unpack(u)
         if self.frequency:
+            re, im = permittivity(spec, scale, self.dataset.omega)
             out = np.empty(2 * len(self.dataset))
-            for idx, w in enumerate(self.dataset.omega):
-                re, im = permittivity(spec, scale, float(w))
-                out[2 * idx] = self.w[idx] * (re - self.dataset.eps_re[idx])
-                out[2 * idx + 1] = self.w[idx] * (im - self.dataset.eps_im[idx])
+            out[0::2] = self.w * (re - self.dataset.eps_re)
+            out[1::2] = self.w * (im - self.dataset.eps_im)
             return out
         out = np.empty(len(self.dataset))
         for idx, t in enumerate(self.dataset.t):

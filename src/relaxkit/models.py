@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy import special as sc
 
 from .exceptions import DomainError
@@ -63,7 +64,6 @@ __all__ = [
     "asymptotic",
     "laplace_image",
     "response_tail_exponent",
-    "pdf_tail_exponent",
 ]
 
 KINDS = ("debye", "cc", "cd", "mcd", "hn", "jws", "kww")
@@ -174,9 +174,24 @@ def theta(alpha: float, y: float) -> float:
     return math.atan2(math.sin(pa), y**-alpha + math.cos(pa))
 
 
-def _iw_pow(w: float, p: float) -> complex:
+def _iw_pow(w: np.ndarray, p: float) -> np.ndarray:
     """(i w)**p for w > 0 with the principal branch."""
     return w**p * cmath.exp(1j * math.pi * p / 2.0)
+
+
+def _grid(x, name: str) -> tuple[np.ndarray, bool]:
+    """``x`` as a float array of rank >= 1, and whether it was a scalar.
+
+    Scalars are evaluated as 1-element arrays, never as 0-d arrays or numpy
+    scalars: numpy's scalar ``**`` can round differently from its array loop,
+    and a scalar call must give exactly the element of a grid call.
+    """
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if np.any(arr < 0.0):
+        raise DomainError(f"{name} must be nonnegative, got {np.min(arr)}")
+    return arr, scalar
 
 
 def _canonical(spec: ModelSpec) -> ModelSpec:
@@ -212,54 +227,39 @@ def _canonical(spec: ModelSpec) -> ModelSpec:
     )
 
 
-def spectral(spec: ModelSpec, omega_tau: float) -> complex:
+def spectral(spec: ModelSpec, omega_tau):
     """Normalized spectral function phi_hat(i omega tau).
 
-    Satisfies phi_hat(0) = 1 and phi_hat(i inf) = 0 with ``|phi_hat| <= 1``
-    on the imaginary axis for valid parameters.  KWW is rejected: its
+    ``omega_tau`` is a number (the result is a complex) or an array of any
+    shape (the result is a complex array of that shape).  Satisfies
+    phi_hat(0) = 1 and phi_hat(i inf) = 0 with ``|phi_hat| <= 1`` on the
+    imaginary axis for valid parameters.  KWW is rejected: its
     frequency-domain form is not a rational expression of this family.
     """
     if spec.kind == "kww":
         raise DomainError("kww has no simple rational spectral function")
-    if omega_tau < 0.0:
-        raise DomainError(f"omega_tau must be nonnegative, got {omega_tau}")
-    w = float(omega_tau)
-    a, b = spec.alpha, spec.beta
-    if spec.kind == "debye":
-        return 1.0 / (1.0 + 1j * w)
-    if spec.kind == "cc":
-        return 1.0 / (1.0 + _iw_pow(w, a)) if w > 0.0 else complex(1.0)
-    if spec.kind == "cd":
-        return (1.0 + 1j * w) ** -b
-    if spec.kind == "hn":
-        if w == 0.0:
-            return complex(1.0)
-        return (1.0 + _iw_pow(w, a)) ** -b
-    # jws / mcd
-    if w == 0.0:
-        return complex(1.0)
-    exponent = a if spec.kind == "jws" else 1.0
-    return 1.0 - (1.0 + _iw_pow(w, -exponent)) ** -b
+    w, scalar = _grid(omega_tau, "omega_tau")
+    phi = _spectral(spec, w)
+    return complex(phi[0]) if scalar else phi
 
 
-def spectral_real(spec: ModelSpec, s: float) -> float:
-    """phi_hat at a real Laplace variable s > 0 (units of 1/time), cancellation-free."""
-    if spec.kind == "kww":
-        raise DomainError("kww has no simple rational spectral function")
-    if s <= 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    w = s * spec.tau
+def _spectral(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
+    """phi_hat(i w) on an array of w >= 0 (w = 0 maps to exactly 1)."""
+    zero = w == 0.0
+    w = np.where(zero, 1.0, w)
     a, b = spec.alpha, spec.beta
     if spec.kind == "debye":
-        return 1.0 / (1.0 + w)
-    if spec.kind == "cc":
-        return 1.0 / (1.0 + w**a)
-    if spec.kind == "cd":
-        return math.exp(-b * math.log1p(w))
-    if spec.kind == "hn":
-        return math.exp(-b * math.log1p(w**a))
-    exponent = a if spec.kind == "jws" else 1.0
-    return -math.expm1(-b * math.log1p(w**-exponent))
+        phi = 1.0 / (1.0 + 1j * w)
+    elif spec.kind == "cc":
+        phi = 1.0 / (1.0 + _iw_pow(w, a))
+    elif spec.kind == "cd":
+        phi = (1.0 + 1j * w) ** -b
+    elif spec.kind == "hn":
+        phi = (1.0 + _iw_pow(w, a)) ** -b
+    else:  # jws / mcd
+        exponent = a if spec.kind == "jws" else 1.0
+        phi = 1.0 - (1.0 + _iw_pow(w, -exponent)) ** -b
+    return np.where(zero, 1.0 + 0.0j, phi)
 
 
 def spectral_ratio_real(spec: ModelSpec, s: float) -> float:
@@ -285,36 +285,44 @@ def spectral_ratio_real(spec: ModelSpec, s: float) -> float:
     return 1.0 / math.expm1(b * math.log1p(w**-exponent))
 
 
-def permittivity(spec: ModelSpec, scale: PermittivityScale, omega: float) -> tuple[float, float]:
+def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
     """(eps', eps'') at angular frequency omega, convention eps* = eps' - i eps''.
 
-    HN and JWS go through the explicit trigonometric split (amplitude
-    ``[1 + 2 w**alpha cos(pi alpha/2) + w**2 alpha]**(beta/2)`` and the
-    branch-resolved angle); the other kinds use eps* = eps_inf + strength * phi_hat.
-    The two routes agree to rounding and the equality is pinned by tests.
+    ``omega`` is a number (the result is a pair of floats) or an array (the
+    result is a pair of arrays of its shape).  HN and JWS go through the
+    explicit trigonometric split (amplitude ``[1 + 2 w**alpha cos(pi alpha/2)
+    + w**2 alpha]**(beta/2)`` and the branch-resolved angle of :func:`theta`);
+    the other kinds use eps* = eps_inf + strength * phi_hat.  The two routes
+    agree to rounding and the equality is pinned by tests.
     """
     if spec.kind == "kww":
         raise DomainError("kww has no frequency-domain permittivity here")
-    if omega < 0.0:
-        raise DomainError(f"omega must be nonnegative, got {omega}")
-    w = omega * spec.tau
-    if w == 0.0:
-        return scale.eps_static, 0.0
+    w, scalar = _grid(omega, "omega")
+    w = w * spec.tau
+    zero = w == 0.0
     a, b = spec.alpha, spec.beta
     if spec.kind in ("hn", "jws"):
-        denom = (1.0 + 2.0 * w**a * math.cos(math.pi * a / 2.0) + w ** (2.0 * a)) ** (b / 2.0)
+        w = np.where(zero, 1.0, w)
+        sin_h, cos_h = math.sin(math.pi * a / 2.0), math.cos(math.pi * a / 2.0)
+        wa = w**a
+        denom = (1.0 + 2.0 * wa * cos_h + w ** (2.0 * a)) ** (b / 2.0)
         if spec.kind == "hn":
-            ang = b * theta(a / 2.0, w**2)
-            eps_re = scale.eps_inf + scale.strength * math.cos(ang) / denom
-            eps_im = scale.strength * math.sin(ang) / denom
+            ang = b * np.arctan2(sin_h, w**-a + cos_h)
+            eps_re = scale.eps_inf + scale.strength * np.cos(ang) / denom
+            eps_im = scale.strength * np.sin(ang) / denom
         else:
-            ang = b * theta(a / 2.0, w**-2)
-            eps_re = scale.eps_static - scale.strength * w ** (a * b) * math.cos(ang) / denom
-            eps_im = scale.strength * w ** (a * b) * math.sin(ang) / denom
-        return eps_re, eps_im
-    phi = spectral(spec, w)
-    eps = scale.eps_inf + scale.strength * phi
-    return eps.real, -eps.imag
+            ang = b * np.arctan2(sin_h, wa + cos_h)
+            amp = scale.strength * w ** (a * b) / denom
+            eps_re = scale.eps_static - amp * np.cos(ang)
+            eps_im = amp * np.sin(ang)
+    else:
+        eps = scale.eps_inf + scale.strength * _spectral(spec, w)
+        eps_re, eps_im = eps.real, -eps.imag
+    eps_re = np.where(zero, scale.eps_static, eps_re)
+    eps_im = np.where(zero, 0.0, eps_im)
+    if scalar:
+        return float(eps_re[0]), float(eps_im[0])
+    return eps_re, eps_im
 
 
 def response(spec: ModelSpec, t: float, strategy: EvalStrategy = DEFAULT_STRATEGY) -> float:
@@ -618,16 +626,3 @@ def response_tail_exponent(spec: ModelSpec) -> float:
     if spec.kind == "jws":
         return -1.0 - spec.alpha * spec.beta
     return -1.0 - spec.beta  # mcd
-
-
-def pdf_tail_exponent(spec: ModelSpec) -> float:
-    """Power of g(xi) as xi -> inf (mcd is compactly supported and returns 0)."""
-    if spec.kind == "hn":
-        return -1.0 - spec.alpha * spec.beta
-    if spec.kind in ("cc", "jws"):
-        return -1.0 - spec.alpha
-    if spec.kind == "cd":
-        return -1.0 - spec.beta
-    if spec.kind == "kww":
-        return -1.0 - spec.alpha
-    return 0.0

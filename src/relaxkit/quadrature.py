@@ -1,4 +1,4 @@
-"""Tanh-sinh (double exponential) quadrature and semi-infinite integration helpers.
+"""Tanh-sinh (double exponential) quadrature over finite intervals.
 
 The tanh-sinh rule maps a finite interval onto the real line through
 ``x = tanh((pi/2) sinh(u))`` and applies the trapezoid rule in ``u``.  Node
@@ -12,6 +12,7 @@ a singular endpoint.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 from .exceptions import QuadratureFailure
@@ -19,20 +20,22 @@ from .exceptions import QuadratureFailure
 _HALF_PI = math.pi / 2.0
 
 
-def _nodes(level: int, max_u: float):
-    """Abscissa data at trapezoid spacing h = 2**-level.
+@lru_cache(maxsize=None)
+def _nodes(level: int, max_u: float) -> tuple[tuple[float, float], ...]:
+    """Abscissa data at trapezoid spacing h = 2**-level, built once per level.
 
-    Yields (offset_from_left, offset_from_right, weight) for every node that
-    is new at this level (odd multiples of h for level >= 1, all for level 0),
-    expressed on the reference interval (-1, 1) of full length 2.
+    Returns (offset_from_right, weight) for every node that is new at this
+    level (odd multiples of h for level >= 1, all for level 0, whose first
+    entry is the centre), expressed on the reference interval (-1, 1) of full
+    length 2.  Plain floats, so that every call sums exactly what a freshly
+    generated table would give.
     """
     h = 2.0 ** (-level)
     if level == 0:
         ks = range(int(max_u / h) + 1)
-        step = 1
     else:
         ks = range(1, int(max_u / h) + 1, 2)
-        step = 2
+    table = []
     for k in ks:
         u = k * h
         t = _HALF_PI * math.sinh(u)
@@ -42,8 +45,8 @@ def _nodes(level: int, max_u: float):
         w = _HALF_PI * math.cosh(u) / (ch * ch)
         # 1 -+ tanh(t) without cancellation
         e = math.exp(-2.0 * t)
-        off = 2.0 * e / (1.0 + e)        # distance of +node from right endpoint
-        yield k, step, u, off, w
+        table.append((2.0 * e / (1.0 + e), w))
+    return tuple(table)
 
 
 def tanh_sinh(
@@ -80,7 +83,7 @@ def tanh_sinh(
     # level 0
     h = 1.0
     acc = 0.0
-    for k, _, u, off, w in _nodes(0, max_u):
+    for k, (off, w) in enumerate(_nodes(0, max_u)):
         if k == 0:
             val = w * f(a + half)  # center node, off side pairing handled below
         else:
@@ -94,7 +97,7 @@ def tanh_sinh(
     for level in range(1, max_level + 1):
         h *= 0.5
         new = 0.0
-        for _, _, u, off, w in _nodes(level, max_u):
+        for off, w in _nodes(level, max_u):
             val = w * sample(off)
             if not math.isfinite(val):
                 raise QuadratureFailure("integrand returned a non-finite value")
@@ -111,27 +114,3 @@ def tanh_sinh(
     raise QuadratureFailure(
         f"tanh-sinh did not converge (level {max_level}, err {err:.3g}, value {estimate:.6g})"
     )
-
-
-def integrate_zero_to_inf(
-    f: Callable[[float], float],
-    split: float = 1.0,
-    rel_tol: float = 1e-10,
-    max_level: int = 12,
-) -> float:
-    """Integrate ``f`` over (0, inf).
-
-    Tanh-sinh on (0, split], then the substitution ``x -> 1/v`` maps
-    [split, inf) onto (0, 1/split] with the Jacobian ``1/v**2``, which
-    tanh-sinh handles together with any algebraic tail of ``f``.
-    """
-    if split <= 0.0:
-        raise QuadratureFailure("split point must be positive")
-    head, _ = tanh_sinh(f, 0.0, split, rel_tol=rel_tol, max_level=max_level)
-
-    def transformed(v: float) -> float:
-        x = 1.0 / v
-        return f(x) * x * x
-
-    tail, _ = tanh_sinh(transformed, 0.0, 1.0 / split, rel_tol=rel_tol, max_level=max_level)
-    return head + tail

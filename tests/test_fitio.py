@@ -13,6 +13,7 @@ from relaxkit.fitio import (
     TimeDataset,
     compare,
     fit,
+    _Problem,
     fit_result_to_json,
     parse_csv,
     synthesize,
@@ -226,6 +227,28 @@ def test_auto_selects_generating_kind():
         ds = synthesize(ModelSpec(kind, alpha=a, beta=b, tau=2.0), SCALE, GRID / 2.0, 0.0, seed=3)
         res = fit(ds, "auto")
         assert res.spec.kind == kind
+
+
+def test_unpack_saturated_sigmoid_gives_valid_spec():
+    ds = synthesize(ModelSpec("hn", alpha=0.6, beta=0.5), SCALE, GRID, 0.0, seed=0)
+    problem = _Problem(ds, "hn", False, None, None)
+    for index in (0, 1):
+        u = problem.u0.copy()
+        u[index] = -800.0
+        spec, scale = problem.unpack(u)
+        assert 0.0 < spec.alpha <= 1.0 and 0.0 < spec.beta <= 1.0 / spec.alpha
+        assert scale is not None and np.all(np.isfinite(problem.stderr_scale(u)))
+
+
+def test_auto_time_fit_survives_sigmoid_saturation():
+    # a trial step of one candidate drives beta = sigmoid(u) / alpha to 0.0;
+    # the CSV round trip (12 significant digits) is what puts the fit there
+    grid = np.logspace(-3, 3, 40)
+    ds = synthesize(ModelSpec("jws", alpha=0.85, beta=0.5), None, grid, 0.0, seed=0, domain="time")
+    text = "t,n\n" + "".join(f"{t:.12g},{n:.12g}\n" for t, n in zip(ds.t, ds.n))
+    res = fit(parse_csv(io.StringIO(text), "time"), "auto")
+    assert res.spec.kind == "jws"
+    assert res.spec.alpha == pytest.approx(0.85, rel=1e-6)
 
 
 def test_compare_single_candidate():

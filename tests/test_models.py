@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sc
 from scipy.integrate import quad
 
@@ -141,6 +143,57 @@ def test_permittivity_routes_agree():
             eps = SCALE.eps_inf + SCALE.strength * spectral(spec, float(w))
             assert re == pytest.approx(eps.real, abs=1e-12 * SCALE.eps_static)
             assert im == pytest.approx(-eps.imag, abs=1e-12 * SCALE.eps_static)
+
+
+SPECTRAL_SPECS = (ModelSpec("debye"), ModelSpec("cc", alpha=0.7), ModelSpec("cd", beta=0.4),
+                  ModelSpec("mcd", beta=0.6), ModelSpec("hn", alpha=0.75, beta=1 / 3),
+                  ModelSpec("jws", alpha=0.6, beta=0.6, tau=2.0))
+
+
+def test_array_spectral_and_permittivity_equal_scalar_calls():
+    grid = np.concatenate([[0.0, 1e-8], np.logspace(-6, 6, 49), [1e8]])
+    for spec in SPECTRAL_SPECS:
+        phi = spectral(spec, grid)
+        eps_re, eps_im = permittivity(spec, SCALE, grid)
+        assert phi.shape == eps_re.shape == eps_im.shape == grid.shape
+        for i, w in enumerate(grid.tolist()):
+            scalar_phi = spectral(spec, w)
+            scalar_eps = permittivity(spec, SCALE, w)
+            assert type(scalar_phi) is complex and type(scalar_eps[0]) is float
+            assert scalar_phi == phi[i]
+            assert scalar_eps == (eps_re[i], eps_im[i])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(("debye", "cc", "cd", "mcd", "hn", "jws")),
+    alpha=st.floats(0.05, 1.0),
+    alpha_beta=st.floats(0.05, 1.0),
+    log_tau=st.floats(-6.0, 6.0),
+)
+def test_array_permittivity_matches_spectral_sweep(kind, alpha, alpha_beta, log_tau):
+    a = alpha if kind in ("cc", "hn", "jws") else 1.0
+    b = alpha_beta / a if kind in ("cd", "mcd", "hn", "jws") else 1.0
+    spec = ModelSpec(kind, alpha=a, beta=b, tau=10.0**log_tau)
+    omega = np.concatenate([[0.0], np.logspace(-6, 6, 61) / spec.tau])
+    eps_re, eps_im = permittivity(spec, SCALE, omega)
+    eps = SCALE.eps_inf + SCALE.strength * spectral(spec, omega * spec.tau)
+    assert np.max(np.abs(eps_re - eps.real)) <= 1e-12 * SCALE.eps_static
+    assert np.max(np.abs(eps_im + eps.imag)) <= 1e-12 * SCALE.eps_static
+
+
+def test_array_path_rejects_negative_omega_and_kww():
+    grid = np.array([1.0, -1e-3, 2.0])
+    for spec in SPECTRAL_SPECS:
+        with pytest.raises(DomainError):
+            spectral(spec, grid)
+        with pytest.raises(DomainError):
+            permittivity(spec, SCALE, grid)
+    kww = ModelSpec("kww", alpha=0.6)
+    with pytest.raises(DomainError):
+        spectral(kww, np.logspace(-2, 2, 5))
+    with pytest.raises(DomainError):
+        permittivity(kww, SCALE, np.logspace(-2, 2, 5))
 
 
 # ---------------------------------------------------------------------------
