@@ -4,13 +4,14 @@ Tables are emitted as CSV (default) or JSON; figures are reproduced as data
 tables, never rendered.  Delta weights of distributional quantities appear
 in a header comment, not as sampled values.  Exit codes: 0 success, 2 bad
 flags or malformed input, 3 numeric failure, 4 fit non-convergence, 5 failed
-verification checks.  Closed-form quantities (spectral, permittivity) are
+verification checks.  Spectral, permittivity, relaxation and response are
 evaluated on the whole grid in one array call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -142,11 +143,9 @@ def _eval_table(args) -> tuple[list[str], list[tuple], list[str]]:
     if q == "response":
         tr = models.time_response(spec)
         comments.append(f"delta_weight = {tr.singular_weight:g}")
-        rows = [(t, tr.regular(t)) for t in xs]
-        return ["t", "phi"], rows, comments
+        return ["t", "phi"], list(zip(xs, models.response(spec, grid).tolist())), comments
     if q == "relaxation":
-        rows = [(t, models.relaxation(spec, t)) for t in xs]
-        return ["t", "n"], rows, comments
+        return ["t", "n"], list(zip(xs, models.relaxation(spec, grid).tolist())), comments
     if q == "pdf":
         rows = [(xi, models.pdf_g(spec, xi)) for xi in xs]
         return ["xi", "g"], rows, comments
@@ -333,10 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process (parse_args leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

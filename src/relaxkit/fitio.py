@@ -9,9 +9,10 @@ parameter space that enforces the feasible box by construction:
 * ``tau = exp(u3)``;
 * frequency fits add ``eps_inf`` (free) and ``delta_eps = exp(u5)``.
 
-Frequency residuals are evaluated per grid, with one array call of
-``models.permittivity`` per parameter vector.  Both sigmoids are floored at
-1e-12, so a saturated transform still maps to a valid model.
+Residuals are evaluated per grid: one array call of ``models.permittivity``
+(frequency) or ``models.relaxation`` (time) per parameter vector.  Both
+sigmoids are floored at 1e-12, so a saturated transform still maps to a
+valid model.
 
 Accepted steps never increase the residual norm; termination is on gradient
 norm < 1e-10, step norm < 1e-12 or 200 iterations, and everything is
@@ -228,7 +229,7 @@ def synthesize(
             im *= 1.0 + noise_rel * rng.standard_normal(im.size)
         return SpectrumDataset(grid, re, im, meta=f"synthetic {spec.kind} seed={seed}")
     if domain == "time":
-        n = np.array([relaxation(spec, float(t)) for t in grid])
+        n = relaxation(spec, grid)
         if noise_rel > 0.0:
             n = n * (1.0 + noise_rel * rng.standard_normal(n.size))
         return TimeDataset(grid, n, meta=f"synthetic {spec.kind} seed={seed}")
@@ -389,10 +390,7 @@ class _Problem:
             out[0::2] = self.w * (re - self.dataset.eps_re)
             out[1::2] = self.w * (im - self.dataset.eps_im)
             return out
-        out = np.empty(len(self.dataset))
-        for idx, t in enumerate(self.dataset.t):
-            out[idx] = self.w[idx] * (relaxation(spec, float(t)) - self.dataset.n[idx])
-        return out
+        return self.w * (relaxation(spec, self.dataset.t) - self.dataset.n)
 
 
 def _jacobian(problem: _Problem, u: np.ndarray, r0: np.ndarray) -> np.ndarray:

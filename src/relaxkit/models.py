@@ -256,9 +256,12 @@ def _spectral(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
         phi = (1.0 + 1j * w) ** -b
     elif spec.kind == "hn":
         phi = (1.0 + _iw_pow(w, a)) ** -b
-    else:  # jws / mcd
-        exponent = a if spec.kind == "jws" else 1.0
-        phi = 1.0 - (1.0 + _iw_pow(w, -exponent)) ** -b
+    else:  # jws / mcd: 1 - (1 + z)**-b = -expm1(-b log(1 + z)), z = (i w)**-exponent
+        z = _iw_pow(w, -(a if spec.kind == "jws" else 1.0))
+        # log(1 + z) from its modulus and angle, accurate for the tiny |z| of
+        # the high-frequency wing (numpy's complex log1p is not)
+        log_mod = 0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
+        phi = -np.expm1(-b * (log_mod + 1j * np.arctan2(z.imag, 1.0 + z.real)))
     return np.where(zero, 1.0 + 0.0j, phi)
 
 
@@ -325,27 +328,47 @@ def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
     return eps_re, eps_im
 
 
-def response(spec: ModelSpec, t: float, strategy: EvalStrategy = DEFAULT_STRATEGY) -> float:
-    """Regular (pointwise) part of the response function phi(t) = -dn/dt at t > 0."""
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+def _time_points(t, positive: bool):
+    """(t, exp): float and math.exp, or float array and np.exp; checks the sign of t."""
+    grid = not isinstance(t, (int, float)) and np.ndim(t) > 0
+    t = np.asarray(t, dtype=float) if grid else float(t)
+    low = t.min(initial=np.inf) if grid else t
+    if low < 0.0 or (positive and low == 0.0):
+        raise DomainError(f"t must be {'positive' if positive else 'nonnegative'}, got {low}")
+    return t, (np.exp if grid else math.exp)
+
+
+def _pow(x, p: float):
+    """x**p by Python's pow, point by point for an array: numpy's pow can differ in the
+    last bit, which the contour floor and HN's ``1 - x**(alpha beta) E`` magnify."""
+    if isinstance(x, float):
+        return x**p
+    return np.fromiter((v**p for v in x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def response(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
+    """Regular (pointwise) part of the response function phi(t) = -dn/dt at t > 0.
+
+    ``t`` is a number (a float) or an array (an array, one Prabhakar grid call).
+    """
+    t, exp = _time_points(t, positive=True)
     spec = _canonical(spec)
     x = t / spec.tau
     a, b, tau = spec.alpha, spec.beta, spec.tau
     if spec.kind == "debye":
-        return math.exp(-x) / tau
+        return exp(-x) / tau
     if spec.kind == "cc":
-        return x ** (a - 1.0) * prabhakar_eval(a, a, 1.0, x**a, strategy) / tau
+        return _pow(x, a - 1.0) * prabhakar_eval(a, a, 1.0, _pow(x, a), strategy) / tau
     if spec.kind == "cd":
-        return x ** (b - 1.0) * math.exp(-x) * float(sc.rgamma(b)) / tau
+        return _pow(x, b - 1.0) * exp(-x) * float(sc.rgamma(b)) / tau
     if spec.kind == "hn":
-        return x ** (a * b - 1.0) * prabhakar_eval(a, a * b, b, x**a, strategy) / tau
+        return _pow(x, a * b - 1.0) * prabhakar_eval(a, a * b, b, _pow(x, a), strategy) / tau
     if spec.kind == "jws":
-        return -prabhakar_eval(a, 0.0, b, x**a, strategy) / (x * tau)
+        return -prabhakar_eval(a, 0.0, b, _pow(x, a), strategy) / (x * tau)
     if spec.kind == "mcd":
         return -prabhakar_eval(1.0, 0.0, b, x, strategy) / (x * tau)
     # kww
-    return a * x ** (a - 1.0) * math.exp(-(x**a)) / tau
+    return a * _pow(x, a - 1.0) * exp(-_pow(x, a)) / tau
 
 
 def time_response(spec: ModelSpec, strategy: EvalStrategy = DEFAULT_STRATEGY) -> TimeResponse:
@@ -354,29 +377,30 @@ def time_response(spec: ModelSpec, strategy: EvalStrategy = DEFAULT_STRATEGY) ->
     return TimeResponse(singular_weight=weight, regular=lambda t: response(spec, t, strategy))
 
 
-def relaxation(spec: ModelSpec, t: float, strategy: EvalStrategy = DEFAULT_STRATEGY) -> float:
-    """Relaxation function n(t) with n(0) = 1, monotone to 0 at infinity."""
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return 1.0
+def relaxation(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
+    """Relaxation function n(t) with n(0) = 1 exactly, monotone to 0 at infinity.
+
+    ``t`` is a number (a float) or an array (an array, one Prabhakar grid call).
+    """
+    t, exp = _time_points(t, positive=False)
     spec = _canonical(spec)
     x = t / spec.tau
     a, b = spec.alpha, spec.beta
     if spec.kind == "debye":
-        return math.exp(-x)
+        return exp(-x)
     if spec.kind == "cc":
-        return prabhakar_eval(a, 1.0, 1.0, x**a, strategy)
+        return prabhakar_eval(a, 1.0, 1.0, _pow(x, a), strategy)
     if spec.kind == "cd":
         # upper incomplete gamma ratio Gamma(beta, x) / Gamma(beta)
-        return float(sc.gammaincc(b, x))
+        n = sc.gammaincc(b, x)
+        return n if isinstance(x, np.ndarray) else float(n)
     if spec.kind == "hn":
-        return 1.0 - x ** (a * b) * prabhakar_eval(a, 1.0 + a * b, b, x**a, strategy)
+        return 1.0 - _pow(x, a * b) * prabhakar_eval(a, 1.0 + a * b, b, _pow(x, a), strategy)
     if spec.kind == "jws":
-        return prabhakar_eval(a, 1.0, b, x**a, strategy)
+        return prabhakar_eval(a, 1.0, b, _pow(x, a), strategy)
     if spec.kind == "mcd":
         return prabhakar_eval(1.0, 1.0, b, x, strategy)
-    return math.exp(-(x**a))
+    return exp(-_pow(x, a))
 
 
 def relaxation_derivatives(

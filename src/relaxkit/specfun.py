@@ -24,17 +24,17 @@ kernels need ``E[alpha, mu; -beta]`` and second derivatives need ``mu < 0``.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
 from scipy import special as sc
 
-from .exceptions import DomainError, NonConvergent, StrategyDisagreement
-from .inversion import talbot
+from .exceptions import ContourOverflow, DomainError, NonConvergent, StrategyDisagreement
+from .inversion import talbot_contour
 from .quadrature import tanh_sinh
 
 __all__ = [
@@ -61,11 +61,16 @@ _KINDS = (AUTO, POWER_SERIES, ASYMPTOTIC_SERIES, CONTOUR_INVERSION, HYPERGEOMETR
 
 # switch points in u = x**(1/alpha), the t/tau-like variable: the series loses
 # about exp(u)*eps to cancellation, the asymptotic expansion gains exp(-u)
-_SERIES_SAFE_U = 10.0
 _SERIES_MAX_U = 25.0
 _ASYM_SAFE_U = 50.0
 _CONTOUR_NODES = 24
 _TINY = 1e-300
+# terms per block of the array series and expansion: the blocks bound their
+# memory, and a point drops out after the block in which it converges
+_SERIES_ROWS, _ASYM_ROWS = 64, 16
+# the fixed Talbot contour at t = 1 as node and weight columns, with log z
+_TALBOT_Z, _TALBOT_W = (np.array(a)[:, None] for a in talbot_contour(_CONTOUR_NODES))
+_TALBOT_LOG_Z = np.log(_TALBOT_Z)
 
 
 @dataclass(frozen=True)
@@ -250,8 +255,10 @@ def _series(alpha: float, mu: float, nu: float, x: float, rel_tol: float, max_te
 
     Returns ``(value, cancellation)`` where cancellation is the ratio of the
     largest term magnitude to the result magnitude; the result carries about
-    ``cancellation * eps`` of absolute rounding error.
+    ``cancellation * eps`` of absolute rounding error.  Arrays for an array x > 0.
     """
+    if isinstance(x, np.ndarray):
+        return _series_grid(alpha, mu, nu, x, rel_tol, max_terms)
     if x == 0.0:
         return float(sc.rgamma(mu)), 1.0
     log_x = math.log(x)
@@ -290,35 +297,72 @@ def _series(alpha: float, mu: float, nu: float, x: float, rel_tol: float, max_te
     return total, max_abs / max(abs(total), _TINY)
 
 
-def _kummer(mu: float, nu: float, x: float, rel_tol: float, max_terms: int) -> float:
-    """alpha = 1 case via Kummer's transformation.
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` point by point: scalar code's values to the last bit, unlike numpy's ufuncs."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _term_blocks(nu: float, end: int, rows: int):
+    """Blocks of ``rows`` indices j < end with log|(nu)_j|, the sign of (-1)^j (nu)_j
+    (0 once (nu)_j terminates) and log j!, accumulated as the scalar loops do."""
+    log_poch, sign_poch = 0.0, 1.0
+    for j0 in range(0, end, rows):
+        j = np.arange(j0, min(j0 + rows, end))
+        factor = np.where(j > 0, nu + (j - 1.0), 1.0)
+        logs = _libm(math.log, np.maximum(np.abs(factor), _TINY))
+        logs[0] += log_poch
+        poch = np.cumsum(logs)
+        sign = np.cumprod(np.sign(factor)) * sign_poch
+        log_poch, sign_poch = poch[-1], sign[-1]
+        yield j, poch, np.where(j % 2, -sign, sign), _libm(math.lgamma, j + 1.0)
+
+
+def _series_grid(alpha, mu, nu, x: np.ndarray, rel_tol: float, max_terms: int):
+    """Array body of :func:`_series`, ``_SERIES_ROWS`` terms a block: each point
+    carries its sum, largest term and last two small-term flags across blocks."""
+    log_x = _libm(math.log, x)[:, None]
+    total, peak = np.zeros(x.size), np.zeros(x.size)
+    small = np.zeros((x.size, 2), dtype=bool)
+    live = np.arange(x.size)
+    for r, poch, sign, log_fact in _term_blocks(nu, max_terms, _SERIES_ROWS):
+        mag, rg = poch + r * log_x[live] - log_fact, sc.rgamma(alpha * r + mu)
+        term = sign * np.exp(np.minimum(mag, 709.0)) * rg
+        size = np.abs(term)
+        term[:, 0] += total[live]
+        sums = np.cumsum(term, axis=1)
+        flags = np.hstack((small[live], size < rel_tol * np.maximum(np.abs(sums), _TINY)))
+        hit = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
+        done = hit.any(axis=1)
+        stop, rows = np.where(done, hit.argmax(axis=1), r.size - 1), np.arange(live.size)
+        if np.any((mag > 690.0) & (rg != 0.0) & (np.arange(r.size) <= stop[:, None])):
+            raise NonConvergent(f"series term overflow (alpha={alpha}, mu={mu}, nu={nu})")
+        total[live] = sums[rows, stop]
+        peak[live] = np.maximum(peak[live], np.maximum.accumulate(size, axis=1)[rows, stop])
+        small[live] = flags[:, -2:]
+        live = live[~done]
+        if not live.size:
+            break
+    if live.size:
+        raise NonConvergent(f"Prabhakar series needs more than {max_terms} terms at x={x[live[0]]}")
+    cancel = peak / np.maximum(np.abs(total), _TINY)
+    # np.exp and math.exp differ in the last bit for ~5% of arguments, which
+    # moves the sum by up to ~1e-15 * cancel relative: the scalar loop re-sums
+    # the few points where that could pass 1e-13
+    for i in np.flatnonzero(cancel > 100.0).tolist():
+        total[i], cancel[i] = _series(alpha, mu, nu, float(x[i]), rel_tol, max_terms)
+    return total, cancel
+
+
+def _kummer(mu: float, nu: float, x):
+    """alpha = 1 case via Kummer's transformation, for a number or an array x.
 
     E[1, mu; nu](-x) = exp(-x) * 1F1(mu - nu; mu; x) / Gamma(mu). For
     mu >= nu every term of the transformed series is nonnegative, so the
     result is correct to relative rounding error at any x (this is what makes
     the Debye and Cole-Davidson reductions exact to 1e-12 and better).
     """
-    a = mu - nu
-    if a == 0.0:
-        return math.exp(-x) * float(sc.rgamma(mu))
-    total = 1.0
-    term = 1.0
-    small = 0
-    for r in range(max_terms):
-        denom = (mu + r) * (r + 1.0)
-        if denom == 0.0:
-            raise NonConvergent(f"confluent series hits a pole (mu={mu})")
-        term *= (a + r) * x / denom
-        total += term
-        if abs(term) < rel_tol * max(abs(total), _TINY):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        raise NonConvergent(f"confluent series needs more than {max_terms} terms at x={x}")
-    return math.exp(-x + math.log(abs(total))) * math.copysign(1.0, total) * float(sc.rgamma(mu))
+    value = np.exp(-x) * sc.hyp1f1(mu - nu, mu, x) * sc.rgamma(mu)
+    return value if isinstance(x, np.ndarray) else float(value)
 
 
 def _asymptotic(alpha: float, mu: float, nu: float, x: float, rel_tol: float, jmax: int = 160) -> float:
@@ -326,8 +370,11 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: float, rel_tol: float, jm
 
     E[alpha, mu; nu](-x) ~ sum_j (-1)^j (nu)_j x**(-nu-j) / (j! Gamma(mu - alpha(nu+j))),
     summed until the terms start growing; the first omitted term bounds the
-    error.  Raises NonConvergent when that bound misses ``rel_tol``.
+    error.  Raises NonConvergent when that bound misses ``rel_tol``; an array
+    x (all > 0) gives an array with NaN at those points instead.
     """
+    if isinstance(x, np.ndarray):
+        return _asymptotic_grid(alpha, mu, nu, x, rel_tol, jmax)
     if x <= 0.0:
         raise NonConvergent("asymptotic expansion needs x > 0")
     log_x = math.log(x)
@@ -364,6 +411,38 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: float, rel_tol: float, jm
     return total
 
 
+def _asymptotic_grid(alpha, mu, nu, x: np.ndarray, rel_tol: float, jmax: int) -> np.ndarray:
+    """Array body of :func:`_asymptotic`, ``_ASYM_ROWS`` terms a block: zero
+    coefficients are skipped, and each point stops at its first term that
+    grows (not summed) or is small (summed), as the scalar loop does."""
+    log_x = _libm(math.log, x)[:, None]
+    total, err, last = np.zeros(x.size), np.full(x.size, np.inf), np.full(x.size, np.inf)
+    live = np.arange(x.size)
+    for j, poch, sign, log_fact in _term_blocks(nu, jmax, _ASYM_ROWS):
+        rg = sc.rgamma(mu - alpha * (nu + j))
+        keep = rg != 0.0
+        if not keep.any():
+            continue
+        j, poch, sign, log_fact, rg = j[keep], poch[keep], sign[keep], log_fact[keep], rg[keep]
+        mag = (poch - log_fact) - (nu + j) * log_x[live]
+        term = sign * _libm(math.exp, np.minimum(mag, 709.0)) * rg
+        size = np.abs(term)
+        grow = size > np.hstack((last[live, None], size[:, :-1]))
+        term[grow] = 0.0  # a growing term is not summed
+        term[:, 0] += total[live]
+        sums = np.cumsum(term, axis=1)
+        hit = grow | (size < rel_tol * np.maximum(np.abs(sums), _TINY))
+        done = hit.any(axis=1)
+        stop, rows = np.where(done, hit.argmax(axis=1), j.size - 1), np.arange(live.size)
+        total[live] = sums[rows, stop]
+        err[live] = np.where(done, size[rows, stop], np.inf)
+        last[live] = size[:, -1]
+        live = live[~done]
+        if not live.size:
+            break
+    return np.where(err <= max(rel_tol, 1e-12) * np.maximum(np.abs(total), _TINY), total, np.nan)
+
+
 def _asym_pole_collision(alpha: float, mu: float, nu: float, jmax: int = 8) -> bool:
     """True when early expansion coefficients sit on gamma poles.
 
@@ -379,33 +458,45 @@ def _asym_pole_collision(alpha: float, mu: float, nu: float, jmax: int = 8) -> b
     return False
 
 
-def _contour(alpha: float, mu: float, nu: float, x: float, nodes: int = _CONTOUR_NODES) -> float:
+def _contour(alpha: float, mu: float, nu: float, x):
     """Midrange evaluation by fixed-Talbot inversion of the Laplace image.
 
     t**(mu-1) E[alpha, mu; nu](-x t**alpha) has image
     z**(alpha nu - mu) / (x + z**alpha)**nu; evaluating the inversion at
     t = 1 yields E(-x).  For mu = 0 the image tends to 1 at infinity (a unit
     point mass at t = 0); the constant is subtracted so the returned value is
-    the pointwise one.  Requires mu >= 0.
+    the pointwise one.  Requires mu >= 0.  A number or an array x > 0 (nodes x points).
     """
     if mu < 0.0:
         raise NonConvergent("contour inversion restricted to mu >= 0")
-    shift = 1.0 if mu == 0.0 else 0.0
+    za = _TALBOT_Z**alpha
+    # z**(alpha nu - mu) / (x + z**alpha)**nu in log space: |nu| can be
+    # large (kernel series evaluate nu = beta*r) and would overflow a
+    # direct power
+    w = nu * np.log(za / (np.atleast_1d(x) + za)) - mu * _TALBOT_LOG_Z
+    if np.any(w.real > 5.0):
+        # a genuine image of this family stays bounded on the contour;
+        # growth means the (large-nu, large-x) corner where the Talbot
+        # tails blow up and the inversion is meaningless
+        raise NonConvergent("image grows on the Talbot contour (nu and x too large)")
+    terms = (_TALBOT_W * (np.exp(w) - (1.0 if mu == 0.0 else 0.0))).real
+    if not np.all(np.isfinite(terms)):
+        raise ContourOverflow("non-finite image value on Talbot contour")
+    # cumsum adds the nodes in ascending order whatever the number of points
+    value = np.cumsum(terms, axis=0)[-1] * 2.0 / 5.0
+    return value if isinstance(x, np.ndarray) else float(value[0])
 
-    def image(z: complex) -> complex:
-        za = z**alpha
-        # z**(alpha nu - mu) / (x + z**alpha)**nu in log space: |nu| can be
-        # large (kernel series evaluate nu = beta*r) and would overflow a
-        # direct power
-        w = nu * cmath.log(za / (x + za)) - mu * cmath.log(z)
-        if w.real > 5.0:
-            # a genuine image of this family stays bounded on the contour;
-            # growth means the (large-nu, large-x) corner where the Talbot
-            # tails blow up and the inversion is meaningless
-            raise NonConvergent("image grows on the Talbot contour (nu and x too large)")
-        return cmath.exp(w) - shift
 
-    return talbot(image, 1.0, nodes=nodes)
+def _check_handoff(series, contour, x, alpha, mu, nu, rel: float) -> None:
+    """Raise StrategyDisagreement where series and contour differ by more than
+    max(10 rel, 1e-8): the contour's own floor is ~1e-9 near coefficient poles."""
+    series, contour, x = np.atleast_1d(series), np.atleast_1d(contour), np.atleast_1d(x)
+    scale = np.maximum(np.maximum(np.abs(series), np.abs(contour)), _TINY)
+    for i in np.flatnonzero(np.abs(series - contour) > max(10.0 * rel, 1e-8) * scale)[:1]:
+        raise StrategyDisagreement(
+            f"series={series[i]:.12g} vs contour={contour[i]:.12g} at x={x[i]} "
+            f"(alpha={alpha}, mu={mu}, nu={nu})"
+        )
 
 
 def _eval_auto(alpha: float, mu: float, nu: float, x: float, strategy: EvalStrategy) -> float:
@@ -418,7 +509,7 @@ def _eval_auto(alpha: float, mu: float, nu: float, x: float, strategy: EvalStrat
         # alternate with peak ~exp(2 sqrt((nu-mu) x)), so only mild
         # alternation is allowed before the contour takes over
         if mu >= nu or (nu - mu) * x <= 36.0:
-            return _kummer(mu, nu, x, rel, cap)
+            return _kummer(mu, nu, x)
     u = x ** (1.0 / alpha)
 
     if u <= strategy.crossover_magnitude:
@@ -432,17 +523,9 @@ def _eval_auto(alpha: float, mu: float, nu: float, x: float, strategy: EvalStrat
             # kernel series evaluate E with nu = beta*r); the image has no
             # such cancellation
             return _contour(alpha, mu, nu, x)
-        # handoff band: cross-check against the next strategy in line (the
-        # contour's own floor is ~1e-9 relative near coefficient poles, so
-        # the disagreement threshold cannot be tighter than that)
+        # handoff band: cross-check against the next strategy in line
         if mu >= 0.0 and u >= 0.9 * strategy.crossover_magnitude and cancel < 1e8:
-            other = _contour(alpha, mu, nu, x)
-            scale = max(abs(value), abs(other), _TINY)
-            if abs(value - other) > max(10.0 * rel, 1e-8) * scale:
-                raise StrategyDisagreement(
-                    f"series={value:.12g} vs contour={other:.12g} at x={x} "
-                    f"(alpha={alpha}, mu={mu}, nu={nu})"
-                )
+            _check_handoff(value, _contour(alpha, mu, nu, x), x, alpha, mu, nu, rel)
         return value
     if mu >= 0.0:
         # the naive expansion needs a pole-free coefficient family; with
@@ -460,6 +543,40 @@ def _eval_auto(alpha: float, mu: float, nu: float, x: float, strategy: EvalStrat
         value, _ = _series(alpha, mu, nu, x, rel, cap)
         return value
     return _asymptotic(alpha, mu, nu, x, rel)
+
+
+def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: EvalStrategy):
+    """:func:`_eval_auto` on a 1-D array of x >= 0 for mu >= 0, one strategy
+    call per route: every point takes the route the scalar dispatcher gives it
+    and raises where it raises (the handoff band shares the midrange contour)."""
+    rel, cross = strategy.rel_tolerance, strategy.crossover_magnitude
+    out = np.full(x.shape, float(sc.rgamma(mu)))
+    todo = x > 0.0
+    if alpha == 1.0 and mu > 0.0:
+        kummer = todo & (x <= 690.0) & ((mu >= nu) | ((nu - mu) * x <= 36.0))
+        out[kummer] = _kummer(mu, nu, x[kummer])
+        todo &= ~kummer
+    u = _libm(lambda v: v ** (1.0 / alpha), x)  # Python's pow: the scalar route at every threshold
+    series = todo & (u <= cross)
+    if nu > 20.0:
+        series &= nu * x <= 10.0
+    band = np.zeros_like(todo)
+    if series.any():
+        out[series], cancel = _series(alpha, mu, nu, x[series], rel, strategy.series_max_terms)
+        todo[series] = cancel > 1e8
+        band[series] = (u[series] >= 0.9 * cross) & (cancel < 1e8)
+    asym = todo & (u > cross) & (u >= _ASYM_SAFE_U)
+    if _asym_pole_collision(alpha, mu, nu):
+        asym &= x >= 500.0
+    if asym.any():
+        out[asym] = value = _asymptotic(alpha, mu, nu, x[asym], rel)
+        todo[asym] = np.isnan(value)
+    contour = todo | band
+    if contour.any():
+        value = _contour(alpha, mu, nu, x[contour])
+        _check_handoff(out[band], value[band[contour]], x[band], alpha, mu, nu, rel)
+        out[todo] = value[todo[contour]]
+    return out
 
 
 def prabhakar(
@@ -490,10 +607,23 @@ def prabhakar_eval(
 
     The memory kernels need ``nu = -beta`` and ``mu = 0``; second derivatives
     of the relaxation functions need ``mu < 0``.  Same contract as
-    :func:`prabhakar` otherwise.
+    :func:`prabhakar` otherwise.  ``x`` is a number (a float result) or an
+    array (an array of its shape); for mu >= 0 the auto strategy evaluates an
+    array in one pass per route, otherwise it goes point by point.
     """
     if not (alpha > 0.0):
         raise DomainError(f"alpha must be positive, got {alpha}")
+    if not isinstance(x, (int, float)):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            if np.any(x < 0.0):
+                raise DomainError(f"x must be nonnegative, got {x.min()}")
+            if strategy.kind != AUTO or mu < 0.0:
+                values = [prabhakar_eval(alpha, mu, nu, v, strategy) for v in x.ravel().tolist()]
+                return np.reshape(values, x.shape)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _eval_grid(alpha, mu, nu, x.ravel(), strategy).reshape(x.shape)
+        x = float(x)
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
     kind = strategy.kind
@@ -501,7 +631,7 @@ def prabhakar_eval(
         return _eval_auto(alpha, mu, nu, x, strategy)
     if kind == POWER_SERIES:
         if alpha == 1.0 and mu > 0.0 and x <= 690.0:
-            return _kummer(mu, nu, x, strategy.rel_tolerance, strategy.series_max_terms)
+            return _kummer(mu, nu, x)
         value, cancel = _series(alpha, mu, nu, x, strategy.rel_tolerance, strategy.series_max_terms)
         if cancel > 1e13:
             raise NonConvergent(f"series cancellation {cancel:.2g} leaves no significant digits")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -187,3 +189,18 @@ def test_threads_env_does_not_change_output(tmp_path, capsys, monkeypatch):
     code2, threaded, _ = run(capsys, *argv)
     assert code == code2 == EXIT_OK
     assert serial == threaded
+
+
+def test_cached_parser_after_usage_error_matches_fresh_process(capsys):
+    argv = ["eval", "relaxation", "--model", "hn", "--alpha", "0.6", "--beta", "0.5",
+            "--grid", "0.001:1000:32"]
+    code, _, _ = run(capsys, "eval", "relaxation", "--model", "nosuch")
+    assert code == EXIT_USAGE
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "relaxkit.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert out == fresh.stdout

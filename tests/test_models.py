@@ -196,6 +196,21 @@ def test_array_path_rejects_negative_omega_and_kww():
         permittivity(kww, SCALE, np.logspace(-2, 2, 5))
 
 
+@pytest.mark.parametrize(
+    "spec", [ModelSpec("mcd", beta=0.6), ModelSpec("jws", alpha=0.6, beta=0.6)]
+)
+def test_jws_mcd_spectral_high_frequency_wing_matches_mpmath(spec):
+    import mpmath
+
+    e = spec.alpha if spec.kind == "jws" else 1.0
+    w = np.array([1e2, 1e4, 1e6, 1e8])
+    phi = spectral(spec, w)
+    with mpmath.workdps(40):
+        for wi, value in zip(w.tolist(), phi.tolist()):
+            exact = 1 - (1 + mpmath.mpc(0, wi) ** -e) ** -spec.beta
+            assert abs(mpmath.mpc(value) - exact) <= 1e-13 * abs(exact)
+
+
 # ---------------------------------------------------------------------------
 # response / relaxation
 # ---------------------------------------------------------------------------
