@@ -4,8 +4,9 @@ Tables are emitted as CSV (default) or JSON; figures are reproduced as data
 tables, never rendered.  Delta weights of distributional quantities appear
 in a header comment, not as sampled values.  Exit codes: 0 success, 2 bad
 flags or malformed input, 3 numeric failure, 4 fit non-convergence, 5 failed
-verification checks.  Spectral, permittivity, relaxation and response are
-evaluated on the whole grid in one array call.
+verification checks.  Spectral, permittivity, relaxation, response and the
+memory kernels (kernelM, kernelK) are evaluated on the whole grid in one array
+call; ``--at`` evaluates a single point as a number.
 """
 
 from __future__ import annotations
@@ -155,8 +156,9 @@ def _eval_table(args) -> tuple[list[str], list[tuple], list[str]]:
         weight = kernels.kernel_singular_weight(cfg, which)
         comments.append(f"delta_weight = {weight:g}")
         kernel = kernels.memory_M_time if which == "M" else kernels.memory_k_time
-        rows = [(t, kernel(cfg, t)) for t in xs]
-        return ["t", q[-1]], rows, comments
+        # a single point stays scalar: a 1-element grid costs about 3x a scalar call
+        values = [kernel(cfg, args.at)] if args.at is not None else kernel(cfg, grid).tolist()
+        return ["t", q[-1]], list(zip(xs, values)), comments
     if q == "psi":
         cfg = kernels.KernelConfig(spec)
         rows = [(s, kernels.characteristic_exponent(cfg, s)) for s in xs]

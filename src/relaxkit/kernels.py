@@ -22,18 +22,24 @@ Series are truncated adaptively with a geometric tail bound estimated from
 the last two terms; a :class:`TruncationWarning` is emitted when the bound
 exceeds the requested tolerance, and the bound is available through
 ``memory_time_with_bound`` so consumers can widen their own tolerances.
+
+The time-domain kernels take a number or an array of times.  On an array the
+closed forms evaluate the whole grid at once, and a series is summed with one
+Prabhakar grid call per term r over the points whose series have not yet
+stopped; each point keeps the stop rules and the bound of a scalar call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import DomainError, NonConvergent, TruncationWarning
 from .inversion import talbot
-from .models import ModelSpec, relaxation, response, spectral_ratio_real
+from .models import ModelSpec, _pow, _pow1p_m1, _time_points, relaxation, response, spectral_ratio_real
 from .quadrature import tanh_sinh
 from .specfun import DEFAULT_STRATEGY, EvalStrategy, prabhakar_eval
 
@@ -52,20 +58,7 @@ __all__ = [
 
 _KERNEL_KINDS = ("debye", "cc", "cd", "mcd", "hn", "jws")
 _REL_TOL = 1e-9
-
-
-def _clog1p(w: complex) -> complex:
-    """log(1 + w) for complex w, accurate for tiny |w|."""
-    if abs(w) < 1e-4:
-        return w * (1.0 + w * (-0.5 + w * (1.0 / 3.0 - 0.25 * w)))
-    return cmath.log(1.0 + w)
-
-
-def _cexpm1(u: complex) -> complex:
-    """exp(u) - 1 for complex u, accurate for tiny |u|."""
-    if abs(u) < 1e-4:
-        return u * (1.0 + u * (0.5 + u * (1.0 / 6.0 + u / 24.0)))
-    return cmath.exp(u) - 1.0
+_LOG_MAX = math.log(1.7976931348623157e308)  # log of the largest float
 
 
 @dataclass(frozen=True)
@@ -124,79 +117,125 @@ def kernel_singular_weight(cfg: KernelConfig, which: str) -> float:
     return 0.0
 
 
-def _series_sum(cfg: KernelConfig, t: float, term_fn) -> tuple[float, float]:
-    """Sum term_fn(r) for r = 1.. with a geometric tail bound from the last two terms.
+def _series_sum(cfg: KernelConfig, t, term_fn):
+    """Sum term_fn(r) for r = 1.. at every point of t, each point with a geometric
+    tail bound from its last two terms.
 
-    A term whose evaluation fails (outside every strategy's reach) truncates
-    the series there; the reported bound then covers the dropped tail.
+    ``term_fn(r)`` returns the r-th term as a function of the times still
+    summing: the number t, or an array of the points of an array t whose
+    series go on, which one Prabhakar grid call evaluates.  A term whose
+    evaluation fails (outside every strategy's reach) truncates that point's
+    series there (a grid term that raises is evaluated again point by point);
+    the reported bound then covers the dropped tail.
     """
-    total = 0.0
-    prev = math.inf
-    bound = math.inf
+    grid = isinstance(t, np.ndarray)
+    ts = t.ravel() if grid else np.array([t])
+    total, prev, bound = [0.0] * ts.size, [math.inf] * ts.size, [math.inf] * ts.size
+    live = list(range(ts.size))
     for r in range(1, cfg.series_terms + 1):
+        if not live:
+            break
+        at = term_fn(r)
         try:
-            term = term_fn(r)
+            terms = at(ts[live]).tolist() if grid else [at(t)]
         except NonConvergent:
-            break
-        total += term
-        at = abs(term)
-        if at < _REL_TOL * max(abs(total), 1e-300):
-            bound = at
-            break
-        if at < prev and prev < math.inf:
-            rho = at / prev
-            bound = at * rho / (1.0 - rho)
-            if bound < _REL_TOL * max(abs(total), 1e-300):
-                break
-        prev = at
-    if not (bound <= 1e-6 * max(abs(total), 1e-300)):
-        warnings.warn(
-            f"kernel series truncated at {cfg.series_terms} terms with tail bound "
-            f"{bound:.3g} (value {total:.6g})",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    return total, bound
+            live, terms = _point_terms(at, ts, live) if grid else ([], [])
+        going = []
+        for i, term in zip(live, terms):
+            total[i] += term
+            size = abs(term)
+            if size < _REL_TOL * max(abs(total[i]), 1e-300):
+                bound[i] = size
+                continue
+            if size < prev[i] and prev[i] < math.inf:
+                rho = size / prev[i]
+                bound[i] = size * rho / (1.0 - rho)
+                if bound[i] < _REL_TOL * max(abs(total[i]), 1e-300):
+                    continue
+            prev[i] = size
+            going.append(i)
+        live = going
+    for i, (value, tail) in enumerate(zip(total, bound)):
+        if not (tail <= 1e-6 * max(abs(value), 1e-300)):
+            warnings.warn(
+                f"kernel series truncated at {cfg.series_terms} terms with tail bound "
+                f"{tail:.3g} (value {value:.6g}, t = {ts[i]:.6g})",
+                TruncationWarning,
+                stacklevel=3,
+            )
+    if grid:
+        return np.reshape(total, t.shape), np.reshape(bound, t.shape)
+    return total[0], bound[0]
+
+
+def _point_terms(at, ts: np.ndarray, live: list):
+    """The term at each live point by a scalar call: the points where it raises
+    NonConvergent stop there.  Returns the points that go on and their terms."""
+    going, terms = [], []
+    for i in live:
+        try:
+            terms.append(at(float(ts[i])))
+        except NonConvergent:
+            continue
+        going.append(i)
+    return going, terms
 
 
 def memory_time_with_bound(
-    cfg: KernelConfig, t: float, which: str, strategy: EvalStrategy = DEFAULT_STRATEGY
-) -> tuple[float, float]:
-    """Regular part of M(t) or k(t) plus the truncation tail bound (0 for closed forms)."""
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    cfg: KernelConfig, t, which: str, strategy: EvalStrategy = DEFAULT_STRATEGY
+):
+    """Regular part of M(t) or k(t) plus the truncation tail bound (0 for closed forms).
+
+    ``t`` is a number (two floats) or an array (two arrays of its shape).  A
+    renewal series that needs a term past the float range raises
+    :class:`NonConvergent`.
+    """
+    t, _ = _time_points(t, positive=True)
     if which not in ("M", "k"):
         raise DomainError("which must be 'M' or 'k'")
     spec = cfg.spec
     a, b, tau, B = spec.alpha, spec.beta, spec.tau, cfg.rate_B
     x = t / tau
+    zero = 0.0 * x
 
     if which == "M":
         if spec.kind == "debye":
-            return 1.0 / (B * tau), 0.0
+            return 1.0 / (B * tau) + zero, zero
         if spec.kind == "cc":
-            return x ** (a - 1.0) / (B * tau * math.gamma(a)), 0.0
+            return _pow(x, a - 1.0) / (B * tau * math.gamma(a)), zero
         if spec.kind in ("jws", "mcd"):
             aa = a if spec.kind == "jws" else 1.0
-            return prabhakar_eval(aa, 0.0, -b, x**aa, strategy) / (B * t), 0.0
+            return prabhakar_eval(aa, 0.0, -b, _pow(x, aa), strategy) / (B * t), zero
         # hn / cd renewal series
         aa = a if spec.kind == "hn" else 1.0
 
-        def term(r: int) -> float:
-            return x ** (aa * b * r) * prabhakar_eval(aa, aa * b * r, b * r, x**aa, strategy)
+        def term(r: int):
+            p = aa * b * r
 
-        total, bound = _series_sum(cfg, t, term)
+            def at(ts):
+                top = ts.max() if isinstance(ts, np.ndarray) else ts
+                if p * math.log(top / tau) > _LOG_MAX:
+                    raise OverflowError(f"(t/tau)**{p:.6g} passes the float range at r = {r}, t = {top:g}")
+                xs = ts / tau
+                return _pow(xs, p) * prabhakar_eval(aa, p, b * r, _pow(xs, aa), strategy)
+
+            return at
+
+        try:
+            total, bound = _series_sum(cfg, t, term)
+        except OverflowError as exc:
+            raise NonConvergent(f"renewal series of M: {exc}") from None
         return total / (B * t), bound / (B * t)
 
     # which == "k"
     if spec.kind == "debye":
-        return 0.0, 0.0  # pure point mass B*tau*delta(t); see kernel_singular_weight
+        return zero, zero  # pure point mass B*tau*delta(t); see kernel_singular_weight
     if spec.kind == "cc":
-        return B * x**-a / math.gamma(1.0 - a), 0.0
+        return B * _pow(x, -a) / math.gamma(1.0 - a), zero
     if spec.kind in ("hn", "cd"):
         aa = a if spec.kind == "hn" else 1.0
-        val = B * x ** (-aa * b) * prabhakar_eval(aa, 1.0 - aa * b, -b, x**aa, strategy) - B
-        return val, 0.0
+        val = B * _pow(x, -aa * b) * prabhakar_eval(aa, 1.0 - aa * b, -b, _pow(x, aa), strategy) - B
+        return val, zero
     if spec.kind == "mcd":
         # the alpha = 1 reduction makes the geometric series of relaxation
         # terms oscillate with only algebraic decay (Laguerre amplitudes);
@@ -205,14 +244,15 @@ def memory_time_with_bound(
         weight = kernel_singular_weight(cfg, "k")
 
         def image(z: complex) -> complex:
-            w = 1.0 / (z * spec.tau)
-            return B / (_cexpm1(b * _clog1p(w)) * z) - weight
+            return B / (_pow1p_m1(1.0 / (z * spec.tau), b) * z) - weight
 
-        return talbot(image, t, nodes=32), 0.0
+        if isinstance(t, float):
+            return talbot(image, t, nodes=32), 0.0
+        return np.array([talbot(image, v, nodes=32) for v in t.tolist()]).reshape(t.shape), zero
     # jws: series of relaxation-like terms, superexponentially decaying for alpha < 1
 
-    def term(r: int) -> float:
-        return prabhakar_eval(a, 1.0, b * r, x**a, strategy)
+    def term(r: int):
+        return lambda ts: prabhakar_eval(a, 1.0, b * r, _pow(ts / tau, a), strategy)
 
     total, bound = _series_sum(cfg, t, term)
     return B * total, B * bound

@@ -256,13 +256,28 @@ def _spectral(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
         phi = (1.0 + 1j * w) ** -b
     elif spec.kind == "hn":
         phi = (1.0 + _iw_pow(w, a)) ** -b
-    else:  # jws / mcd: 1 - (1 + z)**-b = -expm1(-b log(1 + z)), z = (i w)**-exponent
-        z = _iw_pow(w, -(a if spec.kind == "jws" else 1.0))
-        # log(1 + z) from its modulus and angle, accurate for the tiny |z| of
-        # the high-frequency wing (numpy's complex log1p is not)
-        log_mod = 0.5 * np.log1p(2.0 * z.real + z.real**2 + z.imag**2)
-        phi = -np.expm1(-b * (log_mod + 1j * np.arctan2(z.imag, 1.0 + z.real)))
+    else:  # jws / mcd: 1 - (1 + z)**-b, z = (i w)**-exponent
+        phi = -_pow1p_m1(_iw_pow(w, -(a if spec.kind == "jws" else 1.0)), -b)
     return np.where(zero, 1.0 + 0.0j, phi)
+
+
+def _pow1p_m1(w, b: float):
+    """(1 + w)**b - 1 for complex w, a number or an array, accurate for tiny |w|.
+
+    It is expm1(b log(1 + w)), with log(1 + w) from its modulus (log1p) and its
+    angle (atan2).  The direct form cancels in the JWS/MCD high-frequency wing,
+    and so does numpy's complex log1p.  A number takes numpy's complex expm1
+    formula through the math module, which has no complex expm1.
+    """
+    scalar = isinstance(w, complex)
+    lib = math if scalar else np
+    re, im = w.real, w.imag
+    u_re = b * (0.5 * lib.log1p(2.0 * re + re * re + im * im))
+    u_im = b * (math.atan2(im, 1.0 + re) if scalar else np.arctan2(im, 1.0 + re))
+    if not scalar:
+        return np.expm1(u_re + 1j * u_im)
+    half = math.sin(0.5 * u_im)
+    return complex(math.expm1(u_re) * math.cos(u_im) - 2.0 * half * half, math.exp(u_re) * math.sin(u_im))
 
 
 def spectral_ratio_real(spec: ModelSpec, s: float) -> float:
@@ -631,8 +646,7 @@ def laplace_image(spec: ModelSpec) -> LaplaceImage:
             return (1.0 + zt) ** -b
         if spec.kind == "hn":
             return (1.0 + zt**a) ** -b
-        exponent = a if spec.kind == "jws" else 1.0
-        return 1.0 - (1.0 + zt**-exponent) ** -b
+        return -_pow1p_m1(zt ** -(a if spec.kind == "jws" else 1.0), -b)
 
     return LaplaceImage(evaluator=evaluator, abscissa=0.0, singular_weight=0.0)
 

@@ -230,8 +230,7 @@ def _ratio_z(spec: models.ModelSpec, z: complex) -> complex:
         return (1.0 + zt) ** b - 1.0
     if spec.kind == "hn":
         return (1.0 + zt**a) ** b - 1.0
-    exponent = a if spec.kind == "jws" else 1.0
-    return 1.0 / ((1.0 + zt**-exponent) ** b - 1.0)
+    return 1.0 / models._pow1p_m1(zt ** -(a if spec.kind == "jws" else 1.0), b)
 
 
 def suite_cm(tol: float = 0.0) -> list[CheckResult]:
@@ -253,17 +252,22 @@ def suite_cm(tol: float = 0.0) -> list[CheckResult]:
             n, d1, d2 = models.relaxation_derivatives(spec, float(t))
             worst = max(worst, -n, d1, -d2)
     out.append(CheckResult("cm", "sign-pattern", worst, tol))
+    return out + _response_shapes("cm")
 
+
+def _response_shapes(suite: str) -> list[CheckResult]:
+    """The Fig-1-type HN response shapes beyond the regime: unimodal at beta = 3,
+    monotone at beta = 2 (shared by the cm and figures suites)."""
     ts = np.logspace(-3, 1.5, 120)
     beyond = _spec("hn", 0.5, 3.0, allow_unphysical=True)
     peak = int(np.argmax(models.response(beyond, ts)))
     unimodal = 0 < peak < len(ts) - 1
-    out.append(CheckResult("cm", "response-unimodal-beta3", 0.0 if unimodal else 1.0, 0.5))
-
     at_regime = _spec("hn", 0.5, 2.0, allow_unphysical=True)
     decreasing = bool(np.all(np.diff(models.response(at_regime, ts)) < 0.0))
-    out.append(CheckResult("cm", "response-monotone-beta2", 0.0 if decreasing else 1.0, 0.5))
-    return out
+    return [
+        CheckResult(suite, "response-unimodal-beta3", 0.0 if unimodal else 1.0, 0.5),
+        CheckResult(suite, "response-monotone-beta2", 0.0 if decreasing else 1.0, 0.5),
+    ]
 
 
 def suite_asymptotics(tol_short: float = 0.01, tol_long: float = 0.02) -> list[CheckResult]:
@@ -291,14 +295,13 @@ def suite_asymptotics(tol_short: float = 0.01, tol_long: float = 0.02) -> list[C
 
 def suite_figures() -> list[CheckResult]:
     """Qualitative shapes: response unimodality/monotonicity and the pdf negative lobe."""
-    out = list(suite_cm())[1:]
     lobe = min(
         models.pdf_g(_spec("hn", 0.75, 7 / 3, allow_unphysical=True), float(xi))
         for xi in np.logspace(-2, 2, 120)
     )
-    out.append(CheckResult("figures", "pdf-negative-lobe", 0.0 if lobe < 0 else 1.0, 0.5))
-    relabeled = [CheckResult("figures", c.name, c.max_error, c.tolerance) for c in out]
-    return relabeled
+    return _response_shapes("figures") + [
+        CheckResult("figures", "pdf-negative-lobe", 0.0 if lobe < 0 else 1.0, 0.5)
+    ]
 
 
 def suite_mixture(tol: float = 1e-5) -> list[CheckResult]:

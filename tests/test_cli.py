@@ -164,6 +164,31 @@ def test_verify_named_tolerance_override(capsys):
     assert code == EXIT_VERIFY_FAILED
 
 
+def test_verify_cm_and_figures_reports(capsys, monkeypatch):
+    # the two suites share the response-shape checks; figures does not run
+    # the cm suite's sign-pattern sweep
+    code, out, _ = run(capsys, "verify", "cm")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == [
+        "cm,sign-pattern,0,0,True",
+        "cm,response-unimodal-beta3,0,0.5,True",
+        "cm,response-monotone-beta2,0,0.5,True",
+    ]
+    from relaxkit import models
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the figures suite ran the sign-pattern sweep")
+
+    monkeypatch.setattr(models, "relaxation_derivatives", no_sweep)
+    code, out, _ = run(capsys, "verify", "figures")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == [
+        "figures,response-unimodal-beta3,0,0.5,True",
+        "figures,response-monotone-beta2,0,0.5,True",
+        "figures,pdf-negative-lobe,0,0.5,True",
+    ]
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "duality", "--format", "json")
     assert code == EXIT_OK

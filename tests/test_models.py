@@ -211,6 +211,25 @@ def test_jws_mcd_spectral_high_frequency_wing_matches_mpmath(spec):
             assert abs(mpmath.mpc(value) - exact) <= 1e-13 * abs(exact)
 
 
+@pytest.mark.parametrize(
+    "spec", [ModelSpec("mcd", beta=0.6), ModelSpec("jws", alpha=0.6, beta=0.6)]
+)
+def test_jws_mcd_laplace_image_and_exponent_match_mpmath(spec):
+    import mpmath
+
+    from relaxkit.verify import _ratio_z
+
+    e = spec.alpha if spec.kind == "jws" else 1.0
+    image = laplace_image(spec)
+    with mpmath.workdps(40):
+        for z in (1e2, 1e4, 1e6, 1e8, 1e6 + 3e5j):
+            exact = 1 - (1 + mpmath.mpc(z) ** -e) ** -spec.beta
+            assert abs(mpmath.mpc(image.evaluator(z)) - exact) <= 1e-13 * abs(exact)
+            # the characteristic-exponent core (1 - phi_hat) / phi_hat
+            ratio = (1 - exact) / exact
+            assert abs(mpmath.mpc(_ratio_z(spec, z)) - ratio) <= 1e-13 * abs(ratio)
+
+
 # ---------------------------------------------------------------------------
 # response / relaxation
 # ---------------------------------------------------------------------------
