@@ -7,38 +7,31 @@ characteristic exponent ``Psi_hat = 1 / M_hat``.  The rate constant B is a
 pure scale: it cancels from the Sonine product, the evolution residuals and
 ``Psi_hat / B``.
 
-Time-domain kernels:
-
-* HN family: ``k(t) = B (tau/t)**(alpha beta) E[alpha, 1-alpha beta; -beta](-(t/tau)**alpha) - B``
-  is closed-form; ``M(t)`` needs the renewal-type series
-  ``(B t)**-1 sum_r (t/tau)**(alpha beta r) E[alpha, alpha beta r; beta r](-(t/tau)**alpha)``.
-* JWS family: ``M(t) = E[alpha, 0; -beta](-(t/tau)**alpha) / (B t)`` is
-  closed-form (the point masses of the conventional representation cancel;
-  the image ``(1 + (s tau)**-alpha)**beta - 1`` vanishes at infinity), while
-  ``k(t) = B sum_r E[alpha, 1; beta r](-(t/tau)**alpha)`` needs the series.
-* Debye: ``M(t) = 1/(B tau)`` and ``k`` is the pure point mass ``B tau delta(t)``.
-
-Series are truncated adaptively with a geometric tail bound estimated from
-the last two terms; a :class:`TruncationWarning` is emitted when the bound
-exceeds the requested tolerance, and the bound is available through
-``memory_time_with_bound`` so consumers can widen their own tolerances.
-
-The time-domain kernels take a number or an array of times.  On an array the
-closed forms evaluate the whole grid at once, and a series is summed with one
-Prabhakar grid call per term r over the points whose series have not yet
-stopped; each point keeps the stop rules and the bound of a scalar call.
+Time-domain kernels.  With ``g(w) = (1 + w)**beta - 1`` (``models._pow1p_m1``)
+the HN family has ``M_hat(z) = 1 / (B g((z tau)**alpha))`` and the JWS family
+``k_hat(z) = B / (g((z tau)**-alpha) z)``; cd and mcd are the alpha = 1 cases,
+and mcd k loses its point mass ``B tau / beta``.  These four kernels are
+inverted on the fixed 24-node Talbot contour (Abate & Valko 2004) as one
+array over the nodes x the points; against 34-digit mpmath they are within
+1e-10 relative on t/tau from 1e-3 to 1e3, the constant bound
+``memory_time_with_bound`` reports for them.  (32 and 48 nodes lose digits
+to rounding.)  The others are closed forms with bound 0: hn k and jws/mcd M
+in Prabhakar functions, cd k as ``B Gamma(-beta, t/tau) / |Gamma(-beta)|``,
+cc in powers of t, Debye ``M = 1/(B tau)`` and the pure point mass
+``k = B tau delta(t)``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+import warnings  # noqa: F401  (rebound by relaxbench's tracer to count warnings)
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sc
 
-from .exceptions import DomainError, NonConvergent, TruncationWarning
-from .inversion import talbot
+from .exceptions import ContourOverflow, DomainError
+from .inversion import talbot_contour
 from .models import ModelSpec, _pow, _pow1p_m1, _time_points, relaxation, response, spectral_ratio_real
 from .quadrature import tanh_sinh
 from .specfun import DEFAULT_STRATEGY, EvalStrategy, prabhakar_eval
@@ -57,25 +50,23 @@ __all__ = [
 ]
 
 _KERNEL_KINDS = ("debye", "cc", "cd", "mcd", "hn", "jws")
-_REL_TOL = 1e-9
-_LOG_MAX = math.log(1.7976931348623157e308)  # log of the largest float
+_CONTOUR_BOUND = 1e-10  # relative error bound of the contour-inverted kernels
+# nodes x 1 columns of the 24-node contour at t = 1
+_CONTOUR_Z, _CONTOUR_W = (np.array(a)[:, None] for a in talbot_contour(24))
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Model plus the Volterra rate constant B and the series truncation cap."""
+    """Model plus the Volterra rate constant B."""
 
     spec: ModelSpec
     rate_B: float = 1.0
-    series_terms: int = 1000
 
     def __post_init__(self):
         if self.spec.kind not in _KERNEL_KINDS:
             raise DomainError(f"no memory-kernel formalism for kind {self.spec.kind!r}")
         if not (self.rate_B > 0.0):
             raise DomainError(f"rate_B must be positive, got {self.rate_B}")
-        if self.series_terms < 1:
-            raise DomainError("series_terms must be >= 1")
 
 
 def memory_M_hat(cfg: KernelConfig, s: float) -> float:
@@ -117,80 +108,45 @@ def kernel_singular_weight(cfg: KernelConfig, which: str) -> float:
     return 0.0
 
 
-def _series_sum(cfg: KernelConfig, t, term_fn):
-    """Sum term_fn(r) for r = 1.. at every point of t, each point with a geometric
-    tail bound from its last two terms.
-
-    ``term_fn(r)`` returns the r-th term as a function of the times still
-    summing: the number t, or an array of the points of an array t whose
-    series go on, which one Prabhakar grid call evaluates.  A term whose
-    evaluation fails (outside every strategy's reach) truncates that point's
-    series there (a grid term that raises is evaluated again point by point);
-    the reported bound then covers the dropped tail.
-    """
-    grid = isinstance(t, np.ndarray)
-    ts = t.ravel() if grid else np.array([t])
-    total, prev, bound = [0.0] * ts.size, [math.inf] * ts.size, [math.inf] * ts.size
-    live = list(range(ts.size))
-    for r in range(1, cfg.series_terms + 1):
-        if not live:
-            break
-        at = term_fn(r)
-        try:
-            terms = at(ts[live]).tolist() if grid else [at(t)]
-        except NonConvergent:
-            live, terms = _point_terms(at, ts, live) if grid else ([], [])
-        going = []
-        for i, term in zip(live, terms):
-            total[i] += term
-            size = abs(term)
-            if size < _REL_TOL * max(abs(total[i]), 1e-300):
-                bound[i] = size
-                continue
-            if size < prev[i] and prev[i] < math.inf:
-                rho = size / prev[i]
-                bound[i] = size * rho / (1.0 - rho)
-                if bound[i] < _REL_TOL * max(abs(total[i]), 1e-300):
-                    continue
-            prev[i] = size
-            going.append(i)
-        live = going
-    for i, (value, tail) in enumerate(zip(total, bound)):
-        if not (tail <= 1e-6 * max(abs(value), 1e-300)):
-            warnings.warn(
-                f"kernel series truncated at {cfg.series_terms} terms with tail bound "
-                f"{tail:.3g} (value {value:.6g}, t = {ts[i]:.6g})",
-                TruncationWarning,
-                stacklevel=3,
-            )
-    if grid:
-        return np.reshape(total, t.shape), np.reshape(bound, t.shape)
-    return total[0], bound[0]
+def _series_sum(*args):
+    # kept only for the span table of relaxbench/tracing.py; it goes in the benchmark follow-up
+    raise NotImplementedError("the kernel renewal series is gone")
 
 
-def _point_terms(at, ts: np.ndarray, live: list):
-    """The term at each live point by a scalar call: the points where it raises
-    NonConvergent stop there.  Returns the points that go on and their terms."""
-    going, terms = [], []
-    for i in live:
-        try:
-            terms.append(at(float(ts[i])))
-        except NonConvergent:
-            continue
-        going.append(i)
-    return going, terms
+def _invert(image, x):
+    """Inverse Laplace transform of ``image(p)``, p = z tau on the nodes x points array, at the
+    times x = t/tau (a float or an array).  The nodes are summed in ascending order (cumsum,
+    not a pairwise sum), so a grid value equals the value of a scalar call."""
+    xs = np.reshape(x, -1)
+    terms = (_CONTOUR_W * image(_CONTOUR_Z / xs)).real
+    if not np.all(np.isfinite(terms)):
+        raise ContourOverflow("non-finite kernel image on the Talbot contour")
+    value = np.cumsum(terms, axis=0)[-1] * 2.0 / (5.0 * xs)
+    return value.reshape(x.shape) if isinstance(x, np.ndarray) else float(value[0])
+
+
+def _w_over_g_less(w, b: float):
+    """``w / g(w) - 1/b`` as ``-h / (b (h + b))`` with ``h = g(w)/w - b``; at small |w|, where
+    h cancels (and subtracting 1/b from w / g(w) would lose 3-5 digits of mcd k at small t),
+    h is its binomial series ``sum_{j >= 2} C(b, j) w**(j-1)`` to j = 28, whose first
+    dropped term is below 0.25**27 ~ 6e-17 of the sum."""
+    h = _pow1p_m1(w, b) / w - b
+    small = np.abs(w) < 0.25
+    if small.any():
+        h[small] = w[small] * np.polyval(sc.binom(b, np.arange(28, 1, -1)), w[small])
+    return -h / (b * (h + b))
 
 
 def memory_time_with_bound(
     cfg: KernelConfig, t, which: str, strategy: EvalStrategy = DEFAULT_STRATEGY
 ):
-    """Regular part of M(t) or k(t) plus the truncation tail bound (0 for closed forms).
+    """Regular part of M(t) or k(t) plus its error bound.
 
-    ``t`` is a number (two floats) or an array (two arrays of its shape).  A
-    renewal series that needs a term past the float range raises
-    :class:`NonConvergent`.
+    ``t`` is a number (two floats) or an array (two arrays of its shape).  The
+    bound is ``1e-10 |value|`` for the contour-inverted kernels (hn/cd M,
+    jws/mcd k) and 0 for the closed forms.
     """
-    t, _ = _time_points(t, positive=True)
+    t, exp = _time_points(t, positive=True)
     if which not in ("M", "k"):
         raise DomainError("which must be 'M' or 'k'")
     spec = cfg.spec
@@ -206,56 +162,30 @@ def memory_time_with_bound(
         if spec.kind in ("jws", "mcd"):
             aa = a if spec.kind == "jws" else 1.0
             return prabhakar_eval(aa, 0.0, -b, _pow(x, aa), strategy) / (B * t), zero
-        # hn / cd renewal series
         aa = a if spec.kind == "hn" else 1.0
-
-        def term(r: int):
-            p = aa * b * r
-
-            def at(ts):
-                top = ts.max() if isinstance(ts, np.ndarray) else ts
-                if p * math.log(top / tau) > _LOG_MAX:
-                    raise OverflowError(f"(t/tau)**{p:.6g} passes the float range at r = {r}, t = {top:g}")
-                xs = ts / tau
-                return _pow(xs, p) * prabhakar_eval(aa, p, b * r, _pow(xs, aa), strategy)
-
-            return at
-
-        try:
-            total, bound = _series_sum(cfg, t, term)
-        except OverflowError as exc:
-            raise NonConvergent(f"renewal series of M: {exc}") from None
-        return total / (B * t), bound / (B * t)
+        value = _invert(lambda p: 1.0 / _pow1p_m1(p**aa, b), x) / (B * tau)
+        return value, _CONTOUR_BOUND * abs(value)
 
     # which == "k"
     if spec.kind == "debye":
         return zero, zero  # pure point mass B*tau*delta(t); see kernel_singular_weight
     if spec.kind == "cc":
         return B * _pow(x, -a) / math.gamma(1.0 - a), zero
-    if spec.kind in ("hn", "cd"):
-        aa = a if spec.kind == "hn" else 1.0
-        val = B * _pow(x, -aa * b) * prabhakar_eval(aa, 1.0 - aa * b, -b, _pow(x, aa), strategy) - B
+    if spec.kind == "hn":
+        val = B * _pow(x, -a * b) * prabhakar_eval(a, 1.0 - a * b, -b, _pow(x, a), strategy) - B
         return val, zero
-    if spec.kind == "mcd":
-        # the alpha = 1 reduction makes the geometric series of relaxation
-        # terms oscillate with only algebraic decay (Laguerre amplitudes);
-        # it is not classically summable, so the regular part comes straight
-        # from the image with its s -> inf constant (the point mass) removed
-        weight = kernel_singular_weight(cfg, "k")
-
-        def image(z: complex) -> complex:
-            return B / (_pow1p_m1(1.0 / (z * spec.tau), b) * z) - weight
-
-        if isinstance(t, float):
-            return talbot(image, t, nodes=32), 0.0
-        return np.array([talbot(image, v, nodes=32) for v in t.tolist()]).reshape(t.shape), zero
-    # jws: series of relaxation-like terms, superexponentially decaying for alpha < 1
-
-    def term(r: int):
-        return lambda ts: prabhakar_eval(a, 1.0, b * r, _pow(ts / tau, a), strategy)
-
-    total, bound = _series_sum(cfg, t, term)
-    return B * total, B * bound
+    if spec.kind == "cd":
+        # B Gamma(-b, x) / |Gamma(-b)| with Gamma(-b, x) = (x**-b e**-x - Gamma(1-b, x)) / b
+        q = sc.gammaincc(1.0 - b, x)
+        val = B * (_pow(x, -b) * exp(-x) * float(sc.rgamma(1.0 - b)) - q)
+        return (val, zero) if isinstance(x, np.ndarray) else (float(val), zero)
+    # jws / mcd: k_hat(z) = B tau p**(a-1) w / g(w) with p = z tau, w = p**-a; its
+    # leading term p**(a-1) / b inverts in closed form (for mcd, a = 1, it is the
+    # point mass and its regular part is 0), the rest on the contour
+    aa = a if spec.kind == "jws" else 1.0
+    lead = _pow(x, -aa) * float(sc.rgamma(1.0 - aa)) / b
+    value = B * (lead + _invert(lambda p: p ** (aa - 1.0) * _w_over_g_less(p**-aa, b), x))
+    return value, _CONTOUR_BOUND * abs(value)
 
 
 def memory_M_time(cfg: KernelConfig, t: float, strategy: EvalStrategy = DEFAULT_STRATEGY) -> float:
