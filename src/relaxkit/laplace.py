@@ -6,21 +6,24 @@ raised diagnostic rather than a silent average.  Point masses at t = 0 are
 carried structurally as ``singular_weight`` (a constant term of the image)
 and are never folded into a pointwise inversion value.
 
-All operations are pure; contour node evaluations inside one inversion are
-independent, and the reduction order is fixed, so results are bit-stable
-regardless of scheduling.
+All operations are pure and take whole arrays where the Efros composition
+needs them: it evaluates h and its kernel once per tanh-sinh level, the Levy
+kernel runs all its points as rows of one quadrature, and the subordination
+pdf samples the exponent once per call and sums the contour nodes in
+ascending order.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import inversion
-from .exceptions import DomainError, InversionDisagreement, QuadratureFailure
-from .quadrature import tanh_sinh
+from .exceptions import ContourOverflow, DomainError, InversionDisagreement, QuadratureFailure
+from .quadrature import array_fn, tanh_sinh
 from .specfun import levy_stable_density
 
 __all__ = [
@@ -133,8 +136,8 @@ def forward_laplace(
         raise DomainError(f"z must be positive, got {z}")
     T = 45.0 / z
 
-    def weighted(t: float) -> float:
-        return math.exp(-z * t) * f(t)
+    def weighted(t):
+        return np.exp(-z * t) * f(t)
 
     try:
         head, _ = tanh_sinh(weighted, 0.0, 1.0 / z, rel_tol=rel_tol)
@@ -159,26 +162,28 @@ def efros_compose(
     The kernel is probed on a wide log grid to locate its mass concentration
     point; the integral is then split there, with the substitution
     xi -> 1/v handling the upper half-line.  The kernel must be nonnegative
-    and h bounded on its effective support.
+    and h bounded on its effective support.  ``h`` and ``kernel_f`` get 1-D
+    arrays of xi, once for the probe and once per tanh-sinh level; a
+    float-only one is evaluated point by point (``quadrature.array_fn``).
     """
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
+    h_arr = array_fn(h)
+    kernel = array_fn(lambda u: kernel_f(u, t))
 
-    best_u, best_v = 1.0, -math.inf
-    for i in range(61):
-        u = 10.0 ** (-6.0 + 12.0 * i / 60.0)
-        v = kernel_f(u, t)
-        if v > best_v:
-            best_u, best_v = u, v
-    if not (best_v > 0.0):
+    probe = np.array([10.0 ** (-6.0 + 12.0 * i / 60.0) for i in range(61)])
+    mass = kernel(probe)
+    best = int(np.argmax(np.where(np.isnan(mass), -np.inf, mass)))
+    if not (mass[best] > 0.0):
         raise QuadratureFailure("kernel probe found no positive mass")
+    best_u = float(probe[best])
 
-    def integrand(u: float) -> float:
-        return h(u) * kernel_f(u, t)
+    def integrand(u):
+        return h_arr(u) * kernel(u)
 
     lower, _ = tanh_sinh(integrand, 0.0, best_u, rel_tol=rel_tol)
 
-    def transformed(v: float) -> float:
+    def transformed(v):
         u = 1.0 / v
         return integrand(u) * u * u
 
@@ -189,40 +194,52 @@ def efros_compose(
     return value
 
 
-def subordination_kernel(alpha: float, u: float, t: float) -> float:
+def subordination_kernel(alpha: float, u, t: float):
     """Levy subordination density f(alpha; u, t) = t Phi(t u**(-1/alpha)) / (alpha u**(1 + 1/alpha)).
 
     This is the inverse image of ``z**(alpha-1) exp(-u z**alpha)`` and is a
-    probability density in u for every t > 0.
+    probability density in u for every t > 0; ``u`` may be a number or an array.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if u <= 0.0 or t <= 0.0:
+    us = np.asarray(u, dtype=float)
+    if not (us > 0.0).all() or t <= 0.0:
         raise DomainError("u and t must be positive")
-    y = t * u ** (-1.0 / alpha)
-    return t / (alpha * u ** (1.0 + 1.0 / alpha)) * levy_stable_density(alpha, y)
+    y = t * us ** (-1.0 / alpha)
+    value = t / (alpha * us ** (1.0 + 1.0 / alpha)) * levy_stable_density(alpha, y)
+    return float(value) if us.ndim == 0 else value
 
 
 def subordination_pdf(
     exponent: Callable[[complex], complex],
-    xi: float,
+    xi,
     t: float,
     nodes: int = 32,
-) -> float:
+):
     """Leading-process density f(xi, t) for a characteristic exponent Psi_hat.
 
-    Inverts ``(Psi_hat(z)/z) exp(-xi Psi_hat(z))`` at time t; composing it
+    Inverts ``(Psi_hat(z)/z) exp(-xi Psi_hat(z))`` at time t on the fixed
+    Talbot contour (:func:`relaxkit.inversion.talbot_contour`); composing it
     with ``exp(-xi)``-type parent relaxations reproduces the subordination
-    integrals the memory formalism predicts.
+    integrals the memory formalism predicts.  ``xi`` may be a number or an
+    array; the exponent is evaluated once per call, on the contour nodes.
     """
-    if xi <= 0.0 or t <= 0.0:
+    xis = np.asarray(xi, dtype=float)
+    if not (xis > 0.0).all() or t <= 0.0:
         raise DomainError("xi and t must be positive")
-
-    def image(z: complex) -> complex:
-        psi = exponent(z)
-        w = -xi * psi
-        if w.real > 690.0:
-            raise QuadratureFailure("subordination image overflow")
-        return psi / z * cmath.exp(w)
-
-    return inversion.talbot(image, t, nodes=nodes)
+    zk, wk = inversion.talbot_contour(int(nodes))
+    # Psi and Psi/z node by node in Python complex arithmetic, the rest as
+    # points x nodes, so that a value does not depend on how many points share
+    # the call: other numpy paths round complex products differently, and the
+    # contour sum amplifies that a thousandfold
+    z = [zj / t for zj in zk]
+    psi = [exponent(zj) for zj in z]
+    psi_z = np.array([p / zj for p, zj in zip(psi, z)])
+    w = -np.multiply.outer(xis.ravel(), np.array(psi, dtype=complex))
+    if (w.real > 690.0).any():
+        raise QuadratureFailure("subordination image overflow")
+    contrib = (np.array(wk) * (psi_z * np.exp(w))).real
+    if not np.isfinite(contrib).all():
+        raise ContourOverflow("non-finite image value on Talbot contour")
+    value = contrib.cumsum(axis=1)[:, -1] * 2.0 / (5.0 * t)  # nodes in ascending order
+    return float(value[0]) if xis.ndim == 0 else value.reshape(xis.shape)

@@ -7,46 +7,128 @@ endpoint singularities (``x**p`` with ``p > -1``, log factors, Heaviside-type
 supports) need no special treatment.  Offsets from the endpoints are computed
 in a cancellation-free form so integrands may be sampled arbitrarily close to
 a singular endpoint.
+
+Integrands get each trapezoid level's new abscissae (both sides, plus the
+centre at level 0) as one 1-D array; float-only callables are evaluated
+point by point instead (:func:`array_fn`).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable
 
-from .exceptions import QuadratureFailure
+import numpy as np
+
+from .exceptions import QuadratureFailure, RelaxkitError
 
 _HALF_PI = math.pi / 2.0
+_MAX_U = 4.2  # sinh(4.2)*pi/2 ~ 52; tanh is 1 to double precision well before
+_BLOCK = 2**14  # largest rows x abscissae block handed to a row integrand
+_LEVELS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-@lru_cache(maxsize=None)
-def _nodes(level: int, max_u: float) -> tuple[tuple[float, float], ...]:
-    """Abscissa data at trapezoid spacing h = 2**-level, built once per level.
+def _level(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(offset_from_right, weight) of the nodes new at trapezoid spacing 2**-level.
 
-    Returns (offset_from_right, weight) for every node that is new at this
-    level (odd multiples of h for level >= 1, all for level 0, whose first
-    entry is the centre), expressed on the reference interval (-1, 1) of full
-    length 2.  Plain floats, so that every call sums exactly what a freshly
-    generated table would give.
+    Odd multiples of h for level >= 1, all multiples for level 0 (whose first
+    entry is the centre), on the reference interval (-1, 1) of full length 2.
+    Built with the math module the first time a level is used.
     """
-    h = 2.0 ** (-level)
-    if level == 0:
-        ks = range(int(max_u / h) + 1)
-    else:
-        ks = range(1, int(max_u / h) + 1, 2)
-    table = []
-    for k in ks:
-        u = k * h
-        t = _HALF_PI * math.sinh(u)
-        if t > 350.0:
-            break
-        ch = math.cosh(t)
-        w = _HALF_PI * math.cosh(u) / (ch * ch)
-        # 1 -+ tanh(t) without cancellation
-        e = math.exp(-2.0 * t)
-        table.append((2.0 * e / (1.0 + e), w))
-    return tuple(table)
+    if level not in _LEVELS:
+        h = 2.0 ** (-level)
+        offs, ws = [], []
+        for k in range(int(level > 0), int(_MAX_U / h) + 1, 1 + (level > 0)):
+            u = k * h
+            t = _HALF_PI * math.sinh(u)
+            ch = math.cosh(t)
+            ws.append(_HALF_PI * math.cosh(u) / (ch * ch))
+            e = math.exp(-2.0 * t)  # 1 -+ tanh(t) = 2 e / (1 + e), without cancellation
+            offs.append(2.0 * e / (1.0 + e))
+        _LEVELS[level] = (np.array(offs), np.array(ws))
+    return _LEVELS[level]
+
+
+def array_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """``f`` as a callable on 1-D arrays, deciding at its first call.
+
+    The first call passes the whole array.  If that raises a ``TypeError`` or
+    ``ValueError`` that is not a :class:`RelaxkitError`, or returns anything
+    but an array of the input's shape, ``f`` is evaluated point by point from
+    then on.
+    """
+    vectorised = None
+
+    def call(x: np.ndarray) -> np.ndarray:
+        nonlocal vectorised
+        if vectorised is None:
+            try:
+                y = np.asarray(f(x))
+            except RelaxkitError:
+                raise
+            except (TypeError, ValueError):
+                y = None
+            vectorised = y is not None and y.shape == x.shape
+            if vectorised:
+                return y
+        return np.asarray(f(x)) if vectorised else np.array([f(v) for v in x.tolist()])
+
+    return call
+
+
+def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol: float,
+                    max_level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate ``n_rows`` integrands over (a, b) at once; (values, error estimates).
+
+    ``f(x, rows)`` returns the integrands with indices ``rows`` at the
+    abscissae ``x``, shape ``(len(rows), len(x))`` (or ``len(x)`` for one
+    row), called on row blocks of at most ``_BLOCK`` values.  Each row stops
+    at the first level >= 3 that meets the :func:`tanh_sinh` rule and drops
+    out of later levels.
+    """
+    if not (b > a):
+        raise QuadratureFailure(f"empty or inverted interval ({a}, {b})")
+    half = 0.5 * (b - a)
+    estimate = np.zeros(n_rows)
+    err = np.full(n_rows, math.inf)
+    active = np.arange(n_rows)
+    h = 2.0
+    for level in range(max_level + 1):
+        h *= 0.5
+        off, w = _level(level)
+        xl = a + half * off
+        xr = b - half * off
+        left = xl > a
+        right = (off > 0.0) & (xr < b) & (xr > xl)
+        right[0] &= level > 0  # the level-0 centre is sampled once
+        x = np.concatenate((xl[left], xr[right]))
+        n_left = int(left.sum())
+        new = np.empty(active.size)
+        step = max(1, _BLOCK // max(x.size, 1))
+        for start in range(0, active.size, step):
+            rows = active[start:start + step]
+            vals = np.reshape(f(x, rows), (rows.size, x.size))
+            sample = np.zeros((rows.size, off.size))
+            sample[:, left] = vals[:, :n_left]
+            sample[:, right] += vals[:, n_left:]
+            contrib = w * sample
+            if not np.isfinite(contrib).all():
+                raise QuadratureFailure("integrand returned a non-finite value")
+            new[start:start + step] = contrib.sum(axis=1)
+        prev = estimate[active]
+        estimate[active] = 0.5 * prev + new * h * half if level else new * h * half
+        err[active] = np.abs(estimate[active] - prev) if level else math.inf
+        if level >= 3:
+            active = active[err[active] > np.maximum(rel_tol * np.abs(estimate[active]), abs_tol)]
+            if not active.size:
+                return estimate, err
+    # rows left at the cap pass if converged short of tolerance (err says so)
+    short = err[active] > np.maximum(math.sqrt(rel_tol) * np.abs(estimate[active]), abs_tol)
+    if short.any():
+        i = active[short][0]
+        raise QuadratureFailure(f"tanh-sinh did not converge (level {max_level}, "
+                                f"err {err[i]:.3g}, value {estimate[i]:.6g})")
+    return estimate, err
 
 
 def tanh_sinh(
@@ -59,58 +141,15 @@ def tanh_sinh(
 ) -> tuple[float, float]:
     """Integrate ``f`` over the finite interval (a, b).
 
-    Returns ``(value, error_estimate)``.  The integrand is never evaluated at
-    the endpoints; integrable endpoint singularities are fine.  Raises
-    :class:`QuadratureFailure` when the level cap is reached without the
-    successive-refinement estimate meeting ``max(rel_tol*|I|, abs_tol)``, or
-    when the integrand returns a non-finite value at an interior node.
+    Returns ``(value, error_estimate)``.  ``f`` is called once per level with
+    that level's new abscissae as a 1-D array; a float-only ``f`` is
+    evaluated point by point instead (see :func:`array_fn`).  The integrand is
+    never evaluated at the endpoints; integrable endpoint singularities are
+    fine.  Raises :class:`QuadratureFailure` when the level cap is reached
+    without the successive-refinement estimate meeting
+    ``max(rel_tol*|I|, abs_tol)``, or when the integrand returns a non-finite
+    value at an interior node.
     """
-    if not (b > a):
-        raise QuadratureFailure(f"empty or inverted interval ({a}, {b})")
-    half = 0.5 * (b - a)
-    max_u = 4.2  # sinh(4.2)*pi/2 ~ 52; tanh is 1 to double precision well before
-
-    def sample(off: float) -> float:
-        total = 0.0
-        xl = a + half * off
-        xr = b - half * off
-        if xl > a:
-            total += f(xl)
-        if off > 0.0 and xr < b and xr > xl:
-            total += f(xr)
-        return total
-
-    # level 0
-    h = 1.0
-    acc = 0.0
-    for k, (off, w) in enumerate(_nodes(0, max_u)):
-        if k == 0:
-            val = w * f(a + half)  # center node, off side pairing handled below
-        else:
-            val = w * sample(off)
-        if not math.isfinite(val):
-            raise QuadratureFailure("integrand returned a non-finite value")
-        acc += val
-    estimate = acc * h * half
-    err = math.inf
-
-    for level in range(1, max_level + 1):
-        h *= 0.5
-        new = 0.0
-        for off, w in _nodes(level, max_u):
-            val = w * sample(off)
-            if not math.isfinite(val):
-                raise QuadratureFailure("integrand returned a non-finite value")
-            new += val
-        prev = estimate
-        estimate = 0.5 * prev + new * h * half
-        err = abs(estimate - prev)
-        if err <= max(rel_tol * abs(estimate), abs_tol) and level >= 3:
-            return estimate, err
-
-    if err <= max(math.sqrt(rel_tol) * abs(estimate), abs_tol):
-        # converged but short of the requested tolerance; report honestly
-        return estimate, err
-    raise QuadratureFailure(
-        f"tanh-sinh did not converge (level {max_level}, err {err:.3g}, value {estimate:.6g})"
-    )
+    g = array_fn(f)
+    value, err = _integrate_rows(lambda x, rows: g(x), a, b, 1, rel_tol, abs_tol, max_level)
+    return float(value[0]), float(err[0])

@@ -1,0 +1,224 @@
+"""Array paths of the tanh-sinh engine, the Levy density and the Efros building blocks."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relaxkit import laplace, quadrature
+from relaxkit.exceptions import DomainError, QuadratureFailure
+from relaxkit.models import ModelSpec, relaxation
+from relaxkit.specfun import levy_stable_density
+
+
+def hn_exponent(a, b):
+    return lambda z: (1.0 + z**a) ** b - 1.0
+
+
+def tail_start(alpha):
+    """Smallest x that takes the deep-tail series: x**-q alpha**q (1 - alpha) < 1e-8."""
+    q = alpha / (1.0 - alpha)
+    return (alpha**q * (1.0 - alpha) / 1e-8) ** (1.0 / q)
+
+
+def assert_matches_scalar_calls(fn, points):
+    grid = fn(points)
+    assert isinstance(grid, np.ndarray) and grid.shape == points.shape
+    scalar = np.array([fn(float(p)) for p in points.ravel()]).reshape(points.shape)
+    assert all(type(fn(float(p))) is float for p in points.ravel()[:2])
+    np.testing.assert_allclose(grid, scalar, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.2, 0.95), seed=st.integers(0, 2**16))
+def test_levy_density_array_matches_scalar_calls(alpha, seed):
+    x_tail = tail_start(alpha)
+    rng = np.random.default_rng(seed)
+    # from the small-x tail through the quadrature body to past the series switch
+    x = 10.0 ** rng.uniform(-1.5, math.log10(x_tail) + 1.0, 24)
+    x[:2] = x_tail * np.array([0.5, 2.0])
+    assert (x > x_tail).any() and (x < x_tail).any()
+    assert_matches_scalar_calls(lambda v: levy_stable_density(alpha, v), x.reshape(4, 6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.2, 0.95), log_t=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16))
+def test_subordination_kernel_array_matches_scalar_calls(alpha, log_t, seed):
+    u = 10.0 ** np.random.default_rng(seed).uniform(-4.0, 3.0, 20)
+    t = 10.0**log_t
+    assert_matches_scalar_calls(lambda v: laplace.subordination_kernel(alpha, v, t), u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(0.3, 0.5),
+    beta=st.floats(0.3, 0.9),
+    log_t=st.floats(-0.7, 0.7),
+    seed=st.integers(0, 2**16),
+)
+def test_subordination_pdf_array_matches_scalar_calls(alpha, beta, log_t, seed):
+    xi = 10.0 ** np.random.default_rng(seed).uniform(-4.0, 1.5, 20)
+    psi, t = hn_exponent(alpha, beta), 10.0**log_t
+    assert_matches_scalar_calls(lambda v: laplace.subordination_pdf(psi, v, t), xi)
+
+
+def test_subordination_pdf_keeps_its_overflow_checks():
+    psi = hn_exponent(0.5, 0.5)
+    with pytest.raises(QuadratureFailure, match="overflow"):
+        laplace.subordination_pdf(lambda z: -psi(z), np.array([1.0, 1e3]), 1.0)
+    with pytest.raises(DomainError):
+        laplace.subordination_pdf(psi, np.array([1.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("a, b, t", [(0.45, 0.6, 0.7), (0.6, 0.5, 2.0)])
+def test_efros_with_scalar_only_h_equals_array_h(a, b, t):
+    psi = hn_exponent(a, b)
+    kernel_calls = []
+
+    def kernel(xi, tt):
+        kernel_calls.append(xi)
+        return laplace.subordination_pdf(psi, xi, tt)
+
+    scalar = laplace.efros_compose(lambda xi: math.exp(-xi), kernel, t, rel_tol=1e-8)
+    # the array-capable kernel is adapted on its own: one call per probe and level
+    assert all(isinstance(x, np.ndarray) for x in kernel_calls)
+    assert 8 <= len(kernel_calls) <= 30
+    array = laplace.efros_compose(lambda xi: np.exp(-xi), kernel, t, rel_tol=1e-8)
+    assert scalar == pytest.approx(array, rel=1e-14, abs=0.0)
+    assert array == pytest.approx(relaxation(ModelSpec("hn", a, b), t), abs=1e-9)
+
+
+def test_tanh_sinh_takes_scalar_only_and_zero_dimensional_integrands():
+    value, _ = quadrature.tanh_sinh(math.log, 0.0, 1.0)
+    assert value == pytest.approx(-1.0, rel=1e-11)
+    value, _ = quadrature.tanh_sinh(lambda u: 1.0, 0.0, 2.0)
+    assert value == pytest.approx(2.0, rel=1e-12)
+    value, _ = quadrature.tanh_sinh(lambda u: u if u < 2.0 else 0.0, 0.0, 1.0)
+    assert value == pytest.approx(0.5, rel=1e-12)
+
+
+def test_array_fn_reraises_domain_errors_without_falling_back():
+    calls = []
+
+    def strict(x):
+        calls.append(x)
+        raise DomainError("outside the domain")
+
+    with pytest.raises(DomainError):
+        quadrature.tanh_sinh(strict, 0.0, 1.0)
+    assert len(calls) == 1
+
+
+def point_by_point_tanh_sinh(f, a, b, rel_tol, max_level):
+    """Reference: the rule one float at a time, level sums in node order; also counts levels."""
+    half, levels = 0.5 * (b - a), 0
+    estimate = err = math.inf
+    for level in range(max_level + 1):
+        h = 2.0**-level
+        new = 0.0
+        for k in range(0 if level == 0 else 1, int(4.2 / h) + 1, 1 if level == 0 else 2):
+            t = math.pi / 2.0 * math.sinh(k * h)
+            w = math.pi / 2.0 * math.cosh(k * h) / math.cosh(t) ** 2
+            off = 2.0 * math.exp(-2.0 * t) / (1.0 + math.exp(-2.0 * t))
+            xl, xr = a + half * off, b - half * off
+            new += w * ((f(xl) if xl > a else 0.0) + (f(xr) if k > 0 and xl < xr < b else 0.0))
+        levels += 1
+        prev, estimate = estimate, new * h * half + (0.5 * estimate if level else 0.0)
+        err = abs(estimate - prev)
+        if level >= 3 and err <= rel_tol * abs(estimate):
+            break
+    return estimate, err, levels
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+@pytest.mark.parametrize(
+    "f, f_array, a, b",
+    [
+        (lambda x: x**-0.5, lambda x: x**-0.5, 0.0, 1.0),
+        (math.log, np.log, 0.0, 2.0),
+        (
+            lambda x: math.exp(-x) * math.cos(3.0 * x),
+            lambda x: np.exp(-x) * np.cos(3.0 * x),
+            -1.0,
+            4.0,
+        ),
+        (lambda x: 1.0 / (1e-3 + x * x), lambda x: 1.0 / (1e-3 + x * x), 0.0, 1.0),
+    ],
+)
+def test_engine_matches_the_point_by_point_rule(f, f_array, a, b, rel_tol):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f_array(x)
+
+    value, err = quadrature.tanh_sinh(counted, a, b, rel_tol=rel_tol)
+    ref_value, ref_err, levels = point_by_point_tanh_sinh(f, a, b, rel_tol, 12)
+    # the same levels, one array call each; the level sums differ only in summation order
+    assert len(calls) == levels and all(np.ndim(x) == 1 for x in calls)
+    assert value == pytest.approx(ref_value, rel=1e-14)
+    assert abs(err - ref_err) <= 1e-14 * abs(ref_value)
+    assert quadrature.tanh_sinh(f, a, b, rel_tol=rel_tol)[0] == pytest.approx(value, rel=1e-14)
+
+
+def test_rows_stop_at_their_own_levels():
+    # row 0 is a polynomial, row 1 a sharp peak at 0 that needs more levels
+    seen = []
+
+    def rows_fn(x, rows):
+        seen.append(rows.tolist())
+        return np.array([1.0 + x * x if r == 0 else 1.0 / (1e-4 + x * x) for r in rows])
+
+    value, err = quadrature._integrate_rows(rows_fn, 0.0, 1.0, 2, 1e-12, 0.0, 12)
+    joint_levels = [sum(r in rows for rows in seen) for r in (0, 1)]
+    for r in (0, 1):
+        seen.clear()
+        alone = quadrature._integrate_rows(
+            lambda x, rows: rows_fn(x, np.array([r])), 0.0, 1.0, 1, 1e-12, 0.0, 12
+        )
+        assert (value[r], err[r]) == (alone[0][0], alone[1][0])
+        assert joint_levels[r] == len(seen)
+    assert joint_levels[0] < joint_levels[1]
+    assert value == pytest.approx([4.0 / 3.0, 100.0 * math.atan(100.0)], rel=1e-12)
+
+
+def test_row_blocks_stay_within_the_block_size():
+    shapes = []
+
+    def rows_fn(x, rows):
+        shapes.append((rows.size, x.size))
+        return np.exp(-np.multiply.outer(rows + 1.0, x))
+
+    value, _ = quadrature._integrate_rows(rows_fn, 0.0, 1.0, 400, 1e-12, 0.0, 12)
+    assert len({n for _, n in shapes}) < len(shapes)  # some level took several blocks
+    assert all(r * n <= quadrature._BLOCK or r == 1 for r, n in shapes)
+    k = np.arange(1.0, 401.0)
+    np.testing.assert_allclose(value, -np.expm1(-k) / k, rtol=1e-13)
+
+
+def test_a_non_finite_value_in_one_row_raises():
+    def rows_fn(x, rows):
+        out = np.ones((rows.size, x.size))
+        out[rows == 1, 0] = np.inf
+        return out
+
+    with pytest.raises(QuadratureFailure, match="non-finite"):
+        quadrature._integrate_rows(rows_fn, 0.0, 1.0, 3, 1e-10, 0.0, 8)
+
+
+def test_a_row_that_cannot_converge_raises_beside_converged_rows():
+    # row 1 oscillates far faster than level 6 resolves
+    def rows_fn(x, rows):
+        return np.array([np.ones_like(x) if r == 0 else np.sin(1e4 * x) for r in rows])
+
+    with pytest.raises(QuadratureFailure, match="did not converge"):
+        quadrature._integrate_rows(rows_fn, 0.0, 1.0, 2, 1e-10, 0.0, 6)
+
+
+def test_levy_density_does_not_depend_on_how_the_array_is_split():
+    x = np.logspace(-0.5, 1.0, 300)
+    whole = levy_stable_density(0.6, x)
+    halves = np.concatenate([levy_stable_density(0.6, x[:150]), levy_stable_density(0.6, x[150:])])
+    np.testing.assert_allclose(whole, halves, rtol=1e-14, atol=0.0)

@@ -163,6 +163,21 @@ def test_efros_levy_kernel_builds_cc():
     assert value == pytest.approx(target, abs=1e-8)
 
 
+@pytest.mark.parametrize("kind, parent", [("hn", "cd"), ("jws", "mcd")])
+@pytest.mark.parametrize("alpha, beta, t", [(0.35, 0.6, 0.5), (0.75, 0.4, 2.0)])
+def test_levy_parent_composition_away_from_alpha_half(kind, parent, alpha, beta, t):
+    # n_hn(t) = Int n_cd(u) f(alpha; u, t) du, and jws from mcd likewise
+    pspec = ModelSpec(parent, alpha=1.0, beta=beta)
+    value = efros_compose(
+        lambda u: relaxation(pspec, u),
+        lambda u, tt: subordination_kernel(alpha, u, tt),
+        t,
+        rel_tol=1e-8,
+    )
+    direct = relaxation(ModelSpec(kind, alpha=alpha, beta=beta), t)
+    assert value == pytest.approx(direct, abs=1e-9)
+
+
 def test_subordination_kernel_closed_form():
     # f(1/2; 1, 1) = exp(-1/4)/sqrt(pi)
     assert subordination_kernel(0.5, 1.0, 1.0) == pytest.approx(
