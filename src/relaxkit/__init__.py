@@ -20,7 +20,6 @@ from .exceptions import (
     QuadratureFailure,
     RelaxkitError,
     StrategyDisagreement,
-    TruncationWarning,
 )
 from .fitio import (
     FitResult,

@@ -58,7 +58,3 @@ class EmptyDataset(RelaxkitError):
 
 class DegenerateJacobian(RelaxkitError):
     """The fit Jacobian is not usable (non-finite entries or total rank collapse)."""
-
-
-class TruncationWarning(UserWarning):
-    """A truncated kernel series carries an estimated tail above the requested tolerance."""

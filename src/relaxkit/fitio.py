@@ -30,7 +30,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import DegenerateJacobian, DomainError, EmptyDataset, ParseError
-from .models import KINDS, ModelSpec, PermittivityScale, permittivity, relaxation
+from .models import (
+    _KINDS,
+    _SPECTRAL_KINDS,
+    KINDS,
+    ModelSpec,
+    PermittivityScale,
+    permittivity,
+    relaxation,
+)
 
 __all__ = [
     "SpectrumDataset",
@@ -44,8 +52,8 @@ __all__ = [
     "TIME_KINDS",
 ]
 
-FREQUENCY_KINDS = ("debye", "cc", "cd", "mcd", "hn", "jws")
-TIME_KINDS = FREQUENCY_KINDS + ("kww",)
+FREQUENCY_KINDS = _SPECTRAL_KINDS
+TIME_KINDS = KINDS
 
 _MAX_ITER = 200
 _GRAD_TOL = 1e-10
@@ -122,21 +130,6 @@ class FitResult:
     iterations: int
     converged: bool
     param_stderr: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "model": self.spec.kind,
-            "alpha": self.spec.alpha,
-            "beta": self.spec.beta,
-            "tau": self.spec.tau,
-            "eps_static": self.scale.eps_static if self.scale else None,
-            "eps_inf": self.scale.eps_inf if self.scale else None,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "stderr": dict(self.param_stderr),
-        }
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +259,8 @@ class _Problem:
         self.dataset = dataset
         if self.frequency and kind == "kww":
             raise DomainError("kww fits time-domain data only")
-        self.free_alpha = kind in ("cc", "hn", "jws", "kww")
-        self.free_beta = kind in ("cd", "mcd", "hn", "jws")
+        self.free_alpha = "alpha" in _KINDS[kind].free
+        self.free_beta = "beta" in _KINDS[kind].free
         w = dataset.weights if dataset.weights is not None else np.ones(len(dataset))
         self.w = w / np.max(w)
         self.names = self._names()
@@ -323,7 +316,7 @@ class _Problem:
         m = max(3, len(ds) // 4)
         lo = np.polyfit(logw[:m], logi[:m], 1)[0]
         hi = np.polyfit(logw[-m:], logi[-m:], 1)[0]
-        slope = lo if self.kind in ("debye", "cc", "cd", "hn") else -hi
+        slope = -hi if _KINDS[self.kind].family == "jws" else lo
         alpha0 = min(max(abs(slope), 0.1), 0.95)
         return alpha0, 0.8, tau0
 
@@ -507,14 +500,8 @@ def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray) -> dict:
 
 
 def _free_parameter_count(kind: str, frequency: bool) -> int:
-    n = 1  # tau
-    if kind in ("cc", "hn", "jws", "kww"):
-        n += 1
-    if kind in ("cd", "mcd", "hn", "jws"):
-        n += 1
-    if frequency:
-        n += 2
-    return n
+    # tau, the free shape parameters, and eps_inf and delta_eps in the frequency domain
+    return 1 + len(_KINDS[kind].free) + (2 if frequency else 0)
 
 
 def aicc_score(residual_norm: float, n_points: int, n_params: int, data_scale: float) -> float:
@@ -566,4 +553,17 @@ def compare(
 
 def fit_result_to_json(result: FitResult) -> str:
     """Serialize a FitResult to the documented JSON schema."""
-    return json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
+    scale = result.scale
+    out = {
+        "model": result.spec.kind,
+        "alpha": result.spec.alpha,
+        "beta": result.spec.beta,
+        "tau": result.spec.tau,
+        "eps_static": scale.eps_static if scale else None,
+        "eps_inf": scale.eps_inf if scale else None,
+        "residual_norm": result.residual_norm,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "stderr": dict(result.param_stderr),
+    }
+    return json.dumps(out, indent=2, sort_keys=True)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import ContourOverflow
+from .exceptions import ContourOverflow, DomainError
 
 _LN2 = math.log(2.0)
 
@@ -42,7 +42,7 @@ def talbot(F: Callable[[complex], complex], t: float, nodes: int = 32) -> float:
     to the image scale for 24..32 nodes.
     """
     if t <= 0.0:
-        raise ValueError("t must be positive")
+        raise DomainError(f"t must be positive, got {t}")
     total = 0.0
     for zk, wk in zip(*talbot_contour(int(nodes))):
         contrib = (wk * F(zk / t)).real
@@ -60,7 +60,7 @@ def stehfest_weights(n: int) -> tuple[float, ...]:
     the weights alternate in sign and grow roughly like 10**(0.3 n).
     """
     if n % 2 != 0 or n < 2:
-        raise ValueError("Gaver-Stehfest order must be even and >= 2")
+        raise DomainError(f"Gaver-Stehfest order must be even and >= 2, got {n}")
     half = n // 2
     weights = []
     for k in range(1, n + 1):
@@ -88,7 +88,7 @@ def gaver_stehfest(F: Callable[[float], float], t: float, nodes: int = 16) -> fl
     cross-check against Talbot exploits.
     """
     if t <= 0.0:
-        raise ValueError("t must be positive")
+        raise DomainError(f"t must be positive, got {t}")
     n = int(nodes)
     if n % 2 != 0:
         n += 1

@@ -19,6 +19,12 @@ to rounding.)  The others are closed forms with bound 0: hn k and jws/mcd M
 in Prabhakar functions, cd k as ``B Gamma(-beta, t/tau) / |Gamma(-beta)|``,
 cc in powers of t, Debye ``M = 1/(B tau)`` and the pure point mass
 ``k = B tau delta(t)``.
+
+Evolution equations.  The HN family shares one kernel
+``K(w) = w**(-ab) E[a, 1-ab; -b](-(w/tau)**a)`` (``_K``), which the Caputo
+residual, the Caputo/Riemann-Liouville identity and its RL side all
+convolve against n' or n; every such convolution is one tanh-sinh pair split
+at t/2 (``_split_integral``), a level of abscissae per integrand call.
 """
 
 from __future__ import annotations
@@ -32,7 +38,18 @@ from scipy import special as sc
 
 from .exceptions import ContourOverflow, DomainError
 from .inversion import talbot_contour
-from .models import ModelSpec, _pow, _pow1p_m1, _time_points, relaxation, response, spectral_ratio_real
+from .models import (
+    ModelSpec,
+    _SPECTRAL_KINDS,
+    _jws,
+    _pow,
+    _pow1p_m1,
+    _ratio,
+    _time_points,
+    relaxation,
+    response,
+    spectral_ratio_real,
+)
 from .quadrature import tanh_sinh
 from .specfun import DEFAULT_STRATEGY, EvalStrategy, prabhakar_eval
 
@@ -49,7 +66,6 @@ __all__ = [
     "caputo_rl_identity_residual",
 ]
 
-_KERNEL_KINDS = ("debye", "cc", "cd", "mcd", "hn", "jws")
 _CONTOUR_BOUND = 1e-10  # relative error bound of the contour-inverted kernels
 # nodes x 1 columns of the 24-node contour at t = 1
 _CONTOUR_Z, _CONTOUR_W = (np.array(a)[:, None] for a in talbot_contour(24))
@@ -63,7 +79,7 @@ class KernelConfig:
     rate_B: float = 1.0
 
     def __post_init__(self):
-        if self.spec.kind not in _KERNEL_KINDS:
+        if self.spec.kind not in _SPECTRAL_KINDS:
             raise DomainError(f"no memory-kernel formalism for kind {self.spec.kind!r}")
         if not (self.rate_B > 0.0):
             raise DomainError(f"rate_B must be positive, got {self.rate_B}")
@@ -99,9 +115,7 @@ def kernel_singular_weight(cfg: KernelConfig, which: str) -> float:
         raise DomainError("which must be 'M' or 'k'")
     spec = cfg.spec
     if which == "k":
-        if spec.kind == "debye":
-            return cfg.rate_B * spec.tau
-        if spec.kind == "mcd":
+        if spec.kind in ("debye", "mcd"):
             return cfg.rate_B * spec.tau / spec.beta
         if spec.kind in ("hn", "cd") and spec.alpha * spec.beta == 1.0:
             return cfg.rate_B * spec.tau
@@ -155,15 +169,11 @@ def memory_time_with_bound(
     zero = 0.0 * x
 
     if which == "M":
-        if spec.kind == "debye":
-            return 1.0 / (B * tau) + zero, zero
-        if spec.kind == "cc":
+        if spec.kind in ("debye", "cc"):
             return _pow(x, a - 1.0) / (B * tau * math.gamma(a)), zero
-        if spec.kind in ("jws", "mcd"):
-            aa = a if spec.kind == "jws" else 1.0
-            return prabhakar_eval(aa, 0.0, -b, _pow(x, aa), strategy) / (B * t), zero
-        aa = a if spec.kind == "hn" else 1.0
-        value = _invert(lambda p: 1.0 / _pow1p_m1(p**aa, b), x) / (B * tau)
+        if _jws(spec):
+            return prabhakar_eval(a, 0.0, -b, _pow(x, a), strategy) / (B * t), zero
+        value = _invert(lambda p: 1.0 / _ratio(spec, p), x) / (B * tau)
         return value, _CONTOUR_BOUND * abs(value)
 
     # which == "k"
@@ -182,9 +192,8 @@ def memory_time_with_bound(
     # jws / mcd: k_hat(z) = B tau p**(a-1) w / g(w) with p = z tau, w = p**-a; its
     # leading term p**(a-1) / b inverts in closed form (for mcd, a = 1, it is the
     # point mass and its regular part is 0), the rest on the contour
-    aa = a if spec.kind == "jws" else 1.0
-    lead = _pow(x, -aa) * float(sc.rgamma(1.0 - aa)) / b
-    value = B * (lead + _invert(lambda p: p ** (aa - 1.0) * _w_over_g_less(p**-aa, b), x))
+    lead = _pow(x, -a) * float(sc.rgamma(1.0 - a)) / b
+    value = B * (lead + _invert(lambda p: p ** (a - 1.0) * _w_over_g_less(p**-a, b), x))
     return value, _CONTOUR_BOUND * abs(value)
 
 
@@ -198,32 +207,30 @@ def memory_k_time(cfg: KernelConfig, t: float, strategy: EvalStrategy = DEFAULT_
     return memory_time_with_bound(cfg, t, "k", strategy)[0]
 
 
-def _caputo_convolution(cfg: KernelConfig, t: float) -> float:
-    """Int_0^t K(t-u) n'(u) du with K(t) = t**(-ab) E[a, 1-ab; -b](-(t/tau)**a).
+def _K(spec: ModelSpec, w):
+    """The HN-family evolution kernel w**(-ab) E[a, 1-ab; -b](-(w/tau)**a), w a number or array."""
+    a, b = spec.alpha, spec.beta
+    return w ** -(a * b) * prabhakar_eval(a, 1.0 - a * b, -b, (w / spec.tau) ** a)
 
-    Both endpoints carry integrable singularities (u**(ab-1) from the response
-    at 0, (t-u)**(-ab) from the kernel at t); the interval is split at t/2 and
-    each panel handled by tanh-sinh.
-    """
-    spec = cfg.spec
-    a, b, tau = spec.alpha, spec.beta, spec.tau
-    ab = a * b
 
-    def integrand(u: float) -> float:
-        w = t - u
-        kern = w**-ab * prabhakar_eval(a, 1.0 - ab, -b, (w / tau) ** a)
-        return kern * (-response(spec, u))
-
-    left, _ = tanh_sinh(integrand, 0.0, t / 2.0, rel_tol=1e-9)
-    right, _ = tanh_sinh(integrand, t / 2.0, t, rel_tol=1e-9)
+def _split_integral(f, t: float, rel_tol: float) -> float:
+    """Int_0^t f(u) du by tanh-sinh on [0, t/2] and [t/2, t]: the convolutions here carry an
+    integrable singularity at each end (u**(ab-1) from n' at 0, the kernel's at t)."""
+    left, _ = tanh_sinh(f, 0.0, t / 2.0, rel_tol=rel_tol)
+    right, _ = tanh_sinh(f, t / 2.0, t, rel_tol=rel_tol)
     return left + right
+
+
+def _caputo_convolution(spec: ModelSpec, t: float) -> float:
+    """Int_0^t K(t-u) n'(u) du."""
+    return _split_integral(lambda u: _K(spec, t - u) * (-response(spec, u)), t, 1e-9)
 
 
 def evolution_residual(cfg: KernelConfig, t_grid) -> float:
     """Max absolute residual of the model's memory evolution equation on t_grid.
 
     HN family (hn, cc, cd, debye): the Caputo-type form,
-    ``Int_0^t (t-u)**(-ab) E[a, 1-ab; -b](-((t-u)/tau)**a) n'(u) du + tau**(-ab) = 0``.
+    ``Int_0^t K(t-u) n'(u) du + tau**(-ab) = 0``.
     JWS family (jws, mcd): the integral form,
     ``Int_0^t (t-u)**-1 E[a, 0; -b](-((t-u)/tau)**a) n(u) du - 1 = 0``.
     Residuals are independent of the rate constant B.
@@ -238,21 +245,16 @@ def evolution_residual(cfg: KernelConfig, t_grid) -> float:
         if spec.kind == "debye":
             # k is the point mass B*tau*delta: the equation collapses to tau n' + n = 0
             resid = tau * (-response(spec, t)) + relaxation(spec, t)
-        elif spec.kind in ("hn", "cc", "cd"):
-            resid = (_caputo_convolution(cfg, t) + tau ** (-a * b)) * tau ** (a * b)
-        else:  # jws / mcd
-            aa = a if spec.kind == "jws" else 1.0
-
-            def integrand(u: float) -> float:
+        elif _jws(spec):
+            def integrand(u):
                 w = t - u
-                kern = prabhakar_eval(aa, 0.0, -b, (w / tau) ** aa) / w
-                return kern * relaxation(spec, u)
+                return prabhakar_eval(a, 0.0, -b, (w / tau) ** a) / w * relaxation(spec, u)
 
-            left, _ = tanh_sinh(integrand, 0.0, t / 2.0, rel_tol=1e-9)
-            right, _ = tanh_sinh(integrand, t / 2.0, t, rel_tol=1e-9)
             # the kernel's formal delta samples n at the endpoint: the
             # distributional convolution is the regular integral plus n(t)
-            resid = left + right + relaxation(spec, t) - 1.0
+            resid = _split_integral(integrand, t, 1e-9) + relaxation(spec, t) - 1.0
+        else:
+            resid = (_caputo_convolution(spec, t) + tau ** (-a * b)) * tau ** (a * b)
         worst = max(worst, abs(resid))
     return worst
 
@@ -270,24 +272,13 @@ def caputo_rl_identity_residual(cfg: KernelConfig, t_grid, fd_step: float = 1e-3
     if not ts or any(t <= 0.0 for t in ts):
         raise DomainError("t_grid must be positive")
     spec = cfg.spec
-    a, b, tau = spec.alpha, spec.beta, spec.tau
-    ab = a * b
 
     def rl_integral(t: float) -> float:
-        def integrand(u: float) -> float:
-            w = t - u
-            kern = w**-ab * prabhakar_eval(a, 1.0 - ab, -b, (w / tau) ** a)
-            return kern * relaxation(spec, u)
-
-        left, _ = tanh_sinh(integrand, 0.0, t / 2.0, rel_tol=1e-10)
-        right, _ = tanh_sinh(integrand, t / 2.0, t, rel_tol=1e-10)
-        return left + right
+        return _split_integral(lambda u: _K(spec, t - u) * relaxation(spec, u), t, 1e-10)
 
     worst = 0.0
     for t in ts:
         h = fd_step * t
         rl = (rl_integral(t + h) - rl_integral(t - h)) / (2.0 * h)
-        caputo = _caputo_convolution(cfg, t)
-        kt = t**-ab * prabhakar_eval(a, 1.0 - ab, -b, (t / tau) ** a)
-        worst = max(worst, abs(caputo + kt - rl))
+        worst = max(worst, abs(_caputo_convolution(spec, t) + _K(spec, t) - rl))
     return worst

@@ -2,12 +2,18 @@
 
 Seven kinds are supported: debye, cc (Cole-Cole), cd (Cole-Davidson),
 mcd (mirror Cole-Davidson), hn (Havriliak-Negami), jws
-(Jurlewicz-Weron-Stanislavsky) and kww (stretched exponential).  For each
-the module evaluates, with x = t/tau and w = omega*tau:
+(Jurlewicz-Weron-Stanislavsky) and kww (stretched exponential).  Apart from
+kww they are two Prabhakar families: the HN family (debye, cc, cd, hn) with
+``phi_hat = [1 + (i w)**alpha]**-beta`` and the JWS family (mcd, jws) with
+``phi_hat = 1 - [1 + (i w)**-alpha]**-beta``.  ``ModelSpec`` pins alpha = 1
+for cd/mcd and beta = 1 for debye/cc, so ``spec.alpha`` and ``spec.beta``
+are always the family parameters and one formula per family serves every
+member; boundary values (hn at beta = 1, say) reduce to the kind whose
+closed form is exact (``_law``).  With x = t/tau and w = omega*tau the
+module evaluates:
 
-* the spectral function phi_hat(i w), e.g. ``[1 + (i w)**alpha]**-beta`` for HN
-  and ``1 - [1 + (i w)**-alpha]**-beta`` for JWS (KWW has no rational spectral
-  form and is rejected there);
+* the spectral function phi_hat(i w) (KWW has no rational spectral form and
+  is rejected there);
 * complex permittivity split into (eps', eps'') with the sign convention
   ``eps* = eps' - i eps''``;
 * the time-domain response and relaxation functions through the Prabhakar
@@ -28,10 +34,9 @@ constant term.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special as sc
@@ -66,10 +71,27 @@ __all__ = [
     "response_tail_exponent",
 ]
 
-KINDS = ("debye", "cc", "cd", "mcd", "hn", "jws", "kww")
 
-_SPECTRAL_KINDS = ("debye", "cc", "cd", "mcd", "hn", "jws")
-_SINGULAR_KINDS = ("jws", "mcd")
+class _Kind(NamedTuple):
+    family: str  # "hn" or "jws", the Prabhakar family; "" for kww
+    free: tuple  # the parameters among alpha and beta that the kind does not pin to 1
+
+
+_KINDS = {
+    "debye": _Kind("hn", ()),
+    "cc": _Kind("hn", ("alpha",)),
+    "cd": _Kind("hn", ("beta",)),
+    "mcd": _Kind("jws", ("beta",)),
+    "hn": _Kind("hn", ("alpha", "beta")),
+    "jws": _Kind("jws", ("alpha", "beta")),
+    "kww": _Kind("", ("alpha",)),
+}
+KINDS = tuple(_KINDS)
+_SPECTRAL_KINDS = tuple(k for k in KINDS if _KINDS[k].family)
+
+
+def _jws(spec: ModelSpec) -> bool:
+    return _KINDS[spec.kind].family == "jws"
 
 
 @dataclass(frozen=True)
@@ -105,14 +127,9 @@ class ModelSpec:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (self.beta > 0.0):
             raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.kind == "debye" and (self.alpha != 1.0 or self.beta != 1.0):
-            raise DomainError("debye pins alpha = beta = 1")
-        if self.kind == "cc" and self.beta != 1.0:
-            raise DomainError("cc pins beta = 1")
-        if self.kind in ("cd", "mcd") and self.alpha != 1.0:
-            raise DomainError(f"{self.kind} pins alpha = 1")
-        if self.kind == "kww" and self.beta != 1.0:
-            raise DomainError("kww has no asymmetry parameter; leave beta = 1")
+        for name in ("alpha", "beta"):
+            if name not in _KINDS[self.kind].free and getattr(self, name) != 1.0:
+                raise DomainError(f"{self.kind} pins {name} = 1")
         if not self.allow_unphysical:
             if self.beta > 1.0 / self.alpha + 1e-12:
                 raise DomainError(
@@ -175,8 +192,8 @@ def theta(alpha: float, y: float) -> float:
 
 
 def _iw_pow(w: np.ndarray, p: float) -> np.ndarray:
-    """(i w)**p for w > 0 with the principal branch."""
-    return w**p * cmath.exp(1j * math.pi * p / 2.0)
+    """(i w)**p for w > 0 with the principal branch (purely imaginary at p = 1 and -1)."""
+    return w**p * 1j**p
 
 
 def _grid(x, name: str) -> tuple[np.ndarray, bool]:
@@ -194,37 +211,23 @@ def _grid(x, name: str) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-def _canonical(spec: ModelSpec) -> ModelSpec:
-    """Reduce boundary parameter values to the closed-form kind.
+def _law(spec: ModelSpec) -> str:
+    """The kind whose formulas are exact at spec's parameters.
 
     HN(alpha, 1) = JWS(alpha, 1) = CC(alpha), HN(1, beta) = CD(beta),
     JWS(1, beta) = MCD(beta), and everything at alpha = beta = 1 is Debye.
     The reduced formulas are algebraically identical but numerically exact
     (e.g. the general HN relaxation at alpha = beta = 1 would compute
-    1 - x E[1,2;1](-x), losing the exp(-x) tail to cancellation).
+    1 - x E[1,2;1](-x), losing the exp(-x) tail to cancellation).  The pins
+    make spec.alpha and spec.beta the parameters of the reduced kind as well.
     """
-    k, a, b = spec.kind, spec.alpha, spec.beta
-    if k in ("hn", "jws"):
-        if b == 1.0:
-            k = "debye" if a == 1.0 else "cc"
-        elif a == 1.0:
-            k = "cd" if k == "hn" else "mcd"
-        else:
-            return spec
-    elif k == "cc" and a == 1.0:
-        k = "debye"
-    elif k in ("cd", "mcd") and b == 1.0:
-        k = "debye"
-    else:
-        return spec
-    return ModelSpec(
-        k,
-        alpha=a if k == "cc" else 1.0,
-        beta=b if k in ("cd", "mcd") else 1.0,
-        tau=spec.tau,
-        strict_experimental=spec.strict_experimental,
-        allow_unphysical=spec.allow_unphysical,
-    )
+    if spec.kind == "kww":
+        return "kww"
+    if spec.beta == 1.0:
+        return "debye" if spec.alpha == 1.0 else "cc"
+    if spec.alpha == 1.0:
+        return "mcd" if _jws(spec) else "cd"
+    return spec.kind
 
 
 def spectral(spec: ModelSpec, omega_tau):
@@ -248,27 +251,25 @@ def _spectral(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
     zero = w == 0.0
     w = np.where(zero, 1.0, w)
     a, b = spec.alpha, spec.beta
-    if spec.kind == "debye":
-        phi = 1.0 / (1.0 + 1j * w)
-    elif spec.kind == "cc":
-        phi = 1.0 / (1.0 + _iw_pow(w, a))
-    elif spec.kind == "cd":
-        phi = (1.0 + 1j * w) ** -b
-    elif spec.kind == "hn":
+    if _jws(spec):  # 1 - (1 + z)**-b, z = (i w)**-a
+        phi = -_pow1p_m1(_iw_pow(w, -a), -b)
+    else:
         phi = (1.0 + _iw_pow(w, a)) ** -b
-    else:  # jws / mcd: 1 - (1 + z)**-b, z = (i w)**-exponent
-        phi = -_pow1p_m1(_iw_pow(w, -(a if spec.kind == "jws" else 1.0)), -b)
     return np.where(zero, 1.0 + 0.0j, phi)
 
 
 def _pow1p_m1(w, b: float):
-    """(1 + w)**b - 1 for complex w, a number or an array, accurate for tiny |w|.
+    """(1 + w)**b - 1 for a float w > -1, a complex w or a complex array, accurate for tiny |w|.
 
     It is expm1(b log(1 + w)), with log(1 + w) from its modulus (log1p) and its
     angle (atan2).  The direct form cancels in the JWS/MCD high-frequency wing,
-    and so does numpy's complex log1p.  A number takes numpy's complex expm1
-    formula through the math module, which has no complex expm1.
+    and so does numpy's complex log1p.  A complex number takes numpy's complex
+    expm1 formula through the math module, which has no complex expm1.
     """
+    if b == 1.0:
+        return w  # exactly: the Debye and Cole-Cole exponent is w itself
+    if isinstance(w, float):
+        return math.expm1(b * math.log1p(w))
     scalar = isinstance(w, complex)
     lib = math if scalar else np
     re, im = w.real, w.imag
@@ -290,17 +291,19 @@ def spectral_ratio_real(spec: ModelSpec, s: float) -> float:
         raise DomainError("kww has no simple rational spectral function")
     if s <= 0.0:
         raise DomainError(f"s must be positive, got {s}")
-    w = s * spec.tau
-    a, b = spec.alpha, spec.beta
-    if spec.kind == "debye":
-        return w
-    if spec.kind == "cc":
-        return w**a
-    if spec.kind in ("cd", "hn"):
-        arg = w if spec.kind == "cd" else w**a
-        return math.expm1(b * math.log1p(arg))
-    exponent = a if spec.kind == "jws" else 1.0
-    return 1.0 / math.expm1(b * math.log1p(w**-exponent))
+    return _ratio(spec, float(s * spec.tau))
+
+
+def _ratio(spec: ModelSpec, p):
+    """(1 - phi_hat) / phi_hat at p = z tau (a float, a complex or a complex array).
+
+    With g(w) = (1 + w)**beta - 1 it is g(p**alpha) for the HN family and
+    1 / g(p**-alpha) for the JWS family, the characteristic exponent up to the
+    rate constant.
+    """
+    if _jws(spec):
+        return 1.0 / _pow1p_m1(p**-spec.alpha, spec.beta)
+    return _pow1p_m1(p**spec.alpha, spec.beta)
 
 
 def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
@@ -361,34 +364,49 @@ def _pow(x, p: float):
     return np.fromiter((v**p for v in x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _derivative(spec: ModelSpec, x, k: int, exp, strategy: EvalStrategy):
+    """d^k n / dt^k (k = 0, 1, 2) at x = t/tau, a float or an array.
+
+    debye, cd and kww are closed forms.  The Prabhakar laws shift the index:
+    each differentiation of ``x**(mu-1) E[alpha, mu; beta](-x**alpha)`` lowers
+    mu and the power of x by one, starting from the HN form
+    ``n = 1 - x**(ab) E[a, 1+ab; b](-x**a)`` or the JWS form
+    ``n = E[a, 1; b](-x**a)``.  cc takes the JWS form for n and the HN form
+    for its derivatives.
+    """
+    law, a, b, tau = _law(spec), spec.alpha, spec.beta, spec.tau
+    if law in ("jws", "mcd") or (law == "cc" and k == 0):
+        return prabhakar_eval(a, 1.0 - k, b, _pow(x, a), strategy) / (x**k * tau**k)
+    if law in ("hn", "cc"):
+        e = prabhakar_eval(a, a * b + (1 - k), b, _pow(x, a), strategy)
+        return ((1.0 if k == 0 else 0.0) - _pow(x, a * b - k) * e) / tau**k
+    if k == 0:
+        if law == "cd":  # upper incomplete gamma ratio Gamma(beta, x) / Gamma(beta)
+            n = sc.gammaincc(b, x)
+            return n if isinstance(x, np.ndarray) else float(n)
+        return exp(-_pow(x, a)) if law == "kww" else exp(-x)
+    if law == "debye":
+        d = exp(-x)
+    elif law == "cd":
+        d = _pow(x, b - k) * exp(-x) * float(sc.rgamma(b)) * (1.0 if k == 1 else x - (b - 1.0))
+    else:  # kww
+        xa = _pow(x, a)
+        d = a * _pow(x, a - k) * exp(-xa) * (1.0 if k == 1 else a * xa - (a - 1.0))
+    return (-d if k == 1 else d) / tau**k
+
+
 def response(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
     """Regular (pointwise) part of the response function phi(t) = -dn/dt at t > 0.
 
     ``t`` is a number (a float) or an array (an array, one Prabhakar grid call).
     """
     t, exp = _time_points(t, positive=True)
-    spec = _canonical(spec)
-    x = t / spec.tau
-    a, b, tau = spec.alpha, spec.beta, spec.tau
-    if spec.kind == "debye":
-        return exp(-x) / tau
-    if spec.kind == "cc":
-        return _pow(x, a - 1.0) * prabhakar_eval(a, a, 1.0, _pow(x, a), strategy) / tau
-    if spec.kind == "cd":
-        return _pow(x, b - 1.0) * exp(-x) * float(sc.rgamma(b)) / tau
-    if spec.kind == "hn":
-        return _pow(x, a * b - 1.0) * prabhakar_eval(a, a * b, b, _pow(x, a), strategy) / tau
-    if spec.kind == "jws":
-        return -prabhakar_eval(a, 0.0, b, _pow(x, a), strategy) / (x * tau)
-    if spec.kind == "mcd":
-        return -prabhakar_eval(1.0, 0.0, b, x, strategy) / (x * tau)
-    # kww
-    return a * _pow(x, a - 1.0) * exp(-_pow(x, a)) / tau
+    return -_derivative(spec, t / spec.tau, 1, exp, strategy)
 
 
 def time_response(spec: ModelSpec, strategy: EvalStrategy = DEFAULT_STRATEGY) -> TimeResponse:
     """Response function as a TimeResponse (formal delta flag plus regular density)."""
-    weight = 1.0 if spec.kind in _SINGULAR_KINDS else 0.0
+    weight = 1.0 if _jws(spec) else 0.0
     return TimeResponse(singular_weight=weight, regular=lambda t: response(spec, t, strategy))
 
 
@@ -398,24 +416,7 @@ def relaxation(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
     ``t`` is a number (a float) or an array (an array, one Prabhakar grid call).
     """
     t, exp = _time_points(t, positive=False)
-    spec = _canonical(spec)
-    x = t / spec.tau
-    a, b = spec.alpha, spec.beta
-    if spec.kind == "debye":
-        return exp(-x)
-    if spec.kind == "cc":
-        return prabhakar_eval(a, 1.0, 1.0, _pow(x, a), strategy)
-    if spec.kind == "cd":
-        # upper incomplete gamma ratio Gamma(beta, x) / Gamma(beta)
-        n = sc.gammaincc(b, x)
-        return n if isinstance(x, np.ndarray) else float(n)
-    if spec.kind == "hn":
-        return 1.0 - _pow(x, a * b) * prabhakar_eval(a, 1.0 + a * b, b, _pow(x, a), strategy)
-    if spec.kind == "jws":
-        return prabhakar_eval(a, 1.0, b, _pow(x, a), strategy)
-    if spec.kind == "mcd":
-        return prabhakar_eval(1.0, 1.0, b, x, strategy)
-    return exp(-_pow(x, a))
+    return _derivative(spec, t / spec.tau, 0, exp, strategy)
 
 
 def relaxation_derivatives(
@@ -429,27 +430,8 @@ def relaxation_derivatives(
     """
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    spec = _canonical(spec)
-    x = t / spec.tau
-    a, b, tau = spec.alpha, spec.beta, spec.tau
-    n = relaxation(spec, t, strategy)
-    d1 = -response(spec, t, strategy)
-    if spec.kind == "debye":
-        return n, d1, math.exp(-x) / tau**2
-    if spec.kind == "kww":
-        d2 = (a * x ** (a - 2.0) * math.exp(-(x**a)) * (a * x**a - (a - 1.0))) / tau**2
-        return n, d1, d2
-    if spec.kind == "cc":
-        d2 = -x ** (a - 2.0) * prabhakar_eval(a, a - 1.0, 1.0, x**a, strategy) / tau**2
-    elif spec.kind == "cd":
-        d2 = x ** (b - 2.0) * math.exp(-x) * float(sc.rgamma(b)) * (x - (b - 1.0)) / tau**2
-    elif spec.kind == "hn":
-        d2 = -x ** (a * b - 2.0) * prabhakar_eval(a, a * b - 1.0, b, x**a, strategy) / tau**2
-    elif spec.kind == "jws":
-        d2 = prabhakar_eval(a, -1.0, b, x**a, strategy) / (x**2 * tau**2)
-    else:  # mcd
-        d2 = prabhakar_eval(1.0, -1.0, b, x, strategy) / (x**2 * tau**2)
-    return n, d1, d2
+    d2 = _derivative(spec, t / spec.tau, 2, math.exp, strategy)
+    return relaxation(spec, t, strategy), -response(spec, t, strategy), d2
 
 
 def _amplitude(a: float, xi: float) -> float:
@@ -469,27 +451,23 @@ def pdf_g(spec: ModelSpec, xi: float) -> float:
     """
     if xi <= 0.0:
         raise DomainError(f"xi must be positive, got {xi}")
-    spec = _canonical(spec)
-    a, b = spec.alpha, spec.beta
-    if spec.kind == "debye":
+    law, a, b = _law(spec), spec.alpha, spec.beta
+    if law == "debye":
         raise DomainError("the Debye mixing measure is a point mass at xi = 1, not a density")
-    if spec.kind == "kww":
+    if law == "kww":
         if a >= 1.0:
             raise DomainError("kww density needs alpha < 1")
         return levy_stable_density(a, xi)
-    if spec.kind == "cc":
-        return xi ** (a - 1.0) * math.sin(math.pi * a) / (math.pi * _amplitude(a, xi) ** 2)
-    if spec.kind == "cd":
+    if law == "cd":
         if xi <= 1.0:
             return 0.0
         return math.sin(math.pi * b) / (math.pi * xi * (xi - 1.0) ** b)
-    if spec.kind == "mcd":
+    if law == "mcd":
         if xi >= 1.0:
             return 0.0
         return math.sin(math.pi * b) * xi ** (b - 1.0) / (math.pi * (1.0 - xi) ** b)
-    if spec.kind == "hn":
+    if law != "jws":  # hn and cc
         return math.sin(b * theta(a, xi)) / (math.pi * xi * _amplitude(a, xi) ** b)
-    # jws
     return xi ** (a * b - 1.0) * math.sin(b * theta(a, 1.0 / xi)) / (math.pi * _amplitude(a, xi) ** b)
 
 
@@ -507,9 +485,9 @@ def pdf_g_hypergeometric(
     """
     if xi <= 0.0:
         raise DomainError(f"xi must be positive, got {xi}")
-    if spec.kind not in ("hn", "jws", "cc", "cd", "mcd"):
+    if spec.kind in ("debye", "kww"):
         raise DomainError(f"no hypergeometric mixture form for kind {spec.kind!r}")
-    jws_like = spec.kind in ("jws", "mcd")
+    jws_like = _jws(spec)
     order = RationalOrder.from_float(spec.alpha)
     l, k = order.l, order.k
     b = spec.beta
@@ -557,63 +535,33 @@ def asymptotic(
         raise DomainError(f"regime must be 'short' or 'long', got {regime!r}")
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    spec = _canonical(spec)
     x = t / spec.tau
-    a, b, tau = spec.alpha, spec.beta, spec.tau
+    a, b, r = spec.alpha, spec.beta, sc.rgamma
+    ab = a * b
+    # the two leading terms (c, p) of tau * phi = c x**p + ...
     if spec.kind == "kww":
         if regime == "long":
             raise DomainError("kww decays as a stretched exponential; no algebraic long-time term")
-        return a * x ** (a - 1.0) / tau if which == "response" else 1.0 - x**a
-
-    if spec.kind in ("debye", "cc", "cd", "hn"):
-        ab = {"debye": 1.0, "cc": a, "cd": b, "hn": a * b}[spec.kind]
-        if which == "response":
-            if regime == "short":
-                terms = [
-                    (float(sc.rgamma(ab)) / tau, ab - 1.0),
-                    (-b * float(sc.rgamma(ab + a)) / tau, ab + a - 1.0),
-                ]
-            else:
-                terms = [
-                    (-b * float(sc.rgamma(-a)) / tau, -1.0 - a),
-                    (b * (b + 1.0) / 2.0 * float(sc.rgamma(-2.0 * a)) / tau, -1.0 - 2.0 * a),
-                ]
-            return _leading(terms, x, allow_next_order)
-        if regime == "short":
-            return 1.0 - x**ab * float(sc.rgamma(1.0 + ab))
-        terms = [
-            (b * float(sc.rgamma(1.0 - a)), -a),
-            (-b * (b + 1.0) / 2.0 * float(sc.rgamma(1.0 - 2.0 * a)), -2.0 * a),
-        ]
-        return _leading(terms, x, allow_next_order)
-
-    # jws / mcd
-    ea = a if spec.kind == "jws" else 1.0
+        terms = [(a, a - 1.0), (-a, 2.0 * a - 1.0)]
+    elif _jws(spec) and regime == "short":
+        terms = [(b * r(a), a - 1.0), (-b * (b + 1.0) / 2.0 * r(2.0 * a), 2.0 * a - 1.0)]
+    elif _jws(spec):
+        terms = [(-r(-ab), -ab - 1.0), (b * r(-ab - a), -ab - a - 1.0)]
+    elif regime == "short":
+        terms = [(r(ab), ab - 1.0), (-b * r(ab + a), ab + a - 1.0)]
+    else:
+        terms = [(-b * r(-a), -1.0 - a), (b * (b + 1.0) / 2.0 * r(-2.0 * a), -1.0 - 2.0 * a)]
     if which == "response":
-        if regime == "short":
-            terms = [
-                (b * float(sc.rgamma(ea)) / tau, ea - 1.0),
-                (-b * (b + 1.0) / 2.0 * float(sc.rgamma(2.0 * ea)) / tau, 2.0 * ea - 1.0),
-            ]
-        else:
-            terms = [
-                (-float(sc.rgamma(-ea * b)) / tau, -ea * b - 1.0),
-                (b * float(sc.rgamma(-ea * b - ea)) / tau, -ea * b - ea - 1.0),
-            ]
-        return _leading(terms, x, allow_next_order)
-    if regime == "short":
-        return 1.0 - b * x**ea * float(sc.rgamma(1.0 + ea))
-    terms = [
-        (float(sc.rgamma(1.0 - ea * b)), -ea * b),
-        (-b * float(sc.rgamma(1.0 - ea * b - ea)), -ea * b - ea),
-    ]
-    return _leading(terms, x, allow_next_order)
+        return _leading(terms, x, allow_next_order) / spec.tau
+    # n is 1 - Int_0^t phi at short times and Int_t^inf phi at long times
+    tail = _leading([(-c / (p + 1.0), p + 1.0) for c, p in terms], x, allow_next_order)
+    return 1.0 + tail if regime == "short" else tail
 
 
 def _leading(terms: list[tuple[float, float]], x: float, allow_next_order: bool) -> float:
     coeff, power = terms[0]
     if coeff != 0.0:
-        return coeff * x**power
+        return float(coeff * x**power)
     if not allow_next_order:
         raise DomainError(
             "leading asymptotic coefficient sits at a gamma pole; "
@@ -622,7 +570,7 @@ def _leading(terms: list[tuple[float, float]], x: float, allow_next_order: bool)
     coeff, power = terms[1]
     if coeff == 0.0:
         raise DomainError("no algebraic asymptotic term exists in this regime (exponential decay)")
-    return coeff * x**power
+    return float(coeff * x**power)
 
 
 def laplace_image(spec: ModelSpec) -> LaplaceImage:
@@ -634,21 +582,7 @@ def laplace_image(spec: ModelSpec) -> LaplaceImage:
     """
     if spec.kind == "kww":
         raise DomainError("kww has no simple rational spectral image")
-    a, b, tau = spec.alpha, spec.beta, spec.tau
-
-    def evaluator(z: complex) -> complex:
-        zt = z * tau
-        if spec.kind == "debye":
-            return 1.0 / (1.0 + zt)
-        if spec.kind == "cc":
-            return 1.0 / (1.0 + zt**a)
-        if spec.kind == "cd":
-            return (1.0 + zt) ** -b
-        if spec.kind == "hn":
-            return (1.0 + zt**a) ** -b
-        return -_pow1p_m1(zt ** -(a if spec.kind == "jws" else 1.0), -b)
-
-    return LaplaceImage(evaluator=evaluator, abscissa=0.0, singular_weight=0.0)
+    return LaplaceImage(lambda z: 1.0 / (1.0 + _ratio(spec, z * spec.tau)), 0.0, 0.0)
 
 
 def response_tail_exponent(spec: ModelSpec) -> float:
@@ -659,8 +593,4 @@ def response_tail_exponent(spec: ModelSpec) -> float:
     """
     if spec.kind in ("debye", "cd", "kww"):
         return 0.0
-    if spec.kind in ("cc", "hn"):
-        return -1.0 - spec.alpha
-    if spec.kind == "jws":
-        return -1.0 - spec.alpha * spec.beta
-    return -1.0 - spec.beta  # mcd
+    return -1.0 - spec.alpha * (spec.beta if _jws(spec) else 1.0)

@@ -539,22 +539,25 @@ def _eval_auto(alpha: float, mu: float, nu: float, x: float, strategy: EvalStrat
         if mu >= 0.0 and u >= 0.9 * strategy.crossover_magnitude and cancel < 1e8:
             _check_handoff(value, _contour(alpha, mu, nu, x), x, alpha, mu, nu, rel)
         return value
+    # the naive expansion needs a pole-free coefficient family; with poles its
+    # missing corrections die off only deep in the tail (in x), where the
+    # contour's own rounding amplification takes over instead
+    if u >= _ASYM_SAFE_U and (not _asym_pole_collision(alpha, mu, nu) or x >= 500.0):
+        try:
+            return _asymptotic(alpha, mu, nu, x, rel)
+        except NonConvergent:
+            pass
     if mu >= 0.0:
-        # the naive expansion needs a pole-free coefficient family; with
-        # poles its missing corrections die off only deep in the tail (in x),
-        # where the contour's own rounding amplification takes over instead
-        asym_ok = u >= _ASYM_SAFE_U and (not _asym_pole_collision(alpha, mu, nu) or x >= 500.0)
-        if asym_ok:
-            try:
-                return _asymptotic(alpha, mu, nu, x, rel)
-            except NonConvergent:
-                pass
         return _contour(alpha, mu, nu, x)
-    # mu < 0: no Laplace image; series up to its cancellation limit, then asymptotic
+    # mu < 0: no Laplace image.  The series while it keeps 12 digits (it cancels
+    # like exp(u)), else the recurrence E[a, mu; nu] = a nu E[a, mu+1; nu+1]
+    # - (a nu - mu) E[a, mu+1; nu] (Kilbas, Saigo & Saxena 2004) up to mu >= 0
     if u <= _SERIES_MAX_U:
-        value, _ = _series(alpha, mu, nu, x, rel, cap)
-        return value
-    return _asymptotic(alpha, mu, nu, x, rel)
+        value, cancel = _series(alpha, mu, nu, x, rel, cap)
+        if cancel <= 1e4:
+            return value
+    up, same = (_eval_auto(alpha, mu + 1.0, n, x, strategy) for n in (nu + 1.0, nu))
+    return alpha * nu * up - (alpha * nu - mu) * same
 
 
 def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: EvalStrategy):

@@ -63,16 +63,6 @@ def _mixture_integral(spec: models.ModelSpec, t: float) -> float:
     return head + tail
 
 
-def _pdf_norm(spec: models.ModelSpec) -> float:
-    head, _ = tanh_sinh(lambda xi: models.pdf_g(spec, xi), 0.0, 1.0, rel_tol=1e-11)
-    if spec.kind == "mcd":
-        return head
-    tail, _ = tanh_sinh(
-        lambda v: models.pdf_g(spec, 1.0 / v) / (v * v), 0.0, 1.0, rel_tol=1e-11
-    )
-    return head + tail
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -138,7 +128,7 @@ def suite_pdf(tol_norm: float = 1e-6, tol_agree: float = 1e-9) -> list[CheckResu
     for spec in cases:
         for xi in np.logspace(-3, 3, 60):
             worst_neg = max(worst_neg, -models.pdf_g(spec, float(xi)))
-        worst_norm = max(worst_norm, abs(_pdf_norm(spec) - 1.0))
+        worst_norm = max(worst_norm, abs(_mixture_integral(spec, 0.0) - 1.0))
     out.append(CheckResult("pdf", "nonnegative-valid-regime", worst_neg, 0.0))
     out.append(CheckResult("pdf", "normalization", worst_norm, tol_norm))
 
@@ -169,12 +159,16 @@ def suite_pdf(tol_norm: float = 1e-6, tol_agree: float = 1e-9) -> list[CheckResu
             )
     out.append(CheckResult("pdf", "trig-vs-hypergeometric", worst, tol_agree))
 
-    lobe = min(
-        models.pdf_g(_spec("hn", 0.75, 7 / 3, allow_unphysical=True), float(xi))
-        for xi in np.logspace(-2, 2, 120)
-    )
-    out.append(CheckResult("pdf", "negative-lobe-beyond-regime", 0.0 if lobe < 0 else 1.0, 0.5))
+    out.append(_negative_lobe("pdf", "negative-lobe-beyond-regime"))
     return out
+
+
+def _negative_lobe(suite: str, name: str) -> CheckResult:
+    """The negative lobe of g beyond the regime (hn at beta = 7/3 > 1/alpha), on 120 points
+    (shared by the pdf and figures suites)."""
+    spec = _spec("hn", 0.75, 7 / 3, allow_unphysical=True)
+    lobe = min(models.pdf_g(spec, float(xi)) for xi in np.logspace(-2, 2, 120))
+    return CheckResult(suite, name, 0.0 if lobe < 0 else 1.0, 0.5)
 
 
 def suite_subordination(tol: float = 1e-5) -> list[CheckResult]:
@@ -192,7 +186,7 @@ def suite_subordination(tol: float = 1e-5) -> list[CheckResult]:
             via_debye = laplace.efros_compose(
                 lambda xi: math.exp(-cfg.rate_B * xi),
                 lambda xi, tt: laplace.subordination_pdf(
-                    lambda z: cfg.rate_B * _ratio_z(spec, z), xi, tt
+                    lambda z: cfg.rate_B * models._ratio(spec, z * spec.tau), xi, tt
                 ),
                 t,
                 rel_tol=1e-8,
@@ -216,21 +210,6 @@ def suite_subordination(tol: float = 1e-5) -> list[CheckResult]:
         worst = max(worst, abs(total - 1.0))
     out.append(CheckResult("subordination", "kernel-normalization", worst, 1e-6))
     return out
-
-
-def _ratio_z(spec: models.ModelSpec, z: complex) -> complex:
-    """(1 - phi_hat(z)) / phi_hat(z) continued to complex z (the exponent core)."""
-    zt = z * spec.tau
-    a, b = spec.alpha, spec.beta
-    if spec.kind == "debye":
-        return zt
-    if spec.kind == "cc":
-        return zt**a
-    if spec.kind == "cd":
-        return (1.0 + zt) ** b - 1.0
-    if spec.kind == "hn":
-        return (1.0 + zt**a) ** b - 1.0
-    return 1.0 / models._pow1p_m1(zt ** -(a if spec.kind == "jws" else 1.0), b)
 
 
 def suite_cm(tol: float = 0.0) -> list[CheckResult]:
@@ -295,13 +274,7 @@ def suite_asymptotics(tol_short: float = 0.01, tol_long: float = 0.02) -> list[C
 
 def suite_figures() -> list[CheckResult]:
     """Qualitative shapes: response unimodality/monotonicity and the pdf negative lobe."""
-    lobe = min(
-        models.pdf_g(_spec("hn", 0.75, 7 / 3, allow_unphysical=True), float(xi))
-        for xi in np.logspace(-2, 2, 120)
-    )
-    return _response_shapes("figures") + [
-        CheckResult("figures", "pdf-negative-lobe", 0.0 if lobe < 0 else 1.0, 0.5)
-    ]
+    return _response_shapes("figures") + [_negative_lobe("figures", "pdf-negative-lobe")]
 
 
 def suite_mixture(tol: float = 1e-5) -> list[CheckResult]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import special as sc
 
 from relaxkit import cli, specfun
-from relaxkit.exceptions import NonConvergent, RelaxkitError, TruncationWarning
+from relaxkit.exceptions import NonConvergent, RelaxkitError
 from relaxkit.kernels import KernelConfig, memory_M_time, memory_time_with_bound
 from relaxkit.models import ModelSpec
 
@@ -75,20 +75,18 @@ def test_grid_kernels_match_per_point_calls(kernel, alpha, beta, log_tau):
     tau = 10.0**log_tau
     cfg = KernelConfig(kernel_spec(kind, alpha, beta, tau))
     ts = np.logspace(-2.0, math.log10(1.5), 24) * tau
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        errors = set()
-        for t in ts.tolist():
-            try:
-                memory_time_with_bound(cfg, t, which)
-            except RelaxkitError as exc:
-                errors.add(type(exc))
-        if errors:
-            with pytest.raises(tuple(errors)):
-                memory_time_with_bound(cfg, ts, which)
-            return
-        values, bounds = per_point(cfg, ts, which)
-        grid_values, grid_bounds = memory_time_with_bound(cfg, ts, which)
+    errors = set()
+    for t in ts.tolist():
+        try:
+            memory_time_with_bound(cfg, t, which)
+        except RelaxkitError as exc:
+            errors.add(type(exc))
+    if errors:
+        with pytest.raises(tuple(errors)):
+            memory_time_with_bound(cfg, ts, which)
+        return
+    values, bounds = per_point(cfg, ts, which)
+    grid_values, grid_bounds = memory_time_with_bound(cfg, ts, which)
     assert grid_values.shape == ts.shape and grid_bounds.shape == ts.shape
     assert_rel_close(grid_values, values)
     assert_rel_close(grid_bounds, bounds)

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from relaxkit.exceptions import DomainError, InversionDisagreement
+from relaxkit.inversion import gaver_stehfest, stehfest_weights, talbot
 from relaxkit.laplace import (
     InversionConfig,
     LaplaceImage,
@@ -201,3 +202,12 @@ def test_subordination_kernel_normalization_grid():
 def test_inverse_laplace_rejects_nonpositive_time():
     with pytest.raises(DomainError):
         inverse_laplace(LaplaceImage(lambda z: 1.0 / z), 0.0)
+
+
+def test_inversion_cores_raise_domain_error():
+    with pytest.raises(DomainError):
+        talbot(lambda z: 1.0 / z, 0.0)
+    with pytest.raises(DomainError):
+        gaver_stehfest(lambda s: 1.0 / s, -1.0)
+    with pytest.raises(DomainError):
+        stehfest_weights(7)

@@ -25,6 +25,7 @@ from relaxkit.models import (
     response,
     response_tail_exponent,
     spectral,
+    spectral_ratio_real,
     theta,
     time_response,
 )
@@ -217,7 +218,7 @@ def test_jws_mcd_spectral_high_frequency_wing_matches_mpmath(spec):
 def test_jws_mcd_laplace_image_and_exponent_match_mpmath(spec):
     import mpmath
 
-    from relaxkit.verify import _ratio_z
+    from relaxkit.models import _ratio
 
     e = spec.alpha if spec.kind == "jws" else 1.0
     image = laplace_image(spec)
@@ -227,7 +228,7 @@ def test_jws_mcd_laplace_image_and_exponent_match_mpmath(spec):
             assert abs(mpmath.mpc(image.evaluator(z)) - exact) <= 1e-13 * abs(exact)
             # the characteristic-exponent core (1 - phi_hat) / phi_hat
             ratio = (1 - exact) / exact
-            assert abs(mpmath.mpc(_ratio_z(spec, z)) - ratio) <= 1e-13 * abs(ratio)
+            assert abs(mpmath.mpc(_ratio(spec, z)) - ratio) <= 1e-13 * abs(ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +369,63 @@ def test_reductions_pointwise():
             assert response(left, t) == pytest.approx(response(right, t), rel=1e-12)
         for xi in (0.4, 1.3, 3.0):
             assert pdf_g(left, xi) == pytest.approx(pdf_g(right, xi), abs=1e-12)
+        for t in (0.3, 1.0, 3.0):
+            assert relaxation_derivatives(left, t) == pytest.approx(
+                relaxation_derivatives(right, t), rel=1e-12
+            )
+        for s in (0.1, 1.0, 10.0):
+            ratio = spectral_ratio_real(right, s)
+            assert spectral_ratio_real(left, s) == pytest.approx(ratio, rel=1e-12)
+        for which in ("response", "relaxation"):
+            for regime, t in (("short", 1e-4), ("long", 1e4)):
+                lhs = asymptotic_or_error(left, which, regime, t)
+                assert lhs == pytest.approx(asymptotic_or_error(right, which, regime, t), rel=1e-12)
+
+
+def asymptotic_or_error(spec, which, regime, t):
+    """The leading asymptotic term, or the name of the error it raises."""
+    try:
+        return asymptotic(spec, which, regime, t)
+    except DomainError as exc:
+        return type(exc).__name__
+
+
+# the seven kinds, then the boundary specs that reduce to cc, cd, mcd and debye
+DERIVATIVE_SPECS = [
+    ModelSpec("debye", tau=2.0),
+    ModelSpec("cc", alpha=0.6),
+    ModelSpec("cd", beta=0.4),
+    ModelSpec("mcd", beta=0.4, tau=0.5),
+    HN_HALF,
+    ModelSpec("jws", alpha=0.75, beta=1 / 3),
+    ModelSpec("kww", alpha=0.6),
+    ModelSpec("hn", alpha=0.6, beta=1.0),
+    ModelSpec("jws", alpha=0.6, beta=1.0),
+    ModelSpec("hn", alpha=1.0, beta=0.4),
+    ModelSpec("jws", alpha=1.0, beta=0.4),
+    ModelSpec("hn", alpha=1.0, beta=1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", DERIVATIVE_SPECS, ids=lambda s: f"{s.kind}-{s.alpha:g}-{s.beta:.3g}"
+)
+def test_second_derivative_matches_central_difference_of_response(spec):
+    for t in (0.05, 0.4, 2.0, 9.0):
+        n, d1, d2 = relaxation_derivatives(spec, t)
+        assert (n, d1) == (relaxation(spec, t), -response(spec, t))
+        h = 1e-4 * t
+        fd = -(response(spec, t + h) - response(spec, t - h)) / (2.0 * h)
+        assert d2 == pytest.approx(fd, rel=1e-6)
+
+
+def test_cc_relaxation_keeps_its_relative_accuracy_deep_in_the_tail():
+    # n = E[a, 1; 1](-x**a) directly; the HN form 1 - x**a E[a, 1+a; 1](-x**a)
+    # cancels to a relative error of 1e-6 and worse at x = 1e20
+    for a in (0.5, 0.8):
+        for spec in (ModelSpec("cc", alpha=a), ModelSpec("hn", alpha=a, beta=1.0)):
+            lead = asymptotic(spec, "relaxation", "long", 1e20)
+            assert relaxation(spec, 1e20) == pytest.approx(lead, rel=1e-12, abs=0.0)
 
 
 def test_debye_reduction_exact():
@@ -510,6 +568,19 @@ def test_asymptotic_ratio_windows():
                 assert abs(
                     exact_fn(spec, 1e4) / asymptotic(spec, which, "long", 1e4) - 1.0
                 ) < 0.02
+
+
+@pytest.mark.parametrize(
+    "spec", [ModelSpec("cc", alpha=0.75), ModelSpec("cd", beta=0.4), ModelSpec("mcd", beta=0.4)]
+)
+def test_asymptotic_ratio_windows_cc_cd_mcd(spec):
+    for which, exact_fn in (("response", response), ("relaxation", relaxation)):
+        assert abs(exact_fn(spec, 1e-4) / asymptotic(spec, which, "short", 1e-4) - 1.0) < 0.01
+        if spec.kind == "cd":  # exponential decay: no algebraic long-time term at any order
+            with pytest.raises(DomainError):
+                asymptotic(spec, which, "long", 1e4, allow_next_order=True)
+            continue
+        assert abs(exact_fn(spec, 1e4) / asymptotic(spec, which, "long", 1e4) - 1.0) < 0.02
 
 
 # ---------------------------------------------------------------------------

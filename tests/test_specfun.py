@@ -261,6 +261,32 @@ def test_cm_sign_pattern_index_shift():
             assert hp <= 0.0
 
 
+@pytest.mark.parametrize(
+    "alpha, mu, nu, u",
+    [
+        (1.0, -1.0, 0.4, 18.0),  # the mcd n'' index family
+        (1.0, -1.0, 0.9, 40.0),
+        (0.6, -0.7, 0.5, 22.0),  # hn n'': mu = alpha nu - 1
+        (0.75, -1.0, 0.9, 30.0),
+        (0.5, -0.75, 0.5, 45.0),
+        (0.9, -0.19, 0.9, 35.0),
+    ],
+)
+def test_negative_mu_where_the_series_cancels_matches_mpmath(alpha, mu, nu, u):
+    # u = x**(1/alpha) in (15, 50): the series cancels like exp(u) and the
+    # expansion stalls; the recurrence in mu takes over from the series
+    import mpmath
+
+    x = u**alpha
+    with mpmath.workdps(70):
+        z, a = -mpmath.mpf(x), mpmath.mpf(alpha)
+        exact = mpmath.nsum(
+            lambda j: mpmath.rf(nu, j) * z**j / mpmath.factorial(j) * mpmath.rgamma(a * j + mu),
+            [0, mpmath.inf],
+        )
+    assert prabhakar_eval(alpha, mu, nu, x) == pytest.approx(float(exact), rel=1e-9)
+
+
 def test_cm_fails_below_alpha_nu():
     # an interior point of the flipped inequality (mu < alpha*nu): the tail
     # coefficient 1/Gamma(mu - alpha nu) is negative and h crosses zero,
