@@ -14,9 +14,23 @@ Residuals are evaluated per grid: one array call of ``models.permittivity``
 sigmoids are floored at 1e-12, so a saturated transform still maps to a
 valid model.
 
-Accepted steps never increase the residual norm; termination is on gradient
-norm < 1e-10, step norm < 1e-12 or 200 iterations, and everything is
-deterministic (fixed evaluation order, seeded noise).
+The Jacobian is exact, one array pass per iteration: ``models._partials``
+(d phi_hat / d(alpha, beta, log tau)) at ``p = i omega tau`` for spectra,
+and for decays ``-partials / p``, the parameter derivatives of the
+relaxation image ``(1 - phi_hat) / p``, inverted on the Talbot contour of
+``kernels._invert`` (kww by its closed form).  The chain rule of the
+transforms follows: the alpha column carries the ``beta = sigmoid(u2) /
+alpha`` coupling, and a sigmoid at its floor has slope 0.
+
+Accepted steps never increase the residual norm, and a trial step whose
+residuals raise a ``RelaxkitError`` counts as rejected.  The loop converges
+on gradient max-norm < 1e-12 or step norm < 1e-12 relative; after 200
+iterations, or when no damping lowers the cost, it returns with
+``converged=False``.  The gradient bound sits below the rounding floor of
+``aicc_score``, so a noise-free fit of the generating kind reaches the floor
+and ties with the wider kinds that contain it (at 1e-10 a cd(0.4) spectrum
+fit stopped at 7.2e-11, above the 4.5e-11 floor, and hn won).  Everything
+is deterministic (fixed evaluation order, seeded noise).
 """
 
 from __future__ import annotations
@@ -29,13 +43,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import DegenerateJacobian, DomainError, EmptyDataset, ParseError
+from .exceptions import DegenerateJacobian, DomainError, EmptyDataset, ParseError, RelaxkitError
+from .kernels import _invert
 from .models import (
     _KINDS,
     _SPECTRAL_KINDS,
     KINDS,
     ModelSpec,
     PermittivityScale,
+    _partials,
+    _spectral,
     permittivity,
     relaxation,
 )
@@ -56,7 +73,7 @@ FREQUENCY_KINDS = _SPECTRAL_KINDS
 TIME_KINDS = KINDS
 
 _MAX_ITER = 200
-_GRAD_TOL = 1e-10
+_GRAD_TOL = 1e-12
 _STEP_TOL = 1e-12
 
 
@@ -249,6 +266,12 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+def _floored_slope(u: float) -> float:
+    """d/du max(sigmoid(u), floor): 0 where the floor holds."""
+    s = _sigmoid(u)
+    return s * (1.0 - s) if s > _SIGMOID_FLOOR else 0.0
+
+
 class _Problem:
     """Residual assembly plus the transform between packed and physical parameters."""
 
@@ -385,14 +408,44 @@ class _Problem:
             return out
         return self.w * (relaxation(spec, self.dataset.t) - self.dataset.n)
 
+    def model_partials(self, spec: ModelSpec, scale) -> np.ndarray:
+        """d residuals / d(alpha, beta, log tau[, eps_inf, log delta_eps]), one column each."""
+        if self.frequency:
+            w = self.dataset.omega * spec.tau
+            shape = scale.strength * _partials(spec, 1j * w)
+            d = np.column_stack([shape, np.ones(w.size), scale.strength * _spectral(spec, w)])
+            rows = np.empty((2 * w.size, d.shape[1]))
+            rows[0::2] = d.real  # eps' = Re eps*, eps'' = -Im eps*
+            rows[1::2] = -d.imag
+            return np.repeat(self.w, 2)[:, None] * rows
+        positive = self.dataset.t > 0.0  # n(0) = 1 for every parameter vector: zero rows
+        x = self.dataset.t[positive] / spec.tau
+        d = np.zeros((positive.size, 3))
+        if self.kind == "kww":
+            xa = x**spec.alpha
+            n = np.exp(-xa)
+            d[positive, 0] = -xa * np.log(x) * n
+            d[positive, 2] = spec.alpha * xa * n
+        elif x.size:
+            # n_hat = (1 - phi_hat) / p, so d n / d theta inverts -(d phi_hat / d theta) / p
+            d[positive] = _invert(lambda p: -_partials(spec, p) / p[..., None], x)
+        return self.w[:, None] * d
 
-def _jacobian(problem: _Problem, u: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    J = np.empty((r0.size, u.size))
-    for j in range(u.size):
-        h = 1.5e-8 * (1.0 + abs(u[j]))
-        up = u.copy()
-        up[j] += h
-        J[:, j] = (problem.residuals(up) - r0) / h
+
+def _jacobian(problem: _Problem, u: np.ndarray) -> np.ndarray:
+    """d residuals / d u: the model's exact partials times the derivative of ``unpack``."""
+    spec, scale = problem.unpack(u)
+    d = problem.model_partials(spec, scale)
+    cols = []
+    if problem.free_alpha:
+        col = d[:, 0]
+        if problem.free_beta and not problem.strict:
+            col = col - spec.beta / spec.alpha * d[:, 1]  # beta = sigmoid(u2) / alpha
+        cols.append(_floored_slope(u[0]) * col)
+    if problem.free_beta:
+        slope = _floored_slope(u[len(cols)])
+        cols.append((slope if problem.strict else slope / spec.alpha) * d[:, 1])
+    J = np.column_stack(cols + [d[:, 2:]])
     if not np.all(np.isfinite(J)):
         raise DegenerateJacobian("non-finite entries in the fit Jacobian")
     return J
@@ -420,7 +473,7 @@ def fit(
     if kind_hypothesis == "auto":
         kinds = FREQUENCY_KINDS if isinstance(dataset, SpectrumDataset) else TIME_KINDS
         ranked = compare(dataset, kinds, strict_experimental=strict_experimental)
-        return ranked[0][2]
+        return ranked[0][2]  # compare raises unless some candidate succeeded
     if kind_hypothesis not in KINDS:
         raise DomainError(f"unknown model kind {kind_hypothesis!r}")
     problem = _Problem(dataset, kind_hypothesis, strict_experimental, init, init_scale)
@@ -435,7 +488,7 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        J = _jacobian(problem, u, r)
+        J = _jacobian(problem, u)
         g = J.T @ r
         if float(np.max(np.abs(g))) < _GRAD_TOL:
             converged = True
@@ -449,8 +502,11 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
             except np.linalg.LinAlgError:
                 raise DegenerateJacobian("normal equations are singular") from None
             trial = u + delta
-            r_trial = problem.residuals(trial)
-            cost_trial = float(r_trial @ r_trial)
+            try:
+                r_trial = problem.residuals(trial)
+                cost_trial = float(r_trial @ r_trial)
+            except RelaxkitError:
+                cost_trial = math.inf  # a trial the model cannot evaluate is rejected
             if math.isfinite(cost_trial) and cost_trial <= cost:
                 u, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-14)
@@ -481,13 +537,13 @@ def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray) -> dict:
     """Gauss-Newton covariance proxy mapped to the physical parameters."""
     m, p = r.size, u.size
     try:
-        J = _jacobian(problem, u, r)
+        J = _jacobian(problem, u)
         A = J.T @ J
         dof = max(m - p, 1)
         sigma2 = float(r @ r) / dof
         cov = sigma2 * np.linalg.inv(A + 1e-300 * np.eye(p))
         du = np.sqrt(np.maximum(np.diag(cov), 0.0)) * problem.stderr_scale(u)
-    except (np.linalg.LinAlgError, DegenerateJacobian):
+    except (np.linalg.LinAlgError, RelaxkitError):
         du = np.full(p, float("nan"))
     out = {}
     for name, val in zip(problem.names, du):
@@ -522,14 +578,21 @@ def compare(
     dataset,
     candidates: Sequence[str],
     strict_experimental: bool = False,
-) -> list[tuple[str, float, FitResult]]:
+) -> list[tuple[str, float, "FitResult | RelaxkitError"]]:
     """Fit every candidate kind and rank by information score.
 
-    Returns (kind, score, FitResult) tuples sorted best-first; deterministic
-    ranking with ties broken by fewer free parameters, then kind name.
+    Returns (kind, score, result) tuples sorted best-first; deterministic
+    ranking with ties broken by fewer free parameters, then kind name.  The
+    result is a FitResult, or for a candidate whose fit raised, the
+    ``RelaxkitError`` it raised (its message is the reason): such a candidate
+    scores ``inf`` and ranks after every candidate that was fitted.  Only if
+    every candidate fails is the first ranked one's error raised.
     """
     if not candidates:
         raise DomainError("need at least one candidate kind")
+    unknown = [kind for kind in candidates if kind not in KINDS]
+    if unknown:
+        raise DomainError(f"unknown model kinds {unknown}")
     frequency = isinstance(dataset, SpectrumDataset)
     if frequency:
         data_scale = float(np.max(np.abs(np.concatenate([dataset.eps_re, dataset.eps_im]))))
@@ -541,13 +604,20 @@ def compare(
     for kind in candidates:
         if frequency and kind == "kww":
             continue
-        res = fit(dataset, kind, strict_experimental=strict_experimental)
+        try:
+            res = fit(dataset, kind, strict_experimental=strict_experimental)
+        except RelaxkitError as exc:
+            results.append((kind, math.inf, exc))
+            continue
         k = _free_parameter_count(kind, frequency)
         score = aicc_score(res.residual_norm, n_points, k, data_scale)
         results.append((kind, score, res))
     if not results:
         raise DomainError("no applicable candidate kinds for this dataset")
-    results.sort(key=lambda item: (item[1], _free_parameter_count(item[0], frequency), item[0]))
+    results.sort(key=lambda item: (isinstance(item[2], RelaxkitError), item[1],
+                                   _free_parameter_count(item[0], frequency), item[0]))
+    if isinstance(results[0][2], RelaxkitError):
+        raise results[0][2]
     return results
 
 

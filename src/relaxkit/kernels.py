@@ -42,6 +42,7 @@ from .models import (
     ModelSpec,
     _SPECTRAL_KINDS,
     _jws,
+    _law,
     _pow,
     _pow1p_m1,
     _ratio,
@@ -110,14 +111,17 @@ def kernel_singular_weight(cfg: KernelConfig, which: str) -> float:
     pure point mass ``B tau delta(t)``; the MCD k keeps ``B tau / beta`` of
     it, and the HN/CD k regain ``B tau`` exactly on the regime boundary
     ``alpha beta = 1``.  All M kernels and the other k kernels are regular.
+    A boundary spec has the weight of the law it reduces to (``models._law``):
+    jws(1, beta) that of mcd(beta), cc(1) that of Debye.
     """
     if which not in ("M", "k"):
         raise DomainError("which must be 'M' or 'k'")
     spec = cfg.spec
     if which == "k":
-        if spec.kind in ("debye", "mcd"):
+        law = _law(spec)
+        if law in ("debye", "mcd"):
             return cfg.rate_B * spec.tau / spec.beta
-        if spec.kind in ("hn", "cd") and spec.alpha * spec.beta == 1.0:
+        if law in ("hn", "cd") and spec.alpha * spec.beta == 1.0:
             return cfg.rate_B * spec.tau
     return 0.0
 
@@ -129,14 +133,21 @@ def _series_sum(*args):
 
 def _invert(image, x):
     """Inverse Laplace transform of ``image(p)``, p = z tau on the nodes x points array, at the
-    times x = t/tau (a float or an array).  The nodes are summed in ascending order (cumsum,
-    not a pairwise sum), so a grid value equals the value of a scalar call."""
+    times x = t/tau (a float or an array).  A stacked image (nodes x points x columns) inverts
+    every column in the same pass; the columns become the result's last axis.  The nodes are
+    summed in ascending order (cumsum, not a pairwise sum), so a grid value equals the value
+    of a scalar call."""
     xs = np.reshape(x, -1)
-    terms = (_CONTOUR_W * image(_CONTOUR_Z / xs)).real
+    values = image(_CONTOUR_Z / xs)
+    columns = values.shape[2:]
+    lift = (1,) * len(columns)
+    terms = (_CONTOUR_W.reshape((-1, 1) + lift) * values).real
     if not np.all(np.isfinite(terms)):
         raise ContourOverflow("non-finite kernel image on the Talbot contour")
-    value = np.cumsum(terms, axis=0)[-1] * 2.0 / (5.0 * xs)
-    return value.reshape(x.shape) if isinstance(x, np.ndarray) else float(value[0])
+    value = np.cumsum(terms, axis=0)[-1] * 2.0 / (5.0 * xs).reshape((-1,) + lift)
+    if isinstance(x, np.ndarray):
+        return value.reshape(x.shape + columns)
+    return value[0] if columns else float(value[0])
 
 
 def _w_over_g_less(w, b: float):

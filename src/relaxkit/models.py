@@ -306,6 +306,24 @@ def _ratio(spec: ModelSpec, p):
     return _pow1p_m1(p**spec.alpha, spec.beta)
 
 
+def _partials(spec: ModelSpec, p: np.ndarray) -> np.ndarray:
+    """d phi_hat / d(alpha, beta, log tau) at p = z tau (a complex array), stacked on a new
+    last axis.  With q = p**alpha, P = 1 + q (HN family) or Q = p**-alpha, R = 1 + Q,
+    psi = R**-beta (JWS family, phi_hat = 1 - psi); tau enters through p alone, so the
+    log tau column is p d phi_hat / dp."""
+    a, b = spec.alpha, spec.beta
+    log_p = np.log(p)
+    if _jws(spec):
+        Q = p**-a
+        R = 1.0 + Q
+        psi = R**-b
+        return np.stack([-b * psi * log_p * Q / R, np.log(R) * psi, -a * b * psi * Q / R], axis=-1)
+    q = p**a
+    P = 1.0 + q
+    phi = P**-b
+    return np.stack([-b * q * log_p / P * phi, -np.log(P) * phi, -a * b * q / P * phi], axis=-1)
+
+
 def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
     """(eps', eps'') at angular frequency omega, convention eps* = eps' - i eps''.
 
@@ -588,9 +606,10 @@ def laplace_image(spec: ModelSpec) -> LaplaceImage:
 def response_tail_exponent(spec: ModelSpec) -> float:
     """Power of the algebraic long-time response tail (for tail-corrected quadrature).
 
-    Kinds with exponential decay (debye, cd, kww) return 0; the coefficient
-    fitted at the truncation point is then vanishingly small anyway.
+    Laws with exponential decay (debye, cd, kww, and the specs that reduce to
+    them, e.g. hn(1, beta)) return 0; the coefficient fitted at the truncation
+    point is then vanishingly small anyway.
     """
-    if spec.kind in ("debye", "cd", "kww"):
+    if _law(spec) in ("debye", "cd", "kww"):
         return 0.0
     return -1.0 - spec.alpha * (spec.beta if _jws(spec) else 1.0)

@@ -6,19 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaxkit.exceptions import DomainError, EmptyDataset, ParseError
+from relaxkit.exceptions import DomainError, EmptyDataset, ParseError, StrategyDisagreement
 from relaxkit.fitio import (
     SpectrumDataset,
     TimeDataset,
     compare,
     fit,
+    _jacobian,
     _Problem,
     fit_result_to_json,
     parse_csv,
     synthesize,
 )
-from relaxkit.models import ModelSpec, PermittivityScale
+from relaxkit.models import KINDS, ModelSpec, PermittivityScale
 
 SCALE = PermittivityScale(5.0, 2.0)
 GRID = np.logspace(-3, 3, 40)
@@ -283,3 +286,141 @@ def test_fit_result_json_schema():
     }
     assert doc["model"] == "debye"
     assert isinstance(doc["stderr"], dict) and "tau" in doc["stderr"]
+
+
+# ---------------------------------------------------------------------------
+# exact Jacobian
+# ---------------------------------------------------------------------------
+
+# a representative of each kind: its free parameters away from the boundaries
+SHAPES = {"debye": (1.0, 1.0), "cc": (0.7, 1.0), "cd": (1.0, 0.4), "mcd": (1.0, 0.6),
+          "hn": (0.6, 0.5), "jws": (0.7, 0.6), "kww": (0.6, 1.0)}
+
+
+def _problem(kind, domain, strict, grid=np.logspace(-3, 3, 24)):
+    spec = ModelSpec(kind, *SHAPES[kind], tau=1.5)
+    scale = SCALE if domain == "frequency" else None
+    ds = synthesize(spec, scale, grid, 0.01, seed=4, domain=domain)
+    return _Problem(ds, kind, strict, None, None)
+
+
+def _central_differences(problem, u, h=1e-4):
+    cols = []
+    for j in range(u.size):
+        step = np.zeros(u.size)
+        step[j] = h * (1.0 + abs(u[j]))
+        cols.append((problem.residuals(u + step) - problem.residuals(u - step)) / (2.0 * step[j]))
+    return np.column_stack(cols)
+
+
+def _assert_matches_differences(problem, u, scale=None):
+    """Exact and differenced Jacobian agree to 1e-6 of each column's maximum (or of ``scale``)."""
+    exact, fd = _jacobian(problem, u), _central_differences(problem, u)
+    if scale is None:
+        scale = np.max(np.abs(fd), axis=0)
+    assert np.all(np.abs(exact - fd) <= 1e-6 * scale)
+
+
+SWEEP = [(k, d, s) for k in KINDS for d in ("frequency", "time") for s in (False, True)
+         if not (k == "kww" and d == "frequency")]
+
+
+@pytest.mark.parametrize("kind,domain,strict", SWEEP)
+@settings(max_examples=6, deadline=None)
+@given(offsets=st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5))
+def test_exact_jacobian_matches_central_differences(kind, domain, strict, offsets):
+    problem = _problem(kind, domain, strict)
+    _assert_matches_differences(problem, problem.u0 + np.array(offsets[: problem.u0.size]))
+
+
+@pytest.mark.parametrize("domain", ["frequency", "time"])
+def test_saturated_sigmoid_has_a_zero_column(domain):
+    # at the floor the model is flat in every shape direction, so the columns
+    # are compared on the scale of the Jacobian at the starting point
+    problem = _problem("hn", domain, False)
+    scale = np.max(np.abs(_jacobian(problem, problem.u0)), axis=0)
+    for index in (0, 1):
+        u = problem.u0.copy()
+        u[index] = -800.0
+        with np.errstate(over="ignore"):  # alpha = 1e-12 with beta = sigmoid(u2) / alpha
+            J = _jacobian(problem, u)
+            assert np.all(J[:, index] == 0.0)
+            _assert_matches_differences(problem, u, scale)
+
+
+@pytest.mark.parametrize("kind", ["hn", "jws", "kww"])
+def test_time_sample_at_zero_has_a_zero_row(kind):
+    problem = _problem(kind, "time", False, grid=np.concatenate([[0.0], np.logspace(-3, 3, 24)]))
+    J = _jacobian(problem, problem.u0)
+    assert np.all(J[0] == 0.0) and np.all(np.any(J[1:] != 0.0, axis=1))
+    _assert_matches_differences(problem, problem.u0)
+
+
+# ---------------------------------------------------------------------------
+# failure-tolerant fits
+# ---------------------------------------------------------------------------
+
+
+def _csv_round_trip(ds):
+    # 12 significant digits, as `relaxkit synth` writes them
+    text = "t,n\n" + "".join(f"{t:.12g},{n:.12g}\n" for t, n in zip(ds.t, ds.n))
+    return parse_csv(io.StringIO(text), "time")
+
+
+def test_jws_decay_fit_survives_a_failing_trial_step():
+    spec = ModelSpec("jws", alpha=0.54, beta=0.55)
+    ds = synthesize(spec, None, np.logspace(-3, 3, 40), 0.0, seed=0, domain="time")
+    res = fit(_csv_round_trip(ds), "jws")
+    assert res.converged
+    assert res.spec.alpha == pytest.approx(0.54, rel=1e-6)
+    assert res.spec.beta == pytest.approx(0.55, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:first relaxation sample")
+def test_auto_decay_fit_survives_a_failing_candidate_step():
+    spec = ModelSpec("hn", alpha=0.39, beta=0.36)
+    ds = synthesize(spec, None, np.logspace(-3, 3, 40), 0.0, seed=0, domain="time")
+    res = fit(_csv_round_trip(ds), "auto")
+    assert res.converged and res.spec.kind == "hn"
+    assert res.spec.alpha == pytest.approx(0.39, rel=1e-6)
+
+
+def test_a_trial_step_that_raises_is_rejected(monkeypatch):
+    ds = synthesize(ModelSpec("hn", alpha=0.75, beta=1 / 3), SCALE, GRID, 0.0, seed=7)
+    original = _Problem.residuals
+    calls = []
+
+    def residuals(self, u):
+        calls.append(u)
+        if len(calls) == 2:  # the first call is the starting point, the second the first trial
+            raise StrategyDisagreement("trial step outside the evaluator's reach")
+        return original(self, u)
+
+    monkeypatch.setattr(_Problem, "residuals", residuals)
+    res = fit(ds, "hn")
+    assert len(calls) > 3 and res.converged
+    assert res.spec.alpha == pytest.approx(0.75, rel=1e-6)
+
+
+def test_compare_ranks_a_failing_candidate_last(monkeypatch):
+    ds = synthesize(ModelSpec("cc", alpha=0.7), SCALE, GRID, 0.0, seed=3)
+    original = _Problem.residuals
+
+    def residuals(self, u):
+        if self.kind == "cc":
+            raise StrategyDisagreement("cc cannot be evaluated here")
+        return original(self, u)
+
+    monkeypatch.setattr(_Problem, "residuals", residuals)
+    ranked = compare(ds, ("cc", "debye", "hn"))
+    assert [kind for kind, _, _ in ranked] == ["hn", "debye", "cc"]
+    assert ranked[-1][1] == math.inf and isinstance(ranked[-1][2], StrategyDisagreement)
+    assert fit(ds, "auto").spec.kind == "hn"
+    with pytest.raises(StrategyDisagreement):
+        compare(ds, ("cc",))
+
+
+def test_compare_rejects_unknown_kinds():
+    ds = synthesize(ModelSpec("debye"), SCALE, GRID, 0.0, seed=0)
+    with pytest.raises(DomainError):
+        compare(ds, ("debye", "havriliak"))

@@ -11,6 +11,7 @@ from scipy import special as sc
 from scipy.integrate import quad
 
 from relaxkit.exceptions import DomainError
+from relaxkit.kernels import KernelConfig, kernel_singular_weight
 from relaxkit.laplace import forward_laplace, inverse_laplace
 from relaxkit.models import (
     ModelSpec,
@@ -380,6 +381,29 @@ def test_reductions_pointwise():
             for regime, t in (("short", 1e-4), ("long", 1e4)):
                 lhs = asymptotic_or_error(left, which, regime, t)
                 assert lhs == pytest.approx(asymptotic_or_error(right, which, regime, t), rel=1e-12)
+
+
+# the boundary specs of test_reductions_pointwise, then those that reduce to Debye
+BOUNDARY_SPECS = [
+    (ModelSpec("hn", alpha=0.6, beta=1.0, tau=2.0), ModelSpec("cc", alpha=0.6, tau=2.0)),
+    (ModelSpec("jws", alpha=0.6, beta=1.0, tau=2.0), ModelSpec("cc", alpha=0.6, tau=2.0)),
+    (ModelSpec("hn", alpha=1.0, beta=0.4, tau=2.0), ModelSpec("cd", beta=0.4, tau=2.0)),
+    (ModelSpec("jws", alpha=1.0, beta=0.4, tau=2.0), ModelSpec("mcd", beta=0.4, tau=2.0)),
+    (ModelSpec("hn", alpha=1.0, beta=1.0, tau=2.0), ModelSpec("debye", tau=2.0)),
+    (ModelSpec("jws", alpha=1.0, beta=1.0, tau=2.0), ModelSpec("debye", tau=2.0)),
+    (ModelSpec("cc", alpha=1.0, tau=2.0), ModelSpec("debye", tau=2.0)),
+    (ModelSpec("mcd", beta=1.0, tau=2.0), ModelSpec("debye", tau=2.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,law", BOUNDARY_SPECS, ids=lambda s: f"{s.kind}-{s.alpha:g}-{s.beta:g}"
+)
+def test_boundary_specs_share_tail_and_point_masses_with_their_law(spec, law):
+    assert response_tail_exponent(spec) == response_tail_exponent(law)
+    for which in ("M", "k"):
+        weight = kernel_singular_weight(KernelConfig(law, rate_B=1.5), which)
+        assert kernel_singular_weight(KernelConfig(spec, rate_B=1.5), which) == weight
 
 
 def asymptotic_or_error(spec, which, regime, t):
