@@ -148,8 +148,7 @@ def _eval_table(args) -> tuple[list[str], list[tuple], list[str]]:
     if q == "relaxation":
         return ["t", "n"], list(zip(xs, models.relaxation(spec, grid).tolist())), comments
     if q == "pdf":
-        rows = [(xi, models.pdf_g(spec, xi)) for xi in xs]
-        return ["xi", "g"], rows, comments
+        return ["xi", "g"], list(zip(xs, models.pdf_g(spec, grid).tolist())), comments
     if q in ("kernelM", "kernelK"):
         cfg = kernels.KernelConfig(spec)
         which = "M" if q == "kernelM" else "k"

@@ -175,12 +175,12 @@ def memory_time_with_bound(
     if which not in ("M", "k"):
         raise DomainError("which must be 'M' or 'k'")
     spec = cfg.spec
-    a, b, tau, B = spec.alpha, spec.beta, spec.tau, cfg.rate_B
+    law, a, b, tau, B = _law(spec), spec.alpha, spec.beta, spec.tau, cfg.rate_B
     x = t / tau
     zero = 0.0 * x
 
     if which == "M":
-        if spec.kind in ("debye", "cc"):
+        if law in ("debye", "cc"):
             return _pow(x, a - 1.0) / (B * tau * math.gamma(a)), zero
         if _jws(spec):
             return prabhakar_eval(a, 0.0, -b, _pow(x, a), strategy) / (B * t), zero
@@ -188,14 +188,14 @@ def memory_time_with_bound(
         return value, _CONTOUR_BOUND * abs(value)
 
     # which == "k"
-    if spec.kind == "debye":
+    if law == "debye":
         return zero, zero  # pure point mass B*tau*delta(t); see kernel_singular_weight
-    if spec.kind == "cc":
+    if law == "cc":
         return B * _pow(x, -a) / math.gamma(1.0 - a), zero
-    if spec.kind == "hn":
+    if law == "hn":
         val = B * _pow(x, -a * b) * prabhakar_eval(a, 1.0 - a * b, -b, _pow(x, a), strategy) - B
         return val, zero
-    if spec.kind == "cd":
+    if law == "cd":
         # B Gamma(-b, x) / |Gamma(-b)| with Gamma(-b, x) = (x**-b e**-x - Gamma(1-b, x)) / b
         q = sc.gammaincc(1.0 - b, x)
         val = B * (_pow(x, -b) * exp(-x) * float(sc.rgamma(1.0 - b)) - q)
@@ -253,7 +253,7 @@ def evolution_residual(cfg: KernelConfig, t_grid) -> float:
     a, b, tau = spec.alpha, spec.beta, spec.tau
     worst = 0.0
     for t in ts:
-        if spec.kind == "debye":
+        if _law(spec) == "debye":
             # k is the point mass B*tau*delta: the equation collapses to tau n' + n = 0
             resid = tau * (-response(spec, t)) + relaxation(spec, t)
         elif _jws(spec):

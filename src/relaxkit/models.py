@@ -174,21 +174,24 @@ class TimeResponse:
     regular: Callable[[float], float]
 
 
-def theta(alpha: float, y: float) -> float:
+def theta(alpha: float, y):
     """Branch-resolved angle theta_alpha(y) = arg[(y**-alpha + cos(pi alpha)) + i sin(pi alpha)].
 
     Continuous and increasing in y with range (0, pi*alpha); at y = 1 it
     equals pi*alpha/2.  Using the two-argument angle instead of a bare arctan
     removes the sign/branch split the closed-form mixture densities otherwise
     need, and reproduces the Heaviside supports of the Cole-Davidson pair in
-    the alpha -> 1 limit.
+    the alpha -> 1 limit.  ``y`` is a number (a float is returned) or an
+    array (an array of its shape).
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if y <= 0.0:
+    ys = np.asarray(y, dtype=float)
+    if not (ys > 0.0).all():
         raise DomainError(f"y must be positive, got {y}")
     pa = math.pi * alpha
-    return math.atan2(math.sin(pa), y**-alpha + math.cos(pa))
+    angle = np.arctan2(math.sin(pa), np.atleast_1d(ys) ** -alpha + math.cos(pa))
+    return float(angle[0]) if ys.ndim == 0 else angle.reshape(ys.shape)
 
 
 def _iw_pow(w: np.ndarray, p: float) -> np.ndarray:
@@ -452,22 +455,22 @@ def relaxation_derivatives(
     return relaxation(spec, t, strategy), -response(spec, t, strategy), d2
 
 
-def _amplitude(a: float, xi: float) -> float:
-    """[xi**2a + 2 xi**a cos(pi a) + 1]**(1/2), the modulus of xi**a e^{i pi a} + 1."""
-    return math.sqrt(xi ** (2.0 * a) + 2.0 * xi**a * math.cos(math.pi * a) + 1.0)
-
-
-def pdf_g(spec: ModelSpec, xi: float) -> float:
+def pdf_g(spec: ModelSpec, xi):
     """Relaxation-rate mixture density g(xi) with n(t) = Int_0^inf e^{-t xi / tau} g(xi) dxi.
 
-    Closed trigonometric forms throughout: the branch-resolved angle makes
-    the HN/JWS expressions single-formula and nonnegative on the valid regime
+    ``xi`` is a number (a float is returned) or an array of any shape (an
+    array of its shape); a number is evaluated as a 1-element array, so it
+    gives exactly the element of a grid call.  Closed trigonometric forms
+    throughout: the branch-resolved angle of :func:`theta` makes the HN/JWS
+    expressions single-formula and nonnegative on the valid regime
     ``beta <= 1/alpha`` (for ``beta > 1/alpha``, reachable only with
     ``allow_unphysical``, the negative lobe appears naturally).  The
     Cole-Davidson supports are exact: g_cd vanishes for xi <= 1 and g_mcd for
-    xi >= 1.  Debye has a unit point mass at xi = 1 instead of a density.
+    xi >= 1.  Debye has a unit point mass at xi = 1 instead of a density;
+    kww's density is the Levy stable density.
     """
-    if xi <= 0.0:
+    xs = np.asarray(xi, dtype=float)
+    if not (xs > 0.0).all():
         raise DomainError(f"xi must be positive, got {xi}")
     law, a, b = _law(spec), spec.alpha, spec.beta
     if law == "debye":
@@ -476,17 +479,22 @@ def pdf_g(spec: ModelSpec, xi: float) -> float:
         if a >= 1.0:
             raise DomainError("kww density needs alpha < 1")
         return levy_stable_density(a, xi)
-    if law == "cd":
-        if xi <= 1.0:
-            return 0.0
-        return math.sin(math.pi * b) / (math.pi * xi * (xi - 1.0) ** b)
-    if law == "mcd":
-        if xi >= 1.0:
-            return 0.0
-        return math.sin(math.pi * b) * xi ** (b - 1.0) / (math.pi * (1.0 - xi) ** b)
-    if law != "jws":  # hn and cc
-        return math.sin(b * theta(a, xi)) / (math.pi * xi * _amplitude(a, xi) ** b)
-    return xi ** (a * b - 1.0) * math.sin(b * theta(a, 1.0 / xi)) / (math.pi * _amplitude(a, xi) ** b)
+    x = np.atleast_1d(xs)
+    if law in ("cd", "mcd"):
+        g = np.zeros_like(x)
+        inside = x > 1.0 if law == "cd" else x < 1.0
+        v = x[inside]
+        if law == "cd":
+            g[inside] = math.sin(math.pi * b) / (math.pi * v * (v - 1.0) ** b)
+        else:
+            g[inside] = math.sin(math.pi * b) * v ** (b - 1.0) / (math.pi * (1.0 - v) ** b)
+    else:
+        amp_b = np.sqrt(x ** (2.0 * a) + 2.0 * x**a * math.cos(math.pi * a) + 1.0) ** b
+        if law == "jws":
+            g = x ** (a * b - 1.0) * np.sin(b * theta(a, 1.0 / x)) / (math.pi * amp_b)
+        else:  # hn and cc
+            g = np.sin(b * theta(a, x)) / (math.pi * x * amp_b)
+    return float(g[0]) if xs.ndim == 0 else g.reshape(xs.shape)
 
 
 def pdf_g_hypergeometric(

@@ -8,13 +8,18 @@ supports) need no special treatment.  Offsets from the endpoints are computed
 in a cancellation-free form so integrands may be sampled arbitrarily close to
 a singular endpoint.
 
-Integrands get each trapezoid level's new abscissae (both sides, plus the
-centre at level 0) as one 1-D array; float-only callables are evaluated
-point by point instead (:func:`array_fn`).
+Integrands get each trapezoid level's new abscissae (the left side, then
+the right side, the centre once at level 0) as one 1-D array; float-only
+callables are evaluated point by point instead (:func:`array_fn`).  The
+abscissae and their matching weights are built once per (interval, level)
+and kept in a small cache (:func:`_nodes`), so a level's sum is the row-wise
+``(values * weights).sum(axis=1)``, whose per-row summation makes a row's
+value independent of the other rows evaluated with it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -47,6 +52,34 @@ def _level(level: int) -> tuple[np.ndarray, np.ndarray]:
             offs.append(2.0 * e / (1.0 + e))
         _LEVELS[level] = (np.array(offs), np.array(ws))
     return _LEVELS[level]
+
+
+@functools.lru_cache(maxsize=64)
+def _nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(abscissae, weights, endpoint distances) of the nodes new at ``level`` on (a, b).
+
+    Left-side nodes first, then right-side ones; nodes that round onto an
+    endpoint or past the other side are left out, and the level-0 centre
+    appears once.  A node's distance from its nearer endpoint, ``x - a`` on
+    the left and ``b - x`` on the right, is computed without the rounding of
+    ``x`` itself, for integrands singular at an endpoint.  The arrays are
+    read-only: the cache hands the same ones to every caller.
+    """
+    off, w = _level(level)
+    half = 0.5 * (b - a)
+    xl = a + half * off
+    xr = b - half * off
+    left = xl > a
+    right = (off > 0.0) & (xr < b) & (xr > xl)
+    right[0] &= level > 0  # the level-0 centre is sampled once
+    nodes = (
+        np.concatenate((xl[left], xr[right])),
+        np.concatenate((w[left], w[right])),
+        half * np.concatenate((off[left], off[right])),
+    )
+    for v in nodes:
+        v.flags.writeable = False
+    return nodes
 
 
 def array_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -95,26 +128,14 @@ def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol:
     h = 2.0
     for level in range(max_level + 1):
         h *= 0.5
-        off, w = _level(level)
-        xl = a + half * off
-        xr = b - half * off
-        left = xl > a
-        right = (off > 0.0) & (xr < b) & (xr > xl)
-        right[0] &= level > 0  # the level-0 centre is sampled once
-        x = np.concatenate((xl[left], xr[right]))
-        n_left = int(left.sum())
+        x, w, _ = _nodes(a, b, level)
         new = np.empty(active.size)
         step = max(1, _BLOCK // max(x.size, 1))
         for start in range(0, active.size, step):
             rows = active[start:start + step]
-            vals = np.reshape(f(x, rows), (rows.size, x.size))
-            sample = np.zeros((rows.size, off.size))
-            sample[:, left] = vals[:, :n_left]
-            sample[:, right] += vals[:, n_left:]
-            contrib = w * sample
-            if not np.isfinite(contrib).all():
-                raise QuadratureFailure("integrand returned a non-finite value")
-            new[start:start + step] = contrib.sum(axis=1)
+            new[start:start + step] = (np.reshape(f(x, rows), (rows.size, x.size)) * w).sum(axis=1)
+        if not np.isfinite(new).all():  # a non-finite value anywhere reaches its row's sum
+            raise QuadratureFailure("integrand returned a non-finite value")
         prev = estimate[active]
         estimate[active] = 0.5 * prev + new * h * half if level else new * h * half
         err[active] = np.abs(estimate[active] - prev) if level else math.inf

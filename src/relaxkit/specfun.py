@@ -36,7 +36,7 @@ from scipy import special as sc
 
 from .exceptions import ContourOverflow, DomainError, NonConvergent, StrategyDisagreement
 from .inversion import talbot_contour
-from .quadrature import _integrate_rows
+from .quadrature import _integrate_rows, _nodes
 
 __all__ = [
     "PrabhakarParams",
@@ -721,6 +721,33 @@ def prabhakar_derivative(
     return x ** (params.mu - 2.0) * value
 
 
+_LEVY_MAX_LEVEL = 11  # the theta quadrature's level cap
+
+
+@functools.lru_cache(maxsize=64)
+def _levy_angles(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log a(theta), a(theta)) on the tanh-sinh level of (0, pi) that has ``n`` nodes.
+
+    Every level of (0, pi) has its own node count, so (alpha, n) keys one
+    level.  sin(theta) is taken as the sine of the node's distance from the
+    nearer endpoint, which keeps its relative accuracy next to pi.  Where
+    a > e**690 the factor exp(-scale * a) has long since underflowed: log a
+    is -inf there and a is capped at e**690, so the integrand is 0.
+    """
+    level = next(k for k in range(_LEVY_MAX_LEVEL + 1) if _nodes(0.0, math.pi, k)[0].size == n)
+    theta, _, dist = _nodes(0.0, math.pi, level)
+    q = alpha / (1.0 - alpha)
+    log_a = (
+        q * np.log(np.sin(alpha * theta))
+        + np.log(np.sin((1.0 - alpha) * theta))
+        - (1.0 + q) * np.log(np.sin(dist))
+    )
+    a = np.exp(np.minimum(log_a, 690.0))
+    log_a[log_a > 690.0] = -np.inf
+    log_a.flags.writeable = a.flags.writeable = False
+    return log_a, a
+
+
 def levy_stable_density(alpha: float, x):
     """One-sided Levy stable density with Laplace transform exp(-z**alpha).
 
@@ -736,9 +763,13 @@ def levy_stable_density(alpha: float, x):
     even deep in the small-x tail where a direct contour sum would cancel
     catastrophically (and, for alpha > 1/2, overflow).  ``x`` may be a number
     (a float is returned) or an array: the angular integrals of all points
-    are rows of one tanh-sinh run over theta.  The alpha = 1/2 closed form
-    ``x**-1.5 exp(-1/(4x)) / (2 sqrt(pi))`` is exposed in the tests as an
-    oracle, never used here.
+    are rows of one tanh-sinh run over theta.  The angle factors log a(th)
+    and a(th) depend on alpha and the level's abscissae only, so they are
+    computed once per (alpha, level) and cached (:func:`_levy_angles`); a
+    point's work is ``exp(log a - x**(-alpha/(1-alpha)) a)``.  Far out in
+    the large-x tail the convergent series in ``x**-alpha`` serves instead.
+    The alpha = 1/2 closed form ``x**-1.5 exp(-1/(4x)) / (2 sqrt(pi))`` is
+    exposed in the tests as an oracle, never used here.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -751,16 +782,17 @@ def levy_stable_density(alpha: float, x):
     a_left = alpha**q * (1.0 - alpha)  # a(0+), the integrand's smallest exponent scale
     out = np.empty(flat.size)
     # deep tail: the angular integrand's dynamic range defeats quadrature,
-    # but the convergent expansion in x**-alpha is machine-exact here
+    # but the convergent expansion in x**-alpha is machine-exact here; the
+    # stop rule bounds a term without its sine, which can pass near zero
+    # (at alpha k an integer) long before the series has converged
     tail = scale * a_left < 1e-8
     for i in np.flatnonzero(tail):
         v, total, sign = float(flat[i]), 0.0, 1.0
         for k in range(1, 200):
-            term = (sign * math.gamma(alpha * k + 1.0) * math.sin(math.pi * k * alpha)
-                    * v ** (-alpha * k - 1.0) / math.factorial(k))
-            total += term
+            size = math.gamma(alpha * k + 1.0) * v ** (-alpha * k - 1.0) / math.factorial(k)
+            total += sign * math.sin(math.pi * k * alpha) * size
             sign = -sign
-            if abs(term) < 1e-17 * abs(total):
+            if size < 1e-17 * abs(total):
                 break
         out[i] = max(total / math.pi, 0.0)
     body = np.flatnonzero(~tail)
@@ -768,17 +800,12 @@ def levy_stable_density(alpha: float, x):
         row_scale = scale[body]
 
         def integrand(theta, rows):
-            log_a = (
-                q * np.log(np.sin(alpha * theta))
-                + np.log(np.sin((1.0 - alpha) * theta))
-                - (1.0 + q) * np.log(np.sin(theta))
-            )
-            # beyond a = e**690 the exp(-scale * a) factor has long since underflowed
+            log_a, a = _levy_angles(alpha, theta.size)
             with np.errstate(over="ignore"):
-                expo = log_a - row_scale[rows, None] * np.exp(np.minimum(log_a, 690.0))
-            return np.where((log_a <= 690.0) & (expo > -745.0), np.exp(expo), 0.0)
+                expo = log_a - row_scale[rows, None] * a
+            return np.where(expo > -745.0, np.exp(expo), 0.0)
 
-        value, _ = _integrate_rows(integrand, 0.0, math.pi, body.size, 1e-12, 0.0, 11)
+        value, _ = _integrate_rows(integrand, 0.0, math.pi, body.size, 1e-12, 0.0, _LEVY_MAX_LEVEL)
         prefactor = alpha / (math.pi * (1.0 - alpha)) * flat[body] ** (-1.0 / (1.0 - alpha))
         out[body] = np.maximum(prefactor * value, 0.0)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

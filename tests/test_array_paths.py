@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxkit import laplace, quadrature
+from relaxkit import laplace, quadrature, specfun
 from relaxkit.exceptions import DomainError, QuadratureFailure
 from relaxkit.models import ModelSpec, relaxation
 from relaxkit.specfun import levy_stable_density
@@ -222,3 +223,60 @@ def test_levy_density_does_not_depend_on_how_the_array_is_split():
     whole = levy_stable_density(0.6, x)
     halves = np.concatenate([levy_stable_density(0.6, x[:150]), levy_stable_density(0.6, x[150:])])
     np.testing.assert_allclose(whole, halves, rtol=1e-14, atol=0.0)
+
+
+def zolotarev_oracle(alpha, x):
+    """The Levy density by mpmath.quad over the Zolotarev integral at 30 digits, split into
+    quarters of (0, pi) so that the narrow peak near pi at large x is resolved."""
+    with mp.workdps(30):
+        a, x = mp.mpf(alpha), mp.mpf(x)
+        q = a / (1 - a)
+        scale = x**-q
+
+        def integrand(theta):
+            angle = mp.sin(a * theta) ** q * mp.sin((1 - a) * theta)
+            angle /= mp.sin(theta) ** (1 / (1 - a))
+            return angle * mp.exp(-scale * angle)
+
+        integral = mp.quad(integrand, mp.linspace(0, mp.pi, 5))
+        return float(a / (mp.pi * (1 - a)) * x ** (-1 / (1 - a)) * integral)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.45, 0.5, 0.7, 0.9])
+def test_levy_density_matches_the_zolotarev_integral_at_30_digits(alpha):
+    q = alpha / (1.0 - alpha)
+    x_low = (alpha**q * (1.0 - alpha) / 30.0) ** (1.0 / q)  # where the density is about e**-30
+    x_tail = tail_start(alpha)
+    # the body, then both sides of the switch to the series: below it the integrand peaks next
+    # to pi, where sin(theta) needs the node's own distance from pi; above it the series must
+    # not stop on a term whose sin(pi k alpha) vanishes (alpha = 0.5, 0.9)
+    x = np.array([x_low, (x_low * x_tail) ** 0.5, 0.9 * x_tail, 1.1 * x_tail])
+    expected = [zolotarev_oracle(alpha, v) for v in x]
+    np.testing.assert_allclose(levy_stable_density(alpha, x), expected, rtol=1e-12, atol=0.0)
+
+
+def test_levy_density_does_not_depend_on_earlier_calls():
+    x = np.logspace(-1.0, 1.5, 40)
+    first = levy_stable_density(0.6, x)
+    for alpha in np.linspace(0.2, 0.9, 40):  # more (alpha, level) pairs than the caches hold
+        levy_stable_density(alpha, x)
+    assert levy_stable_density(0.6, x).tolist() == first.tolist()
+    for cached in (specfun._levy_angles, quadrature._nodes):
+        info = cached.cache_info()
+        assert info.currsize <= info.maxsize == 64
+    # the angle factors are keyed by node count, which tells the levels of (0, pi) apart
+    sizes = [quadrature._nodes(0.0, math.pi, k)[0].size for k in range(12)]
+    assert len(set(sizes)) == len(sizes)
+
+
+def test_node_distances_are_the_offsets_from_the_nearer_endpoint():
+    for a, b in ((0.0, math.pi), (-1.0, 4.0)):
+        for level in (0, 3, 9):
+            x, w, dist = quadrature._nodes(a, b, level)
+            assert x.size == w.size == dist.size and (dist > 0.0).all()
+            # x itself is rounded to the spacing of the endpoints' size
+            ulp = 4.5e-16 * max(abs(a), abs(b))
+            np.testing.assert_allclose(dist, np.minimum(x - a, b - x), rtol=0.0, atol=ulp)
+            if a == 0.0:
+                assert (dist[x < 0.5 * b] == x[x < 0.5 * b]).all()
+            assert not x.flags.writeable and not dist.flags.writeable

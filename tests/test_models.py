@@ -11,7 +11,13 @@ from scipy import special as sc
 from scipy.integrate import quad
 
 from relaxkit.exceptions import DomainError
-from relaxkit.kernels import KernelConfig, kernel_singular_weight
+from relaxkit.kernels import (
+    KernelConfig,
+    evolution_residual,
+    kernel_singular_weight,
+    memory_k_time,
+    memory_M_time,
+)
 from relaxkit.laplace import forward_laplace, inverse_laplace
 from relaxkit.models import (
     ModelSpec,
@@ -406,6 +412,36 @@ def test_boundary_specs_share_tail_and_point_masses_with_their_law(spec, law):
         assert kernel_singular_weight(KernelConfig(spec, rate_B=1.5), which) == weight
 
 
+@pytest.mark.parametrize(
+    "spec,law", BOUNDARY_SPECS, ids=lambda s: f"{s.kind}-{s.alpha:g}-{s.beta:g}"
+)
+def test_boundary_specs_share_memory_kernels_with_their_law(spec, law):
+    t = np.logspace(-2, 1.5, 12)
+    for kernel in (memory_M_time, memory_k_time):
+        expected = kernel(KernelConfig(law, rate_B=1.5), t)
+        np.testing.assert_allclose(kernel(KernelConfig(spec, rate_B=1.5), t), expected, rtol=1e-12)
+        for v in (0.3, 4.0):
+            assert kernel(KernelConfig(spec, rate_B=1.5), v) == pytest.approx(
+                kernel(KernelConfig(law, rate_B=1.5), v), rel=1e-12
+            )
+
+
+def test_cole_cole_at_alpha_one_has_the_debye_kernels():
+    # M = 1/(B tau); k is the point mass B tau delta(t) with regular part 0
+    cfg = KernelConfig(ModelSpec("cc", alpha=1.0, tau=2.0), rate_B=1.5)
+    assert memory_M_time(cfg, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert memory_k_time(cfg, 1.0) == 0.0
+    assert (memory_k_time(cfg, np.array([0.1, 1.0, 10.0])) == 0.0).all()
+    assert kernel_singular_weight(cfg, "k") == 3.0
+
+
+@pytest.mark.parametrize("spec", [s for s, law in BOUNDARY_SPECS if law.kind == "debye"],
+                         ids=lambda s: s.kind)
+def test_specs_that_reduce_to_debye_solve_its_evolution_equation(spec):
+    # tau n' + n = 0; the HN-family Caputo form degenerates at alpha = beta = 1
+    assert evolution_residual(KernelConfig(spec), [0.5, 1.0, 2.0]) < 1e-14
+
+
 def asymptotic_or_error(spec, which, regime, t):
     """The leading asymptotic term, or the name of the error it raises."""
     try:
@@ -538,6 +574,43 @@ def test_pdf_negative_lobe_needs_override():
 def test_pdf_debye_is_point_mass():
     with pytest.raises(DomainError):
         pdf_g(ModelSpec("debye"), 1.0)
+    with pytest.raises(DomainError):
+        pdf_g(ModelSpec("debye"), np.array([0.5, 1.0]))
+
+
+def pdf_g_point(spec, xi):
+    """Reference: g(xi) at one float by the math module, formula by formula."""
+    a, b = spec.alpha, spec.beta
+    s = math.sin(math.pi * b) / math.pi
+    if spec.kind == "cd" or (spec.kind == "hn" and a == 1.0):
+        return s / (xi * (xi - 1.0) ** b) if xi > 1.0 else 0.0
+    if spec.kind == "mcd" or (spec.kind == "jws" and a == 1.0):
+        return s * xi ** (b - 1.0) / (1.0 - xi) ** b if xi < 1.0 else 0.0
+    amp_b = math.sqrt(xi ** (2 * a) + 2.0 * xi**a * math.cos(math.pi * a) + 1.0) ** b
+    if spec.kind == "jws" and b != 1.0:
+        return xi ** (a * b - 1.0) * math.sin(b * theta(a, 1.0 / xi)) / (math.pi * amp_b)
+    return math.sin(b * theta(a, xi)) / (math.pi * xi * amp_b)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in DERIVATIVE_SPECS if s.kind != "debye" and (s.alpha, s.beta) != (1.0, 1.0)]
+    + [ModelSpec("hn", alpha=0.75, beta=7 / 3, allow_unphysical=True)],
+    ids=lambda s: f"{s.kind}-{s.alpha:g}-{s.beta:.3g}",
+)
+def test_pdf_grid_equals_scalar_calls_and_the_point_formulas(spec):
+    xi = np.logspace(-3, 3, 61).reshape(61, 1)
+    xi[30, 0] = 1.0  # the Cole-Davidson support edge
+    grid = pdf_g(spec, xi)
+    assert isinstance(grid, np.ndarray) and grid.shape == xi.shape
+    scalar = [pdf_g(spec, float(v)) for v in xi.ravel()]
+    assert all(type(v) is float for v in scalar)
+    assert grid.ravel().tolist() == scalar
+    if spec.kind != "kww":  # kww is the Levy density, checked against mpmath on its own
+        reference = [pdf_g_point(spec, float(v)) for v in xi.ravel()]
+        np.testing.assert_allclose(grid.ravel(), reference, rtol=1e-13, atol=0.0)
+    with pytest.raises(DomainError):
+        pdf_g(spec, np.array([1.0, 0.0]))
 
 
 def test_mixture_representation_single_case():
