@@ -34,7 +34,6 @@ import warnings  # noqa: F401  (rebound by relaxbench's tracer to count warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 from .exceptions import ContourOverflow, DomainError
 from .inversion import talbot_contour
@@ -52,7 +51,7 @@ from .models import (
     spectral_ratio_real,
 )
 from .quadrature import tanh_sinh
-from .specfun import DEFAULT_STRATEGY, EvalStrategy, prabhakar_eval
+from .specfun import DEFAULT_STRATEGY, EvalStrategy, _special, prabhakar_eval
 
 __all__ = [
     "KernelConfig",
@@ -158,7 +157,7 @@ def _w_over_g_less(w, b: float):
     h = _pow1p_m1(w, b) / w - b
     small = np.abs(w) < 0.25
     if small.any():
-        h[small] = w[small] * np.polyval(sc.binom(b, np.arange(28, 1, -1)), w[small])
+        h[small] = w[small] * np.polyval(_special().binom(b, np.arange(28, 1, -1)), w[small])
     return -h / (b * (h + b))
 
 
@@ -197,13 +196,14 @@ def memory_time_with_bound(
         return val, zero
     if law == "cd":
         # B Gamma(-b, x) / |Gamma(-b)| with Gamma(-b, x) = (x**-b e**-x - Gamma(1-b, x)) / b
+        sc = _special()
         q = sc.gammaincc(1.0 - b, x)
         val = B * (_pow(x, -b) * exp(-x) * float(sc.rgamma(1.0 - b)) - q)
         return (val, zero) if isinstance(x, np.ndarray) else (float(val), zero)
     # jws / mcd: k_hat(z) = B tau p**(a-1) w / g(w) with p = z tau, w = p**-a; its
     # leading term p**(a-1) / b inverts in closed form (for mcd, a = 1, it is the
     # point mass and its regular part is 0), the rest on the contour
-    lead = _pow(x, -a) * float(sc.rgamma(1.0 - a)) / b
+    lead = _pow(x, -a) * float(_special().rgamma(1.0 - a)) / b
     value = B * (lead + _invert(lambda p: p ** (a - 1.0) * _w_over_g_less(p**-a, b), x))
     return value, _CONTOUR_BOUND * abs(value)
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special as sc
 
 from .exceptions import DomainError
 from .laplace import LaplaceImage
@@ -47,6 +46,7 @@ from .specfun import (
     DEFAULT_STRATEGY,
     EvalStrategy,
     RationalOrder,
+    _special,
     hyper_pfq,
     levy_stable_density,
     prabhakar_eval,
@@ -403,13 +403,13 @@ def _derivative(spec: ModelSpec, x, k: int, exp, strategy: EvalStrategy):
         return ((1.0 if k == 0 else 0.0) - _pow(x, a * b - k) * e) / tau**k
     if k == 0:
         if law == "cd":  # upper incomplete gamma ratio Gamma(beta, x) / Gamma(beta)
-            n = sc.gammaincc(b, x)
+            n = _special().gammaincc(b, x)
             return n if isinstance(x, np.ndarray) else float(n)
         return exp(-_pow(x, a)) if law == "kww" else exp(-x)
     if law == "debye":
         d = exp(-x)
     elif law == "cd":
-        d = _pow(x, b - k) * exp(-x) * float(sc.rgamma(b)) * (1.0 if k == 1 else x - (b - 1.0))
+        d = _pow(x, b - k) * exp(-x) * float(_special().rgamma(b)) * (1.0 if k == 1 else x - (b - 1.0))
     else:  # kww
         xa = _pow(x, a)
         d = a * _pow(x, a - k) * exp(-xa) * (1.0 if k == 1 else a * xa - (a - 1.0))
@@ -562,7 +562,7 @@ def asymptotic(
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
     x = t / spec.tau
-    a, b, r = spec.alpha, spec.beta, sc.rgamma
+    a, b, r = spec.alpha, spec.beta, _special().rgamma
     ab = a * b
     # the two leading terms (c, p) of tau * phi = c x**p + ...
     if spec.kind == "kww":

@@ -20,6 +20,14 @@ The public dataclass ``PrabhakarParams`` enforces ``nu > 0`` (the regime the
 relaxation models and the complete-monotonicity statements live in); the
 module-level evaluators accept any real ``mu`` and ``nu`` because the memory
 kernels need ``E[alpha, mu; -beta]`` and second derivatives need ``mu < 0``.
+
+``scipy.special`` takes longer to import than numpy and relaxkit together, so
+it is imported on first use, through the cached accessor ``_special()``, which
+``models`` and ``kernels`` share: ``rgamma`` for every Prabhakar evaluation,
+``hyp1f1`` for the alpha = 1 Kummer route, ``gammaincc`` for the Cole-Davidson
+closed forms and ``binom`` for the jws/mcd k small-w series.  The Debye and KWW
+closed forms, spectra and permittivities, the hn/cd M kernels and the Levy
+density never load it.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import special as sc
 
 from .exceptions import ContourOverflow, DomainError, NonConvergent, StrategyDisagreement
 from .inversion import talbot_contour
@@ -72,6 +79,14 @@ _SERIES_ROWS, _ASYM_ROWS = 64, 16
 # the fixed Talbot contour at t = 1 as node and weight columns, with log z
 _TALBOT_Z, _TALBOT_W = (np.array(a)[:, None] for a in talbot_contour(_CONTOUR_NODES))
 _TALBOT_LOG_Z = np.log(_TALBOT_Z)
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on the first call that needs one of its functions."""
+    from scipy import special
+
+    return special
 
 
 @dataclass(frozen=True)
@@ -260,8 +275,9 @@ def _series(alpha: float, mu: float, nu: float, x: float, rel_tol: float, max_te
     """
     if isinstance(x, np.ndarray):
         return _series_grid(alpha, mu, nu, x, rel_tol, max_terms)
+    rgamma = _special().rgamma
     if x == 0.0:
-        return float(sc.rgamma(mu)), 1.0
+        return float(rgamma(mu)), 1.0
     log_x = math.log(x)
     total = 0.0
     max_abs = 0.0
@@ -275,7 +291,7 @@ def _series(alpha: float, mu: float, nu: float, x: float, rel_tol: float, max_te
                 break  # (nu)_r terminates: remaining terms are exactly zero
             poch_log += math.log(abs(factor))
             poch_sign = -poch_sign if factor < 0.0 else poch_sign
-        rg = float(sc.rgamma(alpha * r + mu))
+        rg = float(rgamma(alpha * r + mu))
         if rg == 0.0:
             term = 0.0
         else:
@@ -328,7 +344,7 @@ def _series_grid(alpha, mu, nu, x: np.ndarray, rel_tol: float, max_terms: int, l
     small = np.zeros((x.size, 2), dtype=bool)
     live = np.arange(x.size)
     for r, poch, sign, log_fact in _term_blocks(nu, max_terms, _SERIES_ROWS):
-        mag, rg = poch + r * log_x[live] - log_fact, sc.rgamma(alpha * r + mu)
+        mag, rg = poch + r * log_x[live] - log_fact, _special().rgamma(alpha * r + mu)
         term = sign * exp(np.minimum(mag, 709.0)) * rg
         size = np.abs(term)
         term[:, 0] += total[live]
@@ -373,6 +389,7 @@ def _kummer(mu: float, nu: float, x):
     result is correct to relative rounding error at any x (this is what makes
     the Debye and Cole-Davidson reductions exact to 1e-12 and better).
     """
+    sc = _special()
     value = np.exp(-x) * sc.hyp1f1(mu - nu, mu, x) * sc.rgamma(mu)
     return value if isinstance(x, np.ndarray) else float(value)
 
@@ -389,6 +406,7 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: float, rel_tol: float, jm
         return _asymptotic_grid(alpha, mu, nu, x, rel_tol, jmax)
     if x <= 0.0:
         raise NonConvergent("asymptotic expansion needs x > 0")
+    rgamma = _special().rgamma
     log_x = math.log(x)
     total = 0.0
     poch_log = 0.0
@@ -403,7 +421,7 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: float, rel_tol: float, jm
                 break
             poch_log += math.log(abs(factor))
             poch_sign = -poch_sign if factor < 0.0 else poch_sign
-        rg = float(sc.rgamma(mu - alpha * (nu + j)))
+        rg = float(rgamma(mu - alpha * (nu + j)))
         if rg == 0.0:
             continue
         mag = poch_log - math.lgamma(j + 1.0) - (nu + j) * log_x
@@ -431,7 +449,7 @@ def _asymptotic_grid(alpha, mu, nu, x: np.ndarray, rel_tol: float, jmax: int) ->
     total, err, last = np.zeros(x.size), np.full(x.size, np.inf), np.full(x.size, np.inf)
     live = np.arange(x.size)
     for j, poch, sign, log_fact in _term_blocks(nu, jmax, _ASYM_ROWS):
-        rg = sc.rgamma(mu - alpha * (nu + j))
+        rg = _special().rgamma(mu - alpha * (nu + j))
         keep = rg != 0.0
         if not keep.any():
             continue
@@ -515,7 +533,7 @@ def _eval_auto(alpha: float, mu: float, nu: float, x: float, strategy: EvalStrat
     rel = strategy.rel_tolerance
     cap = strategy.series_max_terms
     if x == 0.0:
-        return float(sc.rgamma(mu))
+        return float(_special().rgamma(mu))
     if alpha == 1.0 and mu > 0.0 and x <= 690.0:
         # Kummer terms are nonnegative for mu >= nu; for mu < nu they
         # alternate with peak ~exp(2 sqrt((nu-mu) x)), so only mild
@@ -565,7 +583,7 @@ def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: Eval
     call per route: every point takes the route the scalar dispatcher gives it
     and raises where it raises (the handoff band shares the midrange contour)."""
     rel, cross = strategy.rel_tolerance, strategy.crossover_magnitude
-    out = np.full(x.shape, float(sc.rgamma(mu)))
+    out = np.full(x.shape, float(_special().rgamma(mu)))
     todo = x > 0.0
     if alpha == 1.0 and mu > 0.0:
         kummer = todo & (x <= 690.0) & ((mu >= nu) | ((nu - mu) * x <= 36.0))
@@ -653,7 +671,7 @@ def prabhakar_eval(
         return value
     if kind == CONTOUR_INVERSION:
         if x == 0.0:
-            return float(sc.rgamma(mu))
+            return float(_special().rgamma(mu))
         return _contour(alpha, mu, nu, x)
     if kind == ASYMPTOTIC_SERIES:
         return _asymptotic(alpha, mu, nu, x, strategy.rel_tolerance)
@@ -689,8 +707,9 @@ def prabhakar_rational(
         )
     arg = (-1.0) ** k * x**k / float(l) ** l
     total = 0.0
+    rgamma = _special().rgamma
     for j in range(k):
-        coeff = pochhammer(nu, j) * (-x) ** j / math.factorial(j) * float(sc.rgamma(mu + l * j / k))
+        coeff = pochhammer(nu, j) * (-x) ** j / math.factorial(j) * float(rgamma(mu + l * j / k))
         if coeff == 0.0:
             continue
         nums = [1.0] + _delta_list(k, nu + j)
@@ -726,7 +745,7 @@ _LEVY_MAX_LEVEL = 11  # the theta quadrature's level cap
 
 @functools.lru_cache(maxsize=64)
 def _levy_angles(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log a(theta), a(theta)) on the tanh-sinh level of (0, pi) that has ``n`` nodes.
+    """(log a(theta), a(theta) - a(0+)) on the tanh-sinh level of (0, pi) that has ``n`` nodes.
 
     Every level of (0, pi) has its own node count, so (alpha, n) keys one
     level.  sin(theta) is taken as the sine of the node's distance from the
@@ -742,10 +761,12 @@ def _levy_angles(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         + np.log(np.sin((1.0 - alpha) * theta))
         - (1.0 + q) * np.log(np.sin(dist))
     )
-    a = np.exp(np.minimum(log_a, 690.0))
+    # a rises from a(0+) = alpha**q (1 - alpha); the clip keeps rounding from
+    # turning the shift negative, which the scale would blow up
+    shift = np.maximum(np.exp(np.minimum(log_a, 690.0)) - alpha**q * (1.0 - alpha), 0.0)
     log_a[log_a > 690.0] = -np.inf
-    log_a.flags.writeable = a.flags.writeable = False
-    return log_a, a
+    log_a.flags.writeable = shift.flags.writeable = False
+    return log_a, shift
 
 
 def levy_stable_density(alpha: float, x):
@@ -764,9 +785,12 @@ def levy_stable_density(alpha: float, x):
     catastrophically (and, for alpha > 1/2, overflow).  ``x`` may be a number
     (a float is returned) or an array: the angular integrals of all points
     are rows of one tanh-sinh run over theta.  The angle factors log a(th)
-    and a(th) depend on alpha and the level's abscissae only, so they are
+    and a(th) - a(0+) depend on alpha and the level's abscissae only, so they are
     computed once per (alpha, level) and cached (:func:`_levy_angles`); a
-    point's work is ``exp(log a - x**(-alpha/(1-alpha)) a)``.  Far out in
+    point's work is ``exp(log a - s (a - a(0+)))`` with ``s = x**(-alpha/(1-alpha))``.
+    The factor ``exp(-s a(0+))`` joins the prefactor in log space, so the
+    integrand does not underflow with the density, which keeps its relative
+    accuracy down to the subnormal spacing once it leaves the normal range.  Far out in
     the large-x tail the convergent series in ``x**-alpha`` serves instead.
     The alpha = 1/2 closed form ``x**-1.5 exp(-1/(4x)) / (2 sqrt(pi))`` is
     exposed in the tests as an oracle, never used here.
@@ -778,9 +802,14 @@ def levy_stable_density(alpha: float, x):
     if not (flat > 0.0).all():
         raise DomainError(f"x must be positive, got {x}")
     q = alpha / (1.0 - alpha)
-    scale = flat**-q
+    with np.errstate(over="ignore"):  # an infinite scale makes a zero density
+        scale = flat**-q
     a_left = alpha**q * (1.0 - alpha)  # a(0+), the integrand's smallest exponent scale
-    out = np.empty(flat.size)
+    # log of the prefactor times exp(-scale a(0+)), which the integrand leaves out
+    log_prefactor = (
+        math.log(alpha / (math.pi * (1.0 - alpha))) - np.log(flat) / (1.0 - alpha) - scale * a_left
+    )
+    out = np.zeros(flat.size)
     # deep tail: the angular integrand's dynamic range defeats quadrature,
     # but the convergent expansion in x**-alpha is machine-exact here; the
     # stop rule bounds a term without its sine, which can pass near zero
@@ -795,17 +824,20 @@ def levy_stable_density(alpha: float, x):
             if size < 1e-17 * abs(total):
                 break
         out[i] = max(total / math.pi, 0.0)
-    body = np.flatnonzero(~tail)
+    # once scale a(0+) >= 1 the integrand is at most a(0+): where pi a(0+) times
+    # the prefactor rounds to 0, so does the density, and its spike at theta = 0
+    # would be too narrow to integrate
+    zero = (scale * a_left >= 1.0) & (log_prefactor + math.log(math.pi * a_left) < -746.0)
+    body = np.flatnonzero(~(tail | zero))
     if body.size:
         row_scale = scale[body]
 
         def integrand(theta, rows):
-            log_a, a = _levy_angles(alpha, theta.size)
+            log_a, shift = _levy_angles(alpha, theta.size)
             with np.errstate(over="ignore"):
-                expo = log_a - row_scale[rows, None] * a
+                expo = log_a - row_scale[rows, None] * shift
             return np.where(expo > -745.0, np.exp(expo), 0.0)
 
         value, _ = _integrate_rows(integrand, 0.0, math.pi, body.size, 1e-12, 0.0, _LEVY_MAX_LEVEL)
-        prefactor = alpha / (math.pi * (1.0 - alpha)) * flat[body] ** (-1.0 / (1.0 - alpha))
-        out[body] = np.maximum(prefactor * value, 0.0)
+        out[body] = np.exp(log_prefactor[body] + np.log(value))
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -255,6 +255,20 @@ def test_levy_density_matches_the_zolotarev_integral_at_30_digits(alpha):
     np.testing.assert_allclose(levy_stable_density(alpha, x), expected, rtol=1e-12, atol=0.0)
 
 
+def test_levy_density_keeps_its_accuracy_where_it_is_subnormal():
+    # at alpha = 1/2 the density is x**-1.5 exp(-1/(4x)) / (2 sqrt(pi)), subnormal on
+    # about x in (3.31e-4, 3.47e-4): there a float can only come within one subnormal
+    # spacing of it, 2e-9 relative at x = 3.4e-4, on top of the 1e-12 relative that
+    # holds in the normal range; at x = 3.3e-4 it rounds to 0
+    x = np.array([3.3e-4, 3.34e-4, 3.37e-4, 3.4e-4, 3.43e-4, 3.46e-4])
+    with mp.workdps(30):
+        closed_form = lambda v: v**-1.5 * mp.exp(-1 / (4 * v)) / (2 * mp.sqrt(mp.pi))  # noqa: E731
+        exact = [float(closed_form(v)) for v in map(mp.mpf, x)]
+    assert exact[0] == 0.0 and all(0.0 < v < np.finfo(float).tiny for v in exact[1:])
+    spacing = np.nextafter(0.0, 1.0)
+    np.testing.assert_allclose(levy_stable_density(0.5, x), exact, rtol=1e-12, atol=spacing)
+
+
 def test_levy_density_does_not_depend_on_earlier_calls():
     x = np.logspace(-1.0, 1.5, 40)
     first = levy_stable_density(0.6, x)
