@@ -155,9 +155,7 @@ def _eval_table(args) -> tuple[list[str], list[tuple], list[str]]:
         weight = kernels.kernel_singular_weight(cfg, which)
         comments.append(f"delta_weight = {weight:g}")
         kernel = kernels.memory_M_time if which == "M" else kernels.memory_k_time
-        # a single point stays scalar: a 1-element grid costs about 3x a scalar call
-        values = [kernel(cfg, args.at)] if args.at is not None else kernel(cfg, grid).tolist()
-        return ["t", q[-1]], list(zip(xs, values)), comments
+        return ["t", q[-1]], list(zip(xs, kernel(cfg, grid).tolist())), comments
     if q == "psi":
         cfg = kernels.KernelConfig(spec)
         rows = [(s, kernels.characteristic_exponent(cfg, s)) for s in xs]

@@ -40,12 +40,11 @@ from .inversion import talbot_contour
 from .models import (
     ModelSpec,
     _SPECTRAL_KINDS,
+    _grid,
     _jws,
     _law,
-    _pow,
     _pow1p_m1,
     _ratio,
-    _time_points,
     relaxation,
     response,
     spectral_ratio_real,
@@ -130,23 +129,18 @@ def _series_sum(*args):
     raise NotImplementedError("the kernel renewal series is gone")
 
 
-def _invert(image, x):
+def _invert(image, x: np.ndarray) -> np.ndarray:
     """Inverse Laplace transform of ``image(p)``, p = z tau on the nodes x points array, at the
-    times x = t/tau (a float or an array).  A stacked image (nodes x points x columns) inverts
-    every column in the same pass; the columns become the result's last axis.  The nodes are
-    summed in ascending order (cumsum, not a pairwise sum), so a grid value equals the value
-    of a scalar call."""
-    xs = np.reshape(x, -1)
-    values = image(_CONTOUR_Z / xs)
-    columns = values.shape[2:]
-    lift = (1,) * len(columns)
+    times x = t/tau (a 1-D array).  A stacked image (nodes x points x columns) inverts every
+    column in the same pass; the columns become the result's last axis.  The nodes are summed
+    in ascending order (cumsum, not a pairwise sum), so a point's value does not depend on
+    the grid around it."""
+    values = image(_CONTOUR_Z / x)
+    lift = (1,) * (values.ndim - 2)
     terms = (_CONTOUR_W.reshape((-1, 1) + lift) * values).real
     if not np.all(np.isfinite(terms)):
         raise ContourOverflow("non-finite kernel image on the Talbot contour")
-    value = np.cumsum(terms, axis=0)[-1] * 2.0 / (5.0 * xs).reshape((-1,) + lift)
-    if isinstance(x, np.ndarray):
-        return value.reshape(x.shape + columns)
-    return value[0] if columns else float(value[0])
+    return np.cumsum(terms, axis=0)[-1] * 2.0 / (5.0 * x).reshape((-1,) + lift)
 
 
 def _w_over_g_less(w, b: float):
@@ -166,23 +160,32 @@ def memory_time_with_bound(
 ):
     """Regular part of M(t) or k(t) plus its error bound.
 
-    ``t`` is a number (two floats) or an array (two arrays of its shape).  The
-    bound is ``1e-10 |value|`` for the contour-inverted kernels (hn/cd M,
-    jws/mcd k) and 0 for the closed forms.
+    ``t`` is a number (two floats) or an array (two arrays of its shape); a
+    number is evaluated as a 1-element array, so it gives exactly the element
+    of a grid call.  The bound is ``1e-10 |value|`` for the contour-inverted
+    kernels (hn/cd M, jws/mcd k) and 0 for the closed forms.
     """
-    t, exp = _time_points(t, positive=True)
+    t, scalar = _grid(t, "t", positive=True)
     if which not in ("M", "k"):
         raise DomainError("which must be 'M' or 'k'")
+    value, bound = _kernel(cfg, t.reshape(-1), which, strategy)
+    if scalar:
+        return float(value[0]), float(bound[0])
+    return value.reshape(t.shape), bound.reshape(t.shape)
+
+
+def _kernel(cfg: KernelConfig, t: np.ndarray, which: str, strategy: EvalStrategy):
+    """(value, bound) of M or the regular part of k on a 1-D array of times t > 0."""
     spec = cfg.spec
     law, a, b, tau, B = _law(spec), spec.alpha, spec.beta, spec.tau, cfg.rate_B
     x = t / tau
-    zero = 0.0 * x
+    zero = np.zeros_like(x)
 
     if which == "M":
         if law in ("debye", "cc"):
-            return _pow(x, a - 1.0) / (B * tau * math.gamma(a)), zero
+            return x ** (a - 1.0) / (B * tau * math.gamma(a)), zero
         if _jws(spec):
-            return prabhakar_eval(a, 0.0, -b, _pow(x, a), strategy) / (B * t), zero
+            return prabhakar_eval(a, 0.0, -b, x**a, strategy) / (B * t), zero
         value = _invert(lambda p: 1.0 / _ratio(spec, p), x) / (B * tau)
         return value, _CONTOUR_BOUND * abs(value)
 
@@ -190,20 +193,17 @@ def memory_time_with_bound(
     if law == "debye":
         return zero, zero  # pure point mass B*tau*delta(t); see kernel_singular_weight
     if law == "cc":
-        return B * _pow(x, -a) / math.gamma(1.0 - a), zero
+        return B * x**-a / math.gamma(1.0 - a), zero
     if law == "hn":
-        val = B * _pow(x, -a * b) * prabhakar_eval(a, 1.0 - a * b, -b, _pow(x, a), strategy) - B
-        return val, zero
+        return B * x ** (-a * b) * prabhakar_eval(a, 1.0 - a * b, -b, x**a, strategy) - B, zero
     if law == "cd":
         # B Gamma(-b, x) / |Gamma(-b)| with Gamma(-b, x) = (x**-b e**-x - Gamma(1-b, x)) / b
         sc = _special()
-        q = sc.gammaincc(1.0 - b, x)
-        val = B * (_pow(x, -b) * exp(-x) * float(sc.rgamma(1.0 - b)) - q)
-        return (val, zero) if isinstance(x, np.ndarray) else (float(val), zero)
+        return B * (x**-b * np.exp(-x) * float(sc.rgamma(1.0 - b)) - sc.gammaincc(1.0 - b, x)), zero
     # jws / mcd: k_hat(z) = B tau p**(a-1) w / g(w) with p = z tau, w = p**-a; its
     # leading term p**(a-1) / b inverts in closed form (for mcd, a = 1, it is the
     # point mass and its regular part is 0), the rest on the contour
-    lead = _pow(x, -a) * float(_special().rgamma(1.0 - a)) / b
+    lead = x**-a * float(_special().rgamma(1.0 - a)) / b
     value = B * (lead + _invert(lambda p: p ** (a - 1.0) * _w_over_g_less(p**-a, b), x))
     return value, _CONTOUR_BOUND * abs(value)
 

@@ -199,18 +199,20 @@ def _iw_pow(w: np.ndarray, p: float) -> np.ndarray:
     return w**p * 1j**p
 
 
-def _grid(x, name: str) -> tuple[np.ndarray, bool]:
+def _grid(x, name: str, positive: bool = False) -> tuple[np.ndarray, bool]:
     """``x`` as a float array of rank >= 1, and whether it was a scalar.
 
     Scalars are evaluated as 1-element arrays, never as 0-d arrays or numpy
     scalars: numpy's scalar ``**`` can round differently from its array loop,
-    and a scalar call must give exactly the element of a grid call.
+    and a scalar call must give exactly the element of a grid call.  Raises
+    DomainError for a negative value (or a zero one, with ``positive``).
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0.0):
-        raise DomainError(f"{name} must be nonnegative, got {np.min(arr)}")
+    low = arr.min(initial=np.inf)
+    if low < 0.0 or (positive and low == 0.0):
+        raise DomainError(f"{name} must be {'positive' if positive else 'nonnegative'}, got {low}")
     return arr, scalar
 
 
@@ -313,18 +315,23 @@ def _partials(spec: ModelSpec, p: np.ndarray) -> np.ndarray:
     """d phi_hat / d(alpha, beta, log tau) at p = z tau (a complex array), stacked on a new
     last axis.  With q = p**alpha, P = 1 + q (HN family) or Q = p**-alpha, R = 1 + Q,
     psi = R**-beta (JWS family, phi_hat = 1 - psi); tau enters through p alone, so the
-    log tau column is p d phi_hat / dp."""
+    log tau column is p d phi_hat / dp.  The powers are exponentials of the logs that
+    the columns need anyway: a complex exp costs about a quarter of a complex **."""
     a, b = spec.alpha, spec.beta
     log_p = np.log(p)
     if _jws(spec):
-        Q = p**-a
+        Q = np.exp(-a * log_p)
         R = 1.0 + Q
-        psi = R**-b
-        return np.stack([-b * psi * log_p * Q / R, np.log(R) * psi, -a * b * psi * Q / R], axis=-1)
-    q = p**a
+        log_R = np.log(R)
+        psi = np.exp(-b * log_R)
+        s = b * psi * Q / R
+        return np.stack([-s * log_p, log_R * psi, -a * s], axis=-1)
+    q = np.exp(a * log_p)
     P = 1.0 + q
-    phi = P**-b
-    return np.stack([-b * q * log_p / P * phi, -np.log(P) * phi, -a * b * q / P * phi], axis=-1)
+    log_P = np.log(P)
+    phi = np.exp(-b * log_P)
+    s = b * q / P * phi
+    return np.stack([-s * log_p, -log_P * phi, -a * s], axis=-1)
 
 
 def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
@@ -367,26 +374,8 @@ def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
     return eps_re, eps_im
 
 
-def _time_points(t, positive: bool):
-    """(t, exp): float and math.exp, or float array and np.exp; checks the sign of t."""
-    grid = not isinstance(t, (int, float)) and np.ndim(t) > 0
-    t = np.asarray(t, dtype=float) if grid else float(t)
-    low = t.min(initial=np.inf) if grid else t
-    if low < 0.0 or (positive and low == 0.0):
-        raise DomainError(f"t must be {'positive' if positive else 'nonnegative'}, got {low}")
-    return t, (np.exp if grid else math.exp)
-
-
-def _pow(x, p: float):
-    """x**p by Python's pow, point by point for an array: numpy's pow can differ in the
-    last bit, which the contour floor and HN's ``1 - x**(alpha beta) E`` magnify."""
-    if isinstance(x, float):
-        return x**p
-    return np.fromiter((v**p for v in x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _derivative(spec: ModelSpec, x, k: int, exp, strategy: EvalStrategy):
-    """d^k n / dt^k (k = 0, 1, 2) at x = t/tau, a float or an array.
+def _derivative(spec: ModelSpec, x: np.ndarray, k: int, strategy: EvalStrategy) -> np.ndarray:
+    """d^k n / dt^k (k = 0, 1, 2) at x = t/tau, an array.
 
     debye, cd and kww are closed forms.  The Prabhakar laws shift the index:
     each differentiation of ``x**(mu-1) E[alpha, mu; beta](-x**alpha)`` lowers
@@ -397,32 +386,38 @@ def _derivative(spec: ModelSpec, x, k: int, exp, strategy: EvalStrategy):
     """
     law, a, b, tau = _law(spec), spec.alpha, spec.beta, spec.tau
     if law in ("jws", "mcd") or (law == "cc" and k == 0):
-        return prabhakar_eval(a, 1.0 - k, b, _pow(x, a), strategy) / (x**k * tau**k)
+        return prabhakar_eval(a, 1.0 - k, b, x**a, strategy) / (x**k * tau**k)
     if law in ("hn", "cc"):
-        e = prabhakar_eval(a, a * b + (1 - k), b, _pow(x, a), strategy)
-        return ((1.0 if k == 0 else 0.0) - _pow(x, a * b - k) * e) / tau**k
+        e = prabhakar_eval(a, a * b + (1 - k), b, x**a, strategy)
+        return ((1.0 if k == 0 else 0.0) - x ** (a * b - k) * e) / tau**k
     if k == 0:
         if law == "cd":  # upper incomplete gamma ratio Gamma(beta, x) / Gamma(beta)
-            n = _special().gammaincc(b, x)
-            return n if isinstance(x, np.ndarray) else float(n)
-        return exp(-_pow(x, a)) if law == "kww" else exp(-x)
+            return _special().gammaincc(b, x)
+        return np.exp(-(x**a)) if law == "kww" else np.exp(-x)
     if law == "debye":
-        d = exp(-x)
+        d = np.exp(-x)
     elif law == "cd":
-        d = _pow(x, b - k) * exp(-x) * float(_special().rgamma(b)) * (1.0 if k == 1 else x - (b - 1.0))
+        d = x ** (b - k) * np.exp(-x) * float(_special().rgamma(b)) * (1.0 if k == 1 else x - (b - 1.0))
     else:  # kww
-        xa = _pow(x, a)
-        d = a * _pow(x, a - k) * exp(-xa) * (1.0 if k == 1 else a * xa - (a - 1.0))
+        xa = x**a
+        d = a * x ** (a - k) * np.exp(-xa) * (1.0 if k == 1 else a * xa - (a - 1.0))
     return (-d if k == 1 else d) / tau**k
+
+
+def _time_function(spec: ModelSpec, t, k: int, strategy: EvalStrategy):
+    """d^k n / dt^k at t, a number (a float) or an array (an array of its shape)."""
+    x, scalar = _grid(t, "t", positive=k > 0)
+    value = _derivative(spec, x / spec.tau, k, strategy)
+    return float(value[0]) if scalar else value
 
 
 def response(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
     """Regular (pointwise) part of the response function phi(t) = -dn/dt at t > 0.
 
-    ``t`` is a number (a float) or an array (an array, one Prabhakar grid call).
+    ``t`` is a number (a float) or an array (an array of its shape, one Prabhakar grid
+    call); a number is a 1-element grid, so it gives exactly the element of a grid call.
     """
-    t, exp = _time_points(t, positive=True)
-    return -_derivative(spec, t / spec.tau, 1, exp, strategy)
+    return -_time_function(spec, t, 1, strategy)
 
 
 def time_response(spec: ModelSpec, strategy: EvalStrategy = DEFAULT_STRATEGY) -> TimeResponse:
@@ -434,10 +429,10 @@ def time_response(spec: ModelSpec, strategy: EvalStrategy = DEFAULT_STRATEGY) ->
 def relaxation(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
     """Relaxation function n(t) with n(0) = 1 exactly, monotone to 0 at infinity.
 
-    ``t`` is a number (a float) or an array (an array, one Prabhakar grid call).
+    ``t`` is a number (a float) or an array (an array of its shape, one Prabhakar grid
+    call); a number is a 1-element grid, so it gives exactly the element of a grid call.
     """
-    t, exp = _time_points(t, positive=False)
-    return _derivative(spec, t / spec.tau, 0, exp, strategy)
+    return _time_function(spec, t, 0, strategy)
 
 
 def relaxation_derivatives(
@@ -449,9 +444,7 @@ def relaxation_derivatives(
     lowers mu by one, so the derivatives are Prabhakar evaluations in their
     own right; complete monotonicity shows up as the sign pattern (+, -, +).
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    d2 = _derivative(spec, t / spec.tau, 2, math.exp, strategy)
+    d2 = _time_function(spec, t, 2, strategy)
     return relaxation(spec, t, strategy), -response(spec, t, strategy), d2
 
 

@@ -16,6 +16,12 @@ cross-validating strategies:
 ``mu >= nu``, so the Debye/Cole-Davidson reductions hold to full double
 precision at any argument.
 
+One dispatcher, ``_eval_grid``, routes a 1-D array of arguments, every
+strategy and ``mu < 0`` included, with one call per route; a number is a
+1-element array.  The strategies are array bodies built from numpy's own
+``exp``, ``log`` and ``**``, whose value for an element does not depend on the
+array around it, so a number gives exactly the element of a grid call.
+
 The public dataclass ``PrabhakarParams`` enforces ``nu > 0`` (the regime the
 relaxation models and the complete-monotonicity statements live in); the
 module-level evaluators accept any real ``mu`` and ``nu`` because the memory
@@ -262,98 +268,62 @@ def hyper_pfq(
 
 
 # ---------------------------------------------------------------------------
-# Prabhakar strategies.  All evaluate E[alpha, mu; nu](-x) for x >= 0.
+# Prabhakar strategies.  All evaluate E[alpha, mu; nu](-x) on a 1-D array of x > 0.
 # ---------------------------------------------------------------------------
 
 
-def _series(alpha: float, mu: float, nu: float, x: float, rel_tol: float, max_terms: int):
-    """Power series with sign/log-magnitude bookkeeping.
-
-    Returns ``(value, cancellation)`` where cancellation is the ratio of the
-    largest term magnitude to the result magnitude; the result carries about
-    ``cancellation * eps`` of absolute rounding error.  Arrays for an array x > 0.
-    """
-    if isinstance(x, np.ndarray):
-        return _series_grid(alpha, mu, nu, x, rel_tol, max_terms)
-    rgamma = _special().rgamma
-    if x == 0.0:
-        return float(rgamma(mu)), 1.0
-    log_x = math.log(x)
-    total = 0.0
-    max_abs = 0.0
-    poch_log = 0.0
-    poch_sign = 1.0
-    small = 0
-    for r in range(max_terms):
-        if r > 0:
-            factor = nu + (r - 1)
-            if factor == 0.0:
-                break  # (nu)_r terminates: remaining terms are exactly zero
-            poch_log += math.log(abs(factor))
-            poch_sign = -poch_sign if factor < 0.0 else poch_sign
-        rg = float(rgamma(alpha * r + mu))
-        if rg == 0.0:
-            term = 0.0
-        else:
-            mag = poch_log + r * log_x - math.lgamma(r + 1.0)
-            if mag > 690.0:
-                raise NonConvergent(
-                    f"series term overflow at r={r} (alpha={alpha}, mu={mu}, nu={nu}, x={x})"
-                )
-            term = poch_sign * (-1.0 if r % 2 else 1.0) * math.exp(mag) * rg
-        total += term
-        max_abs = max(max_abs, abs(term))
-        if abs(term) < rel_tol * max(abs(total), _TINY):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        raise NonConvergent(f"Prabhakar series needs more than {max_terms} terms at x={x}")
-    return total, max_abs / max(abs(total), _TINY)
-
-
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` point by point: scalar code's values to the last bit, unlike numpy's ufuncs."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+@functools.lru_cache(maxsize=8)
+def _log_factorials(n: int) -> np.ndarray:
+    """log j! for j < n, from math.lgamma; built on first use, not at import."""
+    table = np.array([math.lgamma(j + 1.0) for j in range(n)])
+    table.flags.writeable = False
+    return table
 
 
 def _term_blocks(nu: float, end: int, rows: int):
     """Blocks of ``rows`` indices j < end with log|(nu)_j|, the sign of (-1)^j (nu)_j
-    (0 once (nu)_j terminates) and log j!, accumulated as the scalar loops do."""
+    (0 once (nu)_j terminates) and log j!; (-1)^j (nu)_j is the running product of
+    the factors -(nu + i) for i < j."""
+    log_fact = _log_factorials(end)
     log_poch, sign_poch = 0.0, 1.0
     for j0 in range(0, end, rows):
         j = np.arange(j0, min(j0 + rows, end))
-        factor = np.where(j > 0, nu + (j - 1.0), 1.0)
-        logs = _libm(math.log, np.maximum(np.abs(factor), _TINY))
+        factor = -(nu + (j - 1.0))
+        if j0 == 0:
+            factor[0] = 1.0
+        logs = np.log(np.maximum(np.abs(factor), _TINY))
         logs[0] += log_poch
         poch = np.cumsum(logs)
         sign = np.cumprod(np.sign(factor)) * sign_poch
         log_poch, sign_poch = poch[-1], sign[-1]
-        yield j, poch, np.where(j % 2, -sign, sign), _libm(math.lgamma, j + 1.0)
+        yield j, poch, sign, log_fact[j0 : j0 + j.size]
 
 
-def _series_grid(alpha, mu, nu, x: np.ndarray, rel_tol: float, max_terms: int, libm: bool = False):
-    """Array body of :func:`_series`, ``_SERIES_ROWS`` terms a block: each point
-    carries its sum, largest term and last two small-term flags across blocks.
-    With ``libm`` the exponentials come from math.exp point by point."""
-    exp = functools.partial(_libm, math.exp) if libm else np.exp
-    log_x = _libm(math.log, x)[:, None]
+def _series(alpha: float, mu: float, nu: float, x: np.ndarray, rel_tol: float, max_terms: int):
+    """Power series with sign/log-magnitude bookkeeping.
+
+    Returns ``(value, cancellation)`` arrays, where cancellation is the ratio
+    of the largest term magnitude to the result magnitude; a value carries
+    about ``cancellation * eps`` of absolute rounding error.  Terms come
+    ``_SERIES_ROWS`` to a block: each point carries its sum, largest term and
+    last two small-term flags across blocks and stops at its third small term
+    in a row.
+    """
+    log_x = np.log(x)[:, None]
     total, peak = np.zeros(x.size), np.zeros(x.size)
     small = np.zeros((x.size, 2), dtype=bool)
     live = np.arange(x.size)
     for r, poch, sign, log_fact in _term_blocks(nu, max_terms, _SERIES_ROWS):
         mag, rg = poch + r * log_x[live] - log_fact, _special().rgamma(alpha * r + mu)
-        term = sign * exp(np.minimum(mag, 709.0)) * rg
+        term = sign * np.exp(np.minimum(mag, 709.0)) * rg
         size = np.abs(term)
         term[:, 0] += total[live]
         sums = np.cumsum(term, axis=1)
-        flags = np.hstack((small[live], size < rel_tol * np.maximum(np.abs(sums), _TINY)))
+        flags = np.concatenate((small[live], size < rel_tol * np.maximum(np.abs(sums), _TINY)), axis=1)
         hit = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
         done = hit.any(axis=1)
         stop, rows = np.where(done, hit.argmax(axis=1), r.size - 1), np.arange(live.size)
-        if np.any((mag > 690.0) & (rg != 0.0) & (np.arange(r.size) <= stop[:, None])):
+        if mag.max() > 690.0 and np.any((mag > 690.0) & (rg != 0.0) & (np.arange(r.size) <= stop[:, None])):
             raise NonConvergent(f"series term overflow (alpha={alpha}, mu={mu}, nu={nu})")
         total[live] = sums[rows, stop]
         peak[live] = np.maximum(peak[live], np.maximum.accumulate(size, axis=1)[rows, stop])
@@ -363,22 +333,7 @@ def _series_grid(alpha, mu, nu, x: np.ndarray, rel_tol: float, max_terms: int, l
             break
     if live.size:
         raise NonConvergent(f"Prabhakar series needs more than {max_terms} terms at x={x[live[0]]}")
-    cancel = peak / np.maximum(np.abs(total), _TINY)
-    if libm:
-        return total, cancel
-    # np.exp and math.exp differ in the last bit for ~5% of arguments, which
-    # moves the sum by up to ~1e-15 * cancel relative: the points where that
-    # could pass 1e-13 are summed again with math.exp, the same operations in
-    # the same order as the scalar loop, so to the last bit of its value.  A
-    # single point goes through the scalar loop, in about half the time of an
-    # array pass; from two points on the array pass is faster.
-    redo = np.flatnonzero(cancel > 100.0)
-    if redo.size == 1:
-        i = int(redo[0])
-        total[i], cancel[i] = _series(alpha, mu, nu, float(x[i]), rel_tol, max_terms)
-    elif redo.size:
-        total[redo], cancel[redo] = _series_grid(alpha, mu, nu, x[redo], rel_tol, max_terms, libm=True)
-    return total, cancel
+    return total, peak / np.maximum(np.abs(total), _TINY)
 
 
 def _kummer(mu: float, nu: float, x):
@@ -394,70 +349,32 @@ def _kummer(mu: float, nu: float, x):
     return value if isinstance(x, np.ndarray) else float(value)
 
 
-def _asymptotic(alpha: float, mu: float, nu: float, x: float, rel_tol: float, jmax: int = 160) -> float:
+def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray, rel_tol: float, jmax: int = 160):
     """Algebraic large-x expansion with optimal truncation.
 
     E[alpha, mu; nu](-x) ~ sum_j (-1)^j (nu)_j x**(-nu-j) / (j! Gamma(mu - alpha(nu+j))),
     summed until the terms start growing; the first omitted term bounds the
-    error.  Raises NonConvergent when that bound misses ``rel_tol``; an array
-    x (all > 0) gives an array with NaN at those points instead.
+    error.  Terms come ``_ASYM_ROWS`` to a block, and each point stops at its
+    first term that grows (not summed) or is small (summed).  A coefficient
+    whose Gamma argument lies within 1e-9 of a nonpositive integer is zero
+    (its computed 1/Gamma is rounding noise) and is skipped, so it cannot end
+    the sum.  Points whose error bound misses ``rel_tol`` are NaN.
     """
-    if isinstance(x, np.ndarray):
-        return _asymptotic_grid(alpha, mu, nu, x, rel_tol, jmax)
-    if x <= 0.0:
-        raise NonConvergent("asymptotic expansion needs x > 0")
-    rgamma = _special().rgamma
-    log_x = math.log(x)
-    total = 0.0
-    poch_log = 0.0
-    poch_sign = 1.0
-    prev_abs = math.inf
-    err = math.inf
-    for j in range(jmax):
-        if j > 0:
-            factor = nu + (j - 1)
-            if factor == 0.0:
-                err = 0.0
-                break
-            poch_log += math.log(abs(factor))
-            poch_sign = -poch_sign if factor < 0.0 else poch_sign
-        rg = float(rgamma(mu - alpha * (nu + j)))
-        if rg == 0.0:
-            continue
-        mag = poch_log - math.lgamma(j + 1.0) - (nu + j) * log_x
-        term = poch_sign * (-1.0 if j % 2 else 1.0) * math.exp(mag) * rg
-        if abs(term) > prev_abs:
-            err = abs(term)
-            break
-        total += term
-        prev_abs = abs(term)
-        if abs(term) < rel_tol * max(abs(total), _TINY):
-            err = abs(term)
-            break
-    if not (err <= max(rel_tol, 1e-12) * max(abs(total), _TINY)):
-        raise NonConvergent(
-            f"asymptotic expansion stalls at error {err:.3g} for x={x} (alpha={alpha})"
-        )
-    return total
-
-
-def _asymptotic_grid(alpha, mu, nu, x: np.ndarray, rel_tol: float, jmax: int) -> np.ndarray:
-    """Array body of :func:`_asymptotic`, ``_ASYM_ROWS`` terms a block: zero
-    coefficients are skipped, and each point stops at its first term that
-    grows (not summed) or is small (summed), as the scalar loop does."""
-    log_x = _libm(math.log, x)[:, None]
+    log_x = np.log(x)[:, None]
     total, err, last = np.zeros(x.size), np.full(x.size, np.inf), np.full(x.size, np.inf)
     live = np.arange(x.size)
     for j, poch, sign, log_fact in _term_blocks(nu, jmax, _ASYM_ROWS):
-        rg = _special().rgamma(mu - alpha * (nu + j))
-        keep = rg != 0.0
-        if not keep.any():
-            continue
-        j, poch, sign, log_fact, rg = j[keep], poch[keep], sign[keep], log_fact[keep], rg[keep]
+        s = mu - alpha * (nu + j)
+        rg = _special().rgamma(s)
+        keep = (rg != 0.0) & ~((s < 0.5) & (np.abs(s - np.round(s)) < 1e-9))
+        if not keep.all():
+            if not keep.any():
+                continue
+            j, poch, sign, log_fact, rg = j[keep], poch[keep], sign[keep], log_fact[keep], rg[keep]
         mag = (poch - log_fact) - (nu + j) * log_x[live]
-        term = sign * _libm(math.exp, np.minimum(mag, 709.0)) * rg
+        term = sign * np.exp(np.minimum(mag, 709.0)) * rg
         size = np.abs(term)
-        grow = size > np.hstack((last[live, None], size[:, :-1]))
+        grow = size > np.concatenate((last[live, None], size[:, :-1]), axis=1)
         term[grow] = 0.0  # a growing term is not summed
         term[:, 0] += total[live]
         sums = np.cumsum(term, axis=1)
@@ -473,29 +390,15 @@ def _asymptotic_grid(alpha, mu, nu, x: np.ndarray, rel_tol: float, jmax: int) ->
     return np.where(err <= max(rel_tol, 1e-12) * np.maximum(np.abs(total), _TINY), total, np.nan)
 
 
-def _asym_pole_collision(alpha: float, mu: float, nu: float, jmax: int = 8) -> bool:
-    """True when early expansion coefficients sit on gamma poles.
-
-    If ``mu - alpha (nu + j)`` hits nonpositive integers (e.g. mu = alpha*nu
-    with rational alpha, the response-function index family), the naive
-    algebraic expansion misses logarithmic-type corrections; they decay
-    quickly with x but are far above rounding in the midrange.
-    """
-    for j in range(jmax):
-        s = mu - alpha * (nu + j)
-        if s < 0.5 and abs(s - round(s)) < 1e-9:
-            return True
-    return False
-
-
-def _contour(alpha: float, mu: float, nu: float, x):
+def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     """Midrange evaluation by fixed-Talbot inversion of the Laplace image.
 
     t**(mu-1) E[alpha, mu; nu](-x t**alpha) has image
     z**(alpha nu - mu) / (x + z**alpha)**nu; evaluating the inversion at
     t = 1 yields E(-x).  For mu = 0 the image tends to 1 at infinity (a unit
     point mass at t = 0); the constant is subtracted so the returned value is
-    the pointwise one.  Requires mu >= 0.  A number or an array x > 0 (nodes x points).
+    the pointwise one.  Requires mu >= 0; the nodes x points array sums the nodes
+    in ascending order (cumsum) whatever the number of points.
     """
     if mu < 0.0:
         raise NonConvergent("contour inversion restricted to mu >= 0")
@@ -503,7 +406,7 @@ def _contour(alpha: float, mu: float, nu: float, x):
     # z**(alpha nu - mu) / (x + z**alpha)**nu in log space: |nu| can be
     # large (kernel series evaluate nu = beta*r) and would overflow a
     # direct power
-    w = nu * np.log(za / (np.atleast_1d(x) + za)) - mu * _TALBOT_LOG_Z
+    w = nu * np.log(za / (x + za)) - mu * _TALBOT_LOG_Z
     if np.any(w.real > 5.0):
         # a genuine image of this family stays bounded on the contour;
         # growth means the (large-nu, large-x) corner where the Talbot
@@ -512,15 +415,12 @@ def _contour(alpha: float, mu: float, nu: float, x):
     terms = (_TALBOT_W * (np.exp(w) - (1.0 if mu == 0.0 else 0.0))).real
     if not np.all(np.isfinite(terms)):
         raise ContourOverflow("non-finite image value on Talbot contour")
-    # cumsum adds the nodes in ascending order whatever the number of points
-    value = np.cumsum(terms, axis=0)[-1] * 2.0 / 5.0
-    return value if isinstance(x, np.ndarray) else float(value[0])
+    return np.cumsum(terms, axis=0)[-1] * 2.0 / 5.0
 
 
 def _check_handoff(series, contour, x, alpha, mu, nu, rel: float) -> None:
     """Raise StrategyDisagreement where series and contour differ by more than
     max(10 rel, 1e-8): the contour's own floor is ~1e-9 near coefficient poles."""
-    series, contour, x = np.atleast_1d(series), np.atleast_1d(contour), np.atleast_1d(x)
     scale = np.maximum(np.maximum(np.abs(series), np.abs(contour)), _TINY)
     for i in np.flatnonzero(np.abs(series - contour) > max(10.0 * rel, 1e-8) * scale)[:1]:
         raise StrategyDisagreement(
@@ -529,86 +429,89 @@ def _check_handoff(series, contour, x, alpha, mu, nu, rel: float) -> None:
         )
 
 
-def _eval_auto(alpha: float, mu: float, nu: float, x: float, strategy: EvalStrategy) -> float:
-    rel = strategy.rel_tolerance
-    cap = strategy.series_max_terms
-    if x == 0.0:
-        return float(_special().rgamma(mu))
-    if alpha == 1.0 and mu > 0.0 and x <= 690.0:
-        # Kummer terms are nonnegative for mu >= nu; for mu < nu they
-        # alternate with peak ~exp(2 sqrt((nu-mu) x)), so only mild
-        # alternation is allowed before the contour takes over
-        if mu >= nu or (nu - mu) * x <= 36.0:
-            return _kummer(mu, nu, x)
-    u = x ** (1.0 / alpha)
+def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: EvalStrategy) -> np.ndarray:
+    """E[alpha, mu; nu](-x) on a 1-D array of x >= 0: the one Prabhakar dispatcher.
 
-    if u <= strategy.crossover_magnitude:
-        if mu >= 0.0 and nu > 20.0 and nu * x > 10.0:
-            # predictably cancellation-dominated (kernel series reach
-            # nu = beta*r in the hundreds); skip straight to the image
-            return _contour(alpha, mu, nu, x)
-        value, cancel = _series(alpha, mu, nu, x, rel, cap)
-        if cancel > 1e8 and mu >= 0.0:
-            # large |nu| can wreck the series even at small argument (the
-            # kernel series evaluate E with nu = beta*r); the image has no
-            # such cancellation
-            return _contour(alpha, mu, nu, x)
-        # handoff band: cross-check against the next strategy in line
-        if mu >= 0.0 and u >= 0.9 * strategy.crossover_magnitude and cancel < 1e8:
-            _check_handoff(value, _contour(alpha, mu, nu, x), x, alpha, mu, nu, rel)
-        return value
-    # the naive expansion needs a pole-free coefficient family; with poles its
-    # missing corrections die off only deep in the tail (in x), where the
-    # contour's own rounding amplification takes over instead
-    if u >= _ASYM_SAFE_U and (not _asym_pole_collision(alpha, mu, nu) or x >= 500.0):
-        try:
-            return _asymptotic(alpha, mu, nu, x, rel)
-        except NonConvergent:
-            pass
-    if mu >= 0.0:
-        return _contour(alpha, mu, nu, x)
-    # mu < 0: no Laplace image.  The series while it keeps 12 digits (it cancels
-    # like exp(u)), else the recurrence E[a, mu; nu] = a nu E[a, mu+1; nu+1]
-    # - (a nu - mu) E[a, mu+1; nu] (Kilbas, Saigo & Saxena 2004) up to mu >= 0
-    if u <= _SERIES_MAX_U:
-        value, cancel = _series(alpha, mu, nu, x, rel, cap)
-        if cancel <= 1e4:
-            return value
-    up, same = (_eval_auto(alpha, mu + 1.0, n, x, strategy) for n in (nu + 1.0, nu))
-    return alpha * nu * up - (alpha * nu - mu) * same
-
-
-def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: EvalStrategy):
-    """:func:`_eval_auto` on a 1-D array of x >= 0 for mu >= 0, one strategy
-    call per route: every point takes the route the scalar dispatcher gives it
-    and raises where it raises (the handoff band shares the midrange contour)."""
-    rel, cross = strategy.rel_tolerance, strategy.crossover_magnitude
+    Every point takes its route, with one strategy call per route (a number is
+    a 1-element array, so it equals its grid element by construction).  AUTO
+    routes by ``u = x**(1/alpha)``: x = 0 is 1/Gamma(mu); alpha = 1 with mu > 0
+    takes Kummer while its terms alternate mildly; the series for
+    ``u <= crossover_magnitude``, cross-checked against the contour in the
+    handoff band ``u >= 0.9 crossover_magnitude``; the expansion from
+    ``u >= 50``.  The rest takes the contour for mu >= 0.  mu < 0 has no
+    Laplace image: there the series serves while u <= 25 and its cancellation
+    is <= 1e4, and the remaining points take the recurrence
+    E[a, mu; nu] = a nu E[a, mu+1; nu+1] - (a nu - mu) E[a, mu+1; nu]
+    (Kilbas, Saigo & Saxena 2004) up to mu >= 0.
+    """
+    kind, rel, cap = strategy.kind, strategy.rel_tolerance, strategy.series_max_terms
+    if kind == HYPERGEOMETRIC_REDUCTION:
+        order = RationalOrder.from_float(alpha)
+        return np.array([prabhakar_rational(order, mu, nu, v, strategy) for v in x.tolist()])
+    if kind == ASYMPTOTIC_SERIES:
+        if not np.all(x > 0.0):
+            raise NonConvergent("asymptotic expansion needs x > 0")
+        out = _asymptotic(alpha, mu, nu, x, rel)
+        for i in np.flatnonzero(np.isnan(out))[:1]:
+            raise NonConvergent(f"asymptotic expansion misses its tolerance at x={x[i]} (alpha={alpha})")
+        return out
     out = np.full(x.shape, float(_special().rgamma(mu)))
     todo = x > 0.0
-    if alpha == 1.0 and mu > 0.0:
-        kummer = todo & (x <= 690.0) & ((mu >= nu) | ((nu - mu) * x <= 36.0))
-        out[kummer] = _kummer(mu, nu, x[kummer])
-        todo &= ~kummer
-    u = _libm(lambda v: v ** (1.0 / alpha), x)  # Python's pow: the scalar route at every threshold
+    if alpha == 1.0 and mu > 0.0 and kind != CONTOUR_INVERSION:
+        kummer = todo & (x <= 690.0)
+        if kind == AUTO:
+            # Kummer terms are nonnegative for mu >= nu; for mu < nu they
+            # alternate with peak ~exp(2 sqrt((nu-mu) x)), so only mild
+            # alternation is allowed before the contour takes over
+            kummer &= (mu >= nu) | ((nu - mu) * x <= 36.0)
+        if kummer.any():
+            out[kummer] = _kummer(mu, nu, x[kummer])
+            todo &= ~kummer
+    if not todo.any():
+        return out
+    if kind == CONTOUR_INVERSION:
+        out[todo] = _contour(alpha, mu, nu, x[todo])
+        return out
+    if kind == POWER_SERIES:
+        out[todo], cancel = _series(alpha, mu, nu, x[todo], rel, cap)
+        if np.any(cancel > 1e13):
+            raise NonConvergent(f"series cancellation {cancel.max():.2g} leaves no significant digits")
+        return out
+    u = x ** (1.0 / alpha)
+    cross = strategy.crossover_magnitude
     series = todo & (u <= cross)
-    if nu > 20.0:
+    if mu >= 0.0 and nu > 20.0:
+        # predictably cancellation-dominated at large nu: straight to the image
         series &= nu * x <= 10.0
     band = np.zeros_like(todo)
     if series.any():
-        out[series], cancel = _series(alpha, mu, nu, x[series], rel, strategy.series_max_terms)
-        todo[series] = cancel > 1e8
-        band[series] = (u[series] >= 0.9 * cross) & (cancel < 1e8)
+        out[series], cancel = _series(alpha, mu, nu, x[series], rel, cap)
+        if mu >= 0.0:
+            # large |nu| can wreck the series even at small argument; the image
+            # has no such cancellation.  In the handoff band the two are compared.
+            todo[series] = cancel > 1e8
+            band[series] = (u[series] >= 0.9 * cross) & (cancel < 1e8)
+        else:
+            todo[series] = False
     asym = todo & (u > cross) & (u >= _ASYM_SAFE_U)
-    if _asym_pole_collision(alpha, mu, nu):
-        asym &= x >= 500.0
     if asym.any():
         out[asym] = value = _asymptotic(alpha, mu, nu, x[asym], rel)
         todo[asym] = np.isnan(value)
-    contour = todo | band
-    if contour.any():
-        value = _contour(alpha, mu, nu, x[contour])
-        _check_handoff(out[band], value[band[contour]], x[band], alpha, mu, nu, rel)
-        out[todo] = value[todo[contour]]
+    if mu >= 0.0:
+        contour = todo | band
+        if contour.any():
+            value = _contour(alpha, mu, nu, x[contour])
+            if band.any():
+                _check_handoff(out[band], value[band[contour]], x[band], alpha, mu, nu, rel)
+            out[todo] = value[todo[contour]]
+        return out
+    mid = todo & (u <= _SERIES_MAX_U)
+    if mid.any():
+        out[mid], cancel = _series(alpha, mu, nu, x[mid], rel, cap)
+        todo[mid] = cancel > 1e4
+    if todo.any():
+        up, same = (_eval_grid(alpha, mu + 1.0, n, x[todo], strategy) for n in (nu + 1.0, nu))
+        out[todo] = alpha * nu * up - (alpha * nu - mu) * same
     return out
 
 
@@ -633,52 +536,26 @@ def prabhakar_eval(
     alpha: float,
     mu: float,
     nu: float,
-    x: float,
+    x,
     strategy: EvalStrategy = DEFAULT_STRATEGY,
-) -> float:
+):
     """Low-level Prabhakar evaluation accepting any real ``mu`` and ``nu``.
 
     The memory kernels need ``nu = -beta`` and ``mu = 0``; second derivatives
     of the relaxation functions need ``mu < 0``.  Same contract as
     :func:`prabhakar` otherwise.  ``x`` is a number (a float result) or an
-    array (an array of its shape); for mu >= 0 the auto strategy evaluates an
-    array in one pass per route, otherwise it goes point by point.
+    array (an array of its shape); both go through :func:`_eval_grid`, a
+    number as a 1-element array, so it gives exactly the element of a grid call.
     """
     if not (alpha > 0.0):
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if not isinstance(x, (int, float)):
-        x = np.asarray(x, dtype=float)
-        if x.ndim:
-            if np.any(x < 0.0):
-                raise DomainError(f"x must be nonnegative, got {x.min()}")
-            if strategy.kind != AUTO or mu < 0.0:
-                values = [prabhakar_eval(alpha, mu, nu, v, strategy) for v in x.ravel().tolist()]
-                return np.reshape(values, x.shape)
-            with np.errstate(over="ignore", invalid="ignore"):
-                return _eval_grid(alpha, mu, nu, x.ravel(), strategy).reshape(x.shape)
-        x = float(x)
-    if x < 0.0:
-        raise DomainError(f"x must be nonnegative, got {x}")
-    kind = strategy.kind
-    if kind == AUTO:
-        return _eval_auto(alpha, mu, nu, x, strategy)
-    if kind == POWER_SERIES:
-        if alpha == 1.0 and mu > 0.0 and x <= 690.0:
-            return _kummer(mu, nu, x)
-        value, cancel = _series(alpha, mu, nu, x, strategy.rel_tolerance, strategy.series_max_terms)
-        if cancel > 1e13:
-            raise NonConvergent(f"series cancellation {cancel:.2g} leaves no significant digits")
-        return value
-    if kind == CONTOUR_INVERSION:
-        if x == 0.0:
-            return float(_special().rgamma(mu))
-        return _contour(alpha, mu, nu, x)
-    if kind == ASYMPTOTIC_SERIES:
-        return _asymptotic(alpha, mu, nu, x, strategy.rel_tolerance)
-    if kind == HYPERGEOMETRIC_REDUCTION:
-        order = RationalOrder.from_float(alpha)
-        return prabhakar_rational(order, mu, nu, x, strategy)
-    raise DomainError(f"unknown strategy kind {kind!r}")
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    if np.any(flat < 0.0):
+        raise DomainError(f"x must be nonnegative, got {flat.min()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _eval_grid(alpha, mu, nu, flat, strategy)
+    return float(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
 def prabhakar_rational(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaxkit.exceptions import DomainError, EmptyDataset, ParseError, StrategyDisagreement
@@ -328,6 +328,9 @@ SWEEP = [(k, d, s) for k in KINDS for d in ("frequency", "time") for s in (False
 @pytest.mark.parametrize("kind,domain,strict", SWEEP)
 @settings(max_examples=6, deadline=None)
 @given(offsets=st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5))
+# hn decays here took the expansion at t/tau = 52, where a Gamma-pole coefficient
+# (1/Gamma(1 - 0.7*10) as rounding noise) stopped it at 3.8e-9 for some betas
+@example(offsets=[0.0, 1.5, 0.25, 0.0, 0.0])
 def test_exact_jacobian_matches_central_differences(kind, domain, strict, offsets):
     problem = _problem(kind, domain, strict)
     _assert_matches_differences(problem, problem.u0 + np.array(offsets[: problem.u0.size]))

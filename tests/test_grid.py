@@ -5,13 +5,14 @@ import contextlib
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relaxkit import specfun
 from relaxkit.exceptions import DomainError, RelaxkitError, StrategyDisagreement
+from relaxkit.kernels import KernelConfig, memory_time_with_bound
 from relaxkit.models import ModelSpec, relaxation, response
-from relaxkit.specfun import prabhakar_eval
+from relaxkit.specfun import EvalStrategy, prabhakar_eval
 
 STRATEGIES = ("_kummer", "_series", "_contour", "_asymptotic")
 
@@ -47,8 +48,8 @@ def grid_routes(calls, args):
 
 
 def assert_grid_matches_points(fn, points):
-    """fn(points) equals fn(p) per point to 1e-12 relative, by the same routes,
-    or raises the exception type a per-point call raises."""
+    """fn(points) equals fn(p) per point exactly, by the same routes, or raises the
+    exception type a per-point call raises."""
     errors = set()
     for p in points.tolist():
         try:
@@ -63,8 +64,59 @@ def assert_grid_matches_points(fn, points):
     with recorded_routes() as calls:
         grid = fn(points)
     assert isinstance(grid, np.ndarray) and grid.shape == points.shape
-    np.testing.assert_allclose(grid, values, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(grid, values)
     assert grid_routes(calls, args) == routes
+
+
+def assert_numbers_equal_grid_elements(fn, points):
+    """fn(p) == fn(points)[i] exactly, over the points whose own call does not raise."""
+    values = {}
+    for p in points.tolist():
+        try:
+            values[p] = np.asarray(fn(p)).tolist()
+        except RelaxkitError:
+            pass
+    assume(values)
+    grid = fn(np.array(list(values)))
+    assert grid.tolist() == list(values.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(specfun._KINDS),
+    alpha=st.sampled_from((0.25, 1 / 3, 0.5, 0.6, 0.75, 1.0)) | st.floats(0.3, 1.0),
+    mu=st.floats(-2.5, 3.0),
+    nu=st.floats(-2.0, 3.0) | st.floats(20.0, 60.0),
+    log_x=st.floats(-3.0, 3.5),
+)
+def test_a_number_equals_its_grid_element_on_every_route(kind, alpha, mu, nu, log_x):
+    # a number is a 1-element grid: every strategy, mu < 0 and nu < 0 included
+    strategy = EvalStrategy(kind=kind)
+    x = np.concatenate([[0.0], 10.0 ** np.linspace(log_x - 1.5, log_x, 9)])
+    assert_numbers_equal_grid_elements(lambda v: prabhakar_eval(alpha, mu, nu, v, strategy), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("debye", "cc", "cd", "mcd", "hn", "jws", "kww")),
+    alpha=st.floats(0.3, 0.95),
+    beta=st.floats(0.25, 0.95),
+    log_tau=st.floats(-2.0, 2.0),
+)
+def test_a_number_equals_its_grid_element_for_time_functions_and_kernels(kind, alpha, beta, log_tau):
+    a = alpha if kind in ("cc", "hn", "jws", "kww") else 1.0
+    b = beta if kind in ("cd", "mcd", "hn", "jws") else 1.0
+    spec = ModelSpec(kind, alpha=a, beta=b, tau=10.0**log_tau)
+    t = np.logspace(-3, 3, 13) * spec.tau
+    assert_numbers_equal_grid_elements(lambda u: relaxation(spec, u), t)
+    assert_numbers_equal_grid_elements(lambda u: response(spec, u), t)
+    if kind == "kww":
+        return
+    cfg = KernelConfig(spec)
+    for which in ("M", "k"):
+        assert_numbers_equal_grid_elements(
+            lambda u: np.stack(memory_time_with_bound(cfg, u, which), axis=-1), t
+        )
 
 
 @settings(max_examples=80, deadline=None)

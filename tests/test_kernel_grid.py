@@ -1,5 +1,5 @@
 """Memory kernels on grids against per-point calls and against independent oracles
-(mpmath, and double-precision series at small and large t), and the series re-sum."""
+(mpmath, and double-precision series at small and large t)."""
 
 import math
 import warnings
@@ -7,12 +7,12 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
-from relaxkit import cli, specfun
-from relaxkit.exceptions import NonConvergent, RelaxkitError
+from relaxkit import cli
+from relaxkit.exceptions import RelaxkitError
 from relaxkit.kernels import KernelConfig, memory_M_time, memory_time_with_bound
 from relaxkit.models import ModelSpec
 
@@ -148,41 +148,6 @@ def test_series_past_the_float_range_now_matches_mpmath(capsys, kind, alpha, bet
     assert cli.main(argv) == cli.EXIT_OK
     rows = [line for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()]
     assert len(rows) == 1 and float(rows[0].split(",")[1]) == pytest.approx(ref, rel=1e-10)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    alpha=st.floats(0.3, 0.95),
-    beta=st.floats(0.2, 0.95),
-    r=st.integers(1, 40),
-    kernel_mu=st.booleans(),
-    log_x=st.floats(-1.5, 0.6),
-)
-def test_series_grid_resum_equals_the_scalar_loop_to_the_last_bit(alpha, beta, r, kernel_mu, log_x):
-    # kernel terms: hn/cd M evaluates E[a, a b r; b r], jws k E[a, 1; b r]
-    mu, nu = (alpha * beta * r if kernel_mu else 1.0), beta * r
-    x = 10.0 ** np.linspace(log_x - 0.5, log_x, 12)
-    try:
-        total, cancel = specfun._series_grid(alpha, mu, nu, x, 1e-13, 2000)
-    except NonConvergent:
-        assume(False)
-    resummed = np.flatnonzero(cancel > 100.0)
-    assume(resummed.size)
-    for i in resummed.tolist():
-        assert (total[i], cancel[i]) == specfun._series(alpha, mu, nu, float(x[i]), 1e-13, 2000)
-
-
-def test_series_grid_resums_kernel_terms():
-    # a term of the hn M series: most points cancel by more than 100
-    alpha, beta, r = 0.6, 0.5, 12
-    x = np.linspace(0.5, 2.5, 9)
-    total, cancel = specfun._series_grid(alpha, alpha * beta * r, beta * r, x, 1e-13, 2000)
-    resummed = np.flatnonzero(cancel > 100.0).tolist()
-    assert len(resummed) >= 5
-    for i in resummed:
-        assert (total[i], cancel[i]) == specfun._series(
-            alpha, alpha * beta * r, beta * r, float(x[i]), 1e-13, 2000
-        )
 
 
 @pytest.mark.parametrize("kind, which, alpha, beta", [

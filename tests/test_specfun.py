@@ -7,7 +7,9 @@ import pytest
 from scipy import special as sc
 from scipy.integrate import quad
 
+from relaxkit import specfun
 from relaxkit.exceptions import DomainError, NonConvergent
+from relaxkit.models import ModelSpec, relaxation
 from relaxkit.specfun import (
     EvalStrategy,
     PrabhakarParams,
@@ -285,6 +287,63 @@ def test_negative_mu_where_the_series_cancels_matches_mpmath(alpha, mu, nu, u):
             [0, mpmath.inf],
         )
     assert prabhakar_eval(alpha, mu, nu, x) == pytest.approx(float(exact), rel=1e-9)
+
+
+def mp_prabhakar(alpha, mu, nu, xs, dps):
+    """E[alpha, mu; nu](-x) at each x of ``xs`` by the defining series at ``dps``
+    digits (enough for its cancellation, about exp(x**(1/alpha))), with the
+    coefficients summed until they are negligible at the largest x."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, mu, nu = mpmath.mpf(alpha), mpmath.mpf(mu), mpmath.mpf(nu)
+        top = -mpmath.mpf(max(xs))
+        coeffs, poch, total, j = [], mpmath.mpf(1), mpmath.mpf(0), 0  # poch = (nu)_j / j!
+        while True:
+            coeffs.append(poch * mpmath.rgamma(a * j + mu))
+            term = coeffs[-1] * top**j
+            total += term
+            if j > 10 and abs(term) < mpmath.mpf(10) ** (5 - dps) * abs(total):
+                return [mpmath.polyval(coeffs[::-1], -mpmath.mpf(x)) for x in xs]
+            poch *= (nu + j) / (j + 1)
+            j += 1
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.95])
+def test_series_in_its_cancellation_band_matches_mpmath(alpha):
+    # u = x**(1/alpha) in [0.5, 5], the series route, for the HN and JWS index
+    # families of n and phi: the sum cancels by up to ~1e3 there.  The worst
+    # point reads 2.7e-11 whether the terms come from numpy's exp or libm's: the
+    # error is the log-magnitude bookkeeping's, and the tolerance allows twice it.
+    u = np.linspace(0.5, 5.0, 19)
+    x = u**alpha
+    for beta in (0.25, 0.5, 0.95):
+        for mu in (1.0 + alpha * beta, alpha * beta, 1.0, 0.0):
+            values, _ = specfun._series(alpha, mu, beta, x, 1e-13, 2000)
+            exact = [float(v) for v in mp_prabhakar(alpha, mu, beta, x.tolist(), 50)]
+            np.testing.assert_allclose(values, exact, rtol=5e-11, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, x",
+    [
+        (0.7, 1.2154780116220467, 49.61947603002898 / 0.95090873728403),
+        (0.3, 0.95, 100.0),
+        (0.3, 0.25, 100.0),
+    ],
+)
+def test_expansion_skips_gamma_pole_coefficients(alpha, beta, x):
+    # hn relaxation n = 1 - x**(ab) E[a, 1+ab; b](-x**a) on the expansion route,
+    # where the coefficient 1/Gamma(1 - a j) sits on a pole at a j = 7 or 3
+    # (rounding noise, not 0): it stopped the sum at 3.8e-9, 6.1e-7 and 1.2e-7
+    spec = ModelSpec("hn", alpha=alpha, beta=beta, allow_unphysical=True)
+    import mpmath
+
+    with mpmath.workdps(200):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        e = mp_prabhakar(a, 1 + a * b, b, [mpmath.mpf(x) ** a], 200)[0]
+        exact = float(1 - mpmath.mpf(x) ** (a * b) * e)
+    assert relaxation(spec, x) == pytest.approx(exact, rel=1e-10)
 
 
 def test_cm_fails_below_alpha_nu():
