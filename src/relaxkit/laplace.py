@@ -24,7 +24,7 @@ import numpy as np
 from . import inversion
 from .exceptions import ContourOverflow, DomainError, InversionDisagreement, QuadratureFailure
 from .quadrature import array_fn, tanh_sinh
-from .specfun import levy_stable_density
+from .specfun import _levy_series, levy_stable_density
 
 __all__ = [
     "LaplaceImage",
@@ -199,15 +199,29 @@ def subordination_kernel(alpha: float, u, t: float):
 
     This is the inverse image of ``z**(alpha-1) exp(-u z**alpha)`` and is a
     probability density in u for every t > 0; ``u`` may be a number or an array.
+    Where the density takes its large-x series, term k of the kernel is
+    ``c_k t**(-alpha k) u**(k-1) / (pi alpha)``, summed as such, so the kernel
+    keeps its finite limit ``Gamma(1+alpha) sin(pi alpha) t**-alpha / (pi alpha)``
+    as u -> 0, where the density itself underflows.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     us = np.asarray(u, dtype=float)
-    if not (us > 0.0).all() or t <= 0.0:
+    flat = us.ravel()
+    if not (flat > 0.0).all() or t <= 0.0:
         raise DomainError("u and t must be positive")
-    y = t * us ** (-1.0 / alpha)
-    value = t / (alpha * us ** (1.0 + 1.0 / alpha)) * levy_stable_density(alpha, y)
-    return float(value) if us.ndim == 0 else value
+    with np.errstate(over="ignore"):  # t**-alpha = inf leaves every point to the density
+        t_alpha = np.float64(t) ** -alpha
+    value = _levy_series(alpha, flat * t_alpha) * (t_alpha / (math.pi * alpha))
+    # elsewhere x Phi(x) / (alpha u) at x = t u**(-1/alpha); x underflows to 0
+    # only far out in u, where the density has long since underflowed too
+    rest = np.flatnonzero(np.isnan(value))
+    x = t * flat[rest] ** (-1.0 / alpha)
+    value[rest] = 0.0
+    rest, x = rest[x > 0.0], x[x > 0.0]
+    if rest.size:
+        value[rest] = x * levy_stable_density(alpha, x) / (alpha * flat[rest])
+    return float(value[0]) if us.ndim == 0 else value.reshape(us.shape)
 
 
 def subordination_pdf(

@@ -435,10 +435,12 @@ def relaxation(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
     return _time_function(spec, t, 0, strategy)
 
 
-def relaxation_derivatives(
-    spec: ModelSpec, t: float, strategy: EvalStrategy = DEFAULT_STRATEGY
-) -> tuple[float, float, float]:
+def relaxation_derivatives(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY) -> tuple:
     """(n, n', n'') at t > 0, derivatives via the analytic index shift, not differences.
+
+    ``t`` is a number (three floats) or an array (three arrays of its shape,
+    one Prabhakar grid call each); a number gives exactly the elements of a
+    grid call.
 
     Each differentiation of ``t**(mu-1) E[alpha, mu; nu](-(t/tau)**alpha)``
     lowers mu by one, so the derivatives are Prabhakar evaluations in their

@@ -1,6 +1,7 @@
 """Array paths of the tanh-sinh engine, the Levy density and the Efros building blocks."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -18,10 +19,31 @@ def hn_exponent(a, b):
     return lambda z: (1.0 + z**a) ** b - 1.0
 
 
-def tail_start(alpha):
-    """Smallest x that takes the deep-tail series: x**-q alpha**q (1 - alpha) < 1e-8."""
+def x_at(alpha, s_a):
+    """The x at which s a(0+) = x**-q alpha**q (1 - alpha) takes the value ``s_a``."""
     q = alpha / (1.0 - alpha)
-    return (alpha**q * (1.0 - alpha) / 1e-8) ** (1.0 / q)
+    return (alpha**q * (1.0 - alpha) / s_a) ** (1.0 / q)
+
+
+def tail_start(alpha):
+    """Smallest x with s a(0+) < 1e-8, where a per-point series loop once took over from the
+    quadrature: the array series must still take every point beyond it."""
+    return x_at(alpha, 1e-8)
+
+
+def takes_series(alpha, x):
+    """Per point of ``x``, whether the density takes the large-x series."""
+    return ~np.isnan(specfun._levy_series(alpha, np.asarray(x, dtype=float) ** -alpha))
+
+
+def series_switch(alpha):
+    """(last s a(0+) that takes the series, first that does not), 1e-9 apart."""
+    lo, hi = 1e-3, 3.0
+    assert takes_series(alpha, [x_at(alpha, lo), x_at(alpha, hi)]).tolist() == [True, False]
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if takes_series(alpha, [x_at(alpha, mid)])[0] else (lo, mid)
+    return lo, hi
 
 
 def assert_matches_scalar_calls(fn, points):
@@ -225,34 +247,128 @@ def test_levy_density_does_not_depend_on_how_the_array_is_split():
     np.testing.assert_allclose(whole, halves, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.95])
+def test_levy_series_points_equal_their_halves_and_scalar_calls_exactly(alpha):
+    # from just inside the switch to far out: every point sums its own terms in order
+    x = np.geomspace(x_at(alpha, 0.99 * series_switch(alpha)[0]), 1e6 * tail_start(alpha), 200)
+    assert takes_series(alpha, x).all()
+    whole = levy_stable_density(alpha, x)
+    halves = np.concatenate([levy_stable_density(alpha, v) for v in (x[:77], x[77:])])
+    assert whole.tolist() == halves.tolist() == [levy_stable_density(alpha, v) for v in x.tolist()]
+
+
+def test_levy_series_blocks_bound_the_memory_of_a_large_call():
+    # 10**6 series points: unblocked, one points x terms array of a single 32-term block
+    # would take 256 MB; each per-point array of the call takes 8 MB
+    x = np.geomspace(tail_start(0.5), 1e12 * tail_start(0.5), 10**6)
+    tracemalloc.start()
+    try:
+        value = levy_stable_density(0.5, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    some = x[::99_999]
+    closed_form = some**-1.5 * np.exp(-0.25 / some) / (2.0 * math.sqrt(math.pi))
+    np.testing.assert_allclose(value[::99_999], closed_form, rtol=1e-13, atol=0.0)
+
+
 def zolotarev_oracle(alpha, x):
-    """The Levy density by mpmath.quad over the Zolotarev integral at 30 digits, split into
-    quarters of (0, pi) so that the narrow peak near pi at large x is resolved."""
+    """The Levy density by mpmath.quad over the Zolotarev integral at 30 digits.  (0, pi/2)
+    is split in halves; (pi/2, pi) is taken in phi = pi - theta, which keeps sin(theta)
+    accurate next to pi, and is split around phi = sin(pi alpha) x**-alpha, where the
+    integrand peaks at large x, as narrowly as that."""
     with mp.workdps(30):
         a, x = mp.mpf(alpha), mp.mpf(x)
         q = a / (1 - a)
         scale = x**-q
 
-        def integrand(theta):
-            angle = mp.sin(a * theta) ** q * mp.sin((1 - a) * theta)
-            angle /= mp.sin(theta) ** (1 / (1 - a))
+        def integrand(theta, sin_theta):
+            angle = mp.sin(a * theta) ** q * mp.sin((1 - a) * theta) / sin_theta ** (1 / (1 - a))
             return angle * mp.exp(-scale * angle)
 
-        integral = mp.quad(integrand, mp.linspace(0, mp.pi, 5))
-        return float(a / (mp.pi * (1 - a)) * x ** (-1 / (1 - a)) * integral)
+        peak = mp.sin(mp.pi * a) * x**-a
+        cuts = {peak * 10**j for j in range(-2, 3) if peak * 10**j < mp.pi / 2}
+        cuts = sorted(cuts | {mp.pi / 4})
+        left = mp.quad(lambda th: integrand(th, mp.sin(th)), [0, mp.pi / 4, mp.pi / 2])
+        right = mp.quad(lambda ph: integrand(mp.pi - ph, mp.sin(ph)), [0] + cuts + [mp.pi / 2])
+        return float(a / (mp.pi * (1 - a)) * x ** (-1 / (1 - a)) * (left + right))
+
+
+def series_oracle(alpha, x):
+    """The large-x series as an mpmath number at 40 digits, for x so large that its terms
+    fall off at once, and the Zolotarev integrand's power-law wing spans too many decades."""
+    with mp.workdps(40):
+        a, x = mp.mpf(alpha), mp.mpf(x)
+
+        def term(k):
+            size = mp.gamma(a * k + 1) / mp.factorial(k) * x ** (-a * k - 1)
+            return (-1) ** (k + 1) * mp.sin(mp.pi * k * a) * size
+
+        return mp.nsum(term, [1, mp.inf]) / mp.pi
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.45, 0.5, 0.7, 0.9])
 def test_levy_density_matches_the_zolotarev_integral_at_30_digits(alpha):
-    q = alpha / (1.0 - alpha)
-    x_low = (alpha**q * (1.0 - alpha) / 30.0) ** (1.0 / q)  # where the density is about e**-30
+    x_low = x_at(alpha, 30.0)  # where the density is about e**-30
     x_tail = tail_start(alpha)
-    # the body, then both sides of the switch to the series: below it the integrand peaks next
-    # to pi, where sin(theta) needs the node's own distance from pi; above it the series must
-    # not stop on a term whose sin(pi k alpha) vanishes (alpha = 0.5, 0.9)
+    last, first = series_switch(alpha)
+    # the quadrature's body, a point between it and s a(0+) = 1e-8, both sides of that old
+    # switch, where the series must not stop on a term whose sin(pi k alpha) vanishes
+    # (alpha = 0.5, 0.9), then both sides of the new switch, where the series cancels most
     x = np.array([x_low, (x_low * x_tail) ** 0.5, 0.9 * x_tail, 1.1 * x_tail])
+    x = np.append(x, [x_at(alpha, first), x_at(alpha, last)])
+    assert takes_series(alpha, x).tolist() == [False, True, True, True, False, True]
     expected = [zolotarev_oracle(alpha, v) for v in x]
     np.testing.assert_allclose(levy_stable_density(alpha, x), expected, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(0.2, 0.95), where=st.floats(0.0, 1.0))
+def test_levy_density_matches_the_zolotarev_integral_on_both_routes(alpha, where):
+    lo, hi = x_at(alpha, 30.0), 1e3 * tail_start(alpha)
+    x = lo * (hi / lo) ** where
+    expected = zolotarev_oracle(alpha, x)
+    assert levy_stable_density(alpha, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_no_point_past_the_old_tail_switch_reaches_the_quadrature(monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("a point reached the theta quadrature")
+
+    monkeypatch.setattr(specfun, "_integrate_rows", no_quadrature)
+    for alpha in (0.2, 0.5, 0.8, 0.9, 0.95):
+        x = tail_start(alpha) * np.geomspace(1.0, 1e12, 30)
+        assert (levy_stable_density(alpha, x) > 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "alpha, x",
+    [(0.3, 1e300), (0.9, 1e200), (0.5, math.inf), (0.3, 1e230), (0.9, 1e160), (0.5, 1e200)],
+)
+def test_levy_density_is_finite_at_huge_x(alpha, x):
+    # the first three underflow to 0, the others lie near the bottom of the normal range
+    expected = float(series_oracle(alpha, x)) if math.isfinite(x) else 0.0
+    assert levy_stable_density(alpha, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, u, t", [(0.1, 1e-40, 1.0), (0.1, 1e-300, 1.0), (0.5, 1e-200, 2.0), (0.9, 1e-30, 0.5)]
+)
+def test_subordination_kernel_keeps_its_small_u_limit(alpha, u, t):
+    # t Phi(t u**(-1/alpha)) / (alpha u**(1 + 1/alpha)) in mpmath, whose exponents do not
+    # overflow; it tends to Gamma(1 + alpha) sin(pi alpha) t**-alpha / (pi alpha)
+    with mp.workdps(40):
+        u_, t_, a = mp.mpf(u), mp.mpf(t), mp.mpf(alpha)
+        expected = float(t_ * series_oracle(alpha, t_ * u_ ** (-1 / a)) / (a * u_ ** (1 + 1 / a)))
+    limit = math.gamma(1.0 + alpha) * math.sin(math.pi * alpha) * t**-alpha / (math.pi * alpha)
+    assert expected == pytest.approx(limit, rel=1e-8)
+    assert laplace.subordination_kernel(alpha, u, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_subordination_kernel_takes_a_t_whose_power_overflows():
+    # t**-alpha passes the float range; at u = 1 the density's argument 1e-320 gives 0
+    assert laplace.subordination_kernel(0.99, np.array([1.0, 10.0]), 1e-320).tolist() == [0.0, 0.0]
 
 
 def test_levy_density_keeps_its_accuracy_where_it_is_subnormal():
@@ -275,7 +391,7 @@ def test_levy_density_does_not_depend_on_earlier_calls():
     for alpha in np.linspace(0.2, 0.9, 40):  # more (alpha, level) pairs than the caches hold
         levy_stable_density(alpha, x)
     assert levy_stable_density(0.6, x).tolist() == first.tolist()
-    for cached in (specfun._levy_angles, quadrature._nodes):
+    for cached in (specfun._levy_angles, specfun._levy_series_table, quadrature._nodes):
         info = cached.cache_info()
         assert info.currsize <= info.maxsize == 64
     # the angle factors are keyed by node count, which tells the levels of (0, pi) apart
