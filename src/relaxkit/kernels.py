@@ -23,8 +23,9 @@ cc in powers of t, Debye ``M = 1/(B tau)`` and the pure point mass
 Evolution equations.  The HN family shares one kernel
 ``K(w) = w**(-ab) E[a, 1-ab; -b](-(w/tau)**a)`` (``_K``), which the Caputo
 residual, the Caputo/Riemann-Liouville identity and its RL side all
-convolve against n' or n; every such convolution is one tanh-sinh pair split
-at t/2 (``_split_integral``), a level of abscissae per integrand call.
+convolve against n' or n; every such convolution is split at t/2, its halves
+the two rows of one tanh-sinh run (``_split_integral``), so an integrand call
+takes the abscissae of both.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .models import (
     response,
     spectral_ratio_real,
 )
-from .quadrature import tanh_sinh
+from .quadrature import _MAX_LEVEL, _integrate_rows
 from .specfun import DEFAULT_STRATEGY, EvalStrategy, _special, prabhakar_eval
 
 __all__ = [
@@ -225,11 +226,20 @@ def _K(spec: ModelSpec, w):
 
 
 def _split_integral(f, t: float, rel_tol: float) -> float:
-    """Int_0^t f(u) du by tanh-sinh on [0, t/2] and [t/2, t]: the convolutions here carry an
-    integrable singularity at each end (u**(ab-1) from n' at 0, the kernel's at t)."""
-    left, _ = tanh_sinh(f, 0.0, t / 2.0, rel_tol=rel_tol)
-    right, _ = tanh_sinh(f, t / 2.0, t, rel_tol=rel_tol)
-    return left + right
+    """Int_0^t f(u) du split at t/2: the convolutions here carry an integrable singularity at
+    each end (u**(ab-1) from n' at 0, the kernel's at t).  The halves are the two rows of one
+    tanh-sinh run over s in (0, t/2), u = s and u = t - s, so ``f`` gets the nodes of both in
+    one array per integrand call; nodes where t - s rounds onto t are left out."""
+
+    def halves(s, rows):
+        u = np.where(rows[:, None] == 0, s, t - s)
+        inside = u < t
+        out = np.zeros(u.shape)
+        out[inside] = f(u[inside])
+        return out
+
+    parts, _ = _integrate_rows(halves, 0.0, t / 2.0, 2, rel_tol, 0.0, _MAX_LEVEL)
+    return float(parts[0] + parts[1])
 
 
 def _caputo_convolution(spec: ModelSpec, t: float) -> float:

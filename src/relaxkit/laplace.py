@@ -7,10 +7,11 @@ carried structurally as ``singular_weight`` (a constant term of the image)
 and are never folded into a pointwise inversion value.
 
 All operations are pure and take whole arrays where the Efros composition
-needs them: it evaluates h and its kernel once per tanh-sinh level, the Levy
-kernel runs all its points as rows of one quadrature, and the subordination
-pdf samples the exponent once per call and sums the contour nodes in
-ascending order.
+needs them: its lower and upper halves are the two rows of one tanh-sinh run,
+so it evaluates h and its kernel once for levels 0-3 and once per further
+level, both halves together; the Levy kernel runs all its points as rows of
+one quadrature, and the subordination pdf samples the exponent once per call
+and sums the contour nodes in ascending order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import inversion
 from .exceptions import ContourOverflow, DomainError, InversionDisagreement, QuadratureFailure
-from .quadrature import array_fn, tanh_sinh
+from .quadrature import _MAX_LEVEL, _integrate_rows, array_fn, tanh_sinh
 from .specfun import _levy_series, levy_stable_density
 
 __all__ = [
@@ -159,12 +160,15 @@ def efros_compose(
 ) -> float:
     """Subordination-type composition Int_0^inf h(xi) kernel_f(xi, t) dxi.
 
-    The kernel is probed on a wide log grid to locate its mass concentration
-    point; the integral is then split there, with the substitution
-    xi -> 1/v handling the upper half-line.  The kernel must be nonnegative
-    and h bounded on its effective support.  ``h`` and ``kernel_f`` get 1-D
-    arrays of xi, once for the probe and once per tanh-sinh level; a
-    float-only one is evaluated point by point (``quadrature.array_fn``).
+    The kernel is probed on a wide log grid; the integral is split at the
+    probe's peak of ``u kernel_f(u, t)``, the kernel's mass per unit of log u.
+    Both halves are on s in (0, 1), the lower one through u = c s and the
+    upper one through u = c / s, as the two rows of one tanh-sinh run
+    (``quadrature._integrate_rows``).  The kernel must be nonnegative and h
+    bounded on its effective support.  ``h`` and ``kernel_f`` get 1-D arrays
+    of xi, once for the probe and then once per integrand call of the run,
+    each holding the nodes of both halves still running; a float-only one is
+    evaluated point by point (``quadrature.array_fn``).
     """
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
@@ -173,22 +177,20 @@ def efros_compose(
 
     probe = np.array([10.0 ** (-6.0 + 12.0 * i / 60.0) for i in range(61)])
     mass = kernel(probe)
-    best = int(np.argmax(np.where(np.isnan(mass), -np.inf, mass)))
+    best = int(np.argmax(np.where(np.isnan(mass), -np.inf, probe * mass)))
     if not (mass[best] > 0.0):
         raise QuadratureFailure("kernel probe found no positive mass")
-    best_u = float(probe[best])
+    c = float(probe[best])
 
-    def integrand(u):
-        return h_arr(u) * kernel(u)
+    def halves(s, rows):
+        # row 0: c g(c s); row 1: g(u) du/ds = c g(c/s) / s**2 = g(u) u / s
+        lower = rows[:, None] == 0
+        u = np.where(lower, c * s, c / s).ravel()
+        g = (h_arr(u) * kernel(u)).reshape(rows.size, s.size)
+        return g * np.where(lower, c, u.reshape(g.shape) / s)
 
-    lower, _ = tanh_sinh(integrand, 0.0, best_u, rel_tol=rel_tol)
-
-    def transformed(v):
-        u = 1.0 / v
-        return integrand(u) * u * u
-
-    upper, _ = tanh_sinh(transformed, 0.0, 1.0 / best_u, rel_tol=rel_tol)
-    value = lower + upper
+    parts, _ = _integrate_rows(halves, 0.0, 1.0, 2, rel_tol, 0.0, _MAX_LEVEL)
+    value = float(parts[0] + parts[1])
     if not math.isfinite(value):
         raise QuadratureFailure("Efros composition produced a non-finite value")
     return value
@@ -210,17 +212,25 @@ def subordination_kernel(alpha: float, u, t: float):
     flat = us.ravel()
     if not (flat > 0.0).all() or t <= 0.0:
         raise DomainError("u and t must be positive")
-    with np.errstate(over="ignore"):  # t**-alpha = inf leaves every point to the density
+    with np.errstate(over="ignore"):  # an infinite t**-alpha or y leaves the point to the density
         t_alpha = np.float64(t) ** -alpha
-    value = _levy_series(alpha, flat * t_alpha) * (t_alpha / (math.pi * alpha))
+        y = flat * t_alpha
+    value = _levy_series(alpha, y) * (t_alpha / (math.pi * alpha))
     # elsewhere x Phi(x) / (alpha u) at x = t u**(-1/alpha); x underflows to 0
     # only far out in u, where the density has long since underflowed too
     rest = np.flatnonzero(np.isnan(value))
-    x = t * flat[rest] ** (-1.0 / alpha)
+    with np.errstate(over="ignore"):
+        x = t * flat[rest] ** (-1.0 / alpha)
+        # u**(-1/alpha) passes the float range at subnormal t and tiny u, x need not
+        far = np.isinf(x)
+        x[far] = np.exp(math.log(t) - np.log(flat[rest[far]]) / alpha)
     value[rest] = 0.0
     rest, x = rest[x > 0.0], x[x > 0.0]
     if rest.size:
-        value[rest] = x * levy_stable_density(alpha, x) / (alpha * flat[rest])
+        with np.errstate(over="ignore", invalid="ignore"):
+            value[rest] = x * levy_stable_density(alpha, x) / (alpha * flat[rest])
+        if not np.isfinite(value[rest]).all():
+            raise DomainError(f"the subordination kernel passes the float range at t = {t}")
     return float(value[0]) if us.ndim == 0 else value.reshape(us.shape)
 
 

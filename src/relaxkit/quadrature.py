@@ -8,13 +8,16 @@ supports) need no special treatment.  Offsets from the endpoints are computed
 in a cancellation-free form so integrands may be sampled arbitrarily close to
 a singular endpoint.
 
-Integrands get each trapezoid level's new abscissae (the left side, then
-the right side, the centre once at level 0) as one 1-D array; float-only
-callables are evaluated point by point instead (:func:`array_fn`).  The
-abscissae and their matching weights are built once per (interval, level)
-and kept in a small cache (:func:`_nodes`), so a level's sum is the row-wise
-``(values * weights).sum(axis=1)``, whose per-row summation makes a row's
-value independent of the other rows evaluated with it.
+Levels 0-3 are always summed before the first stop test, so integrands get
+the abscissae of all four in one 1-D array, then each further level's new
+ones in one array (per level: the left side, then the right side, the
+centre once at level 0); float-only callables are evaluated point by point
+instead (:func:`array_fn`).  The abscissae and their matching weights are
+built once per (interval, level) and kept in a small cache (:func:`_nodes`,
+:func:`_batch`), so a level's sum is the row-wise
+``(values * weights).sum(axis=1)`` over that level's own nodes, whose per-row
+summation makes a row's value independent of the other rows evaluated with
+it and of the levels sampled in the same call.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .exceptions import QuadratureFailure, RelaxkitError
 _HALF_PI = math.pi / 2.0
 _MAX_U = 4.2  # sinh(4.2)*pi/2 ~ 52; tanh is 1 to double precision well before
 _BLOCK = 2**14  # largest rows x abscissae block handed to a row integrand
+_FIRST_TEST = 3  # the first level whose estimate meets the stop test
+_MAX_LEVEL = 12
 _LEVELS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -82,6 +87,30 @@ def _nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray, np.n
     return nodes
 
 
+def _batches(max_level: int) -> list[tuple[int, int]]:
+    """(first, last) levels of each integrand call of a run capped at ``max_level``.
+
+    Levels up to the first stop test share one call, every later level has its own.
+    """
+    first = min(_FIRST_TEST, max_level)
+    return [(0, first)] + [(k, k) for k in range(first + 1, max_level + 1)]
+
+
+@functools.lru_cache(maxsize=64)
+def _batch(a: float, b: float, first: int, last: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """(abscissae, weights per level, endpoint distances) of levels first..last on (a, b).
+
+    The levels' :func:`_nodes` one after the other: the nodes of one integrand
+    call, whose level sums each take their own slice.  Read-only, like theirs.
+    """
+    parts = [_nodes(a, b, k) for k in range(first, last + 1)]
+    if len(parts) == 1:
+        return parts[0][0], (parts[0][1],), parts[0][2]
+    x, dist = (np.concatenate([p[i] for p in parts]) for i in (0, 2))
+    x.flags.writeable = dist.flags.writeable = False
+    return x, tuple(p[1] for p in parts), dist
+
+
 def array_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """``f`` as a callable on 1-D arrays, deciding at its first call.
 
@@ -115,9 +144,10 @@ def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol:
 
     ``f(x, rows)`` returns the integrands with indices ``rows`` at the
     abscissae ``x``, shape ``(len(rows), len(x))`` (or ``len(x)`` for one
-    row), called on row blocks of at most ``_BLOCK`` values.  Each row stops
-    at the first level >= 3 that meets the :func:`tanh_sinh` rule and drops
-    out of later levels.
+    row), called on row blocks of at most ``_BLOCK`` values: once for levels
+    0-3 together, then once per level (:func:`_batches`).  Each row stops at
+    the first level >= 3 that meets the :func:`tanh_sinh` rule and drops out
+    of later levels.
     """
     if not (b > a):
         raise QuadratureFailure(f"empty or inverted interval ({a}, {b})")
@@ -125,21 +155,25 @@ def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol:
     estimate = np.zeros(n_rows)
     err = np.full(n_rows, math.inf)
     active = np.arange(n_rows)
-    h = 2.0
-    for level in range(max_level + 1):
-        h *= 0.5
-        x, w, _ = _nodes(a, b, level)
-        new = np.empty(active.size)
+    for first, last in _batches(max_level):
+        x, weights, _ = _batch(a, b, first, last)
+        sums = np.empty((len(weights), active.size))
         step = max(1, _BLOCK // max(x.size, 1))
         for start in range(0, active.size, step):
             rows = active[start:start + step]
-            new[start:start + step] = (np.reshape(f(x, rows), (rows.size, x.size)) * w).sum(axis=1)
-        if not np.isfinite(new).all():  # a non-finite value anywhere reaches its row's sum
-            raise QuadratureFailure("integrand returned a non-finite value")
-        prev = estimate[active]
-        estimate[active] = 0.5 * prev + new * h * half if level else new * h * half
-        err[active] = np.abs(estimate[active] - prev) if level else math.inf
-        if level >= 3:
+            values = np.reshape(f(x, rows), (rows.size, x.size))
+            edge = 0
+            for new, w in zip(sums, weights):
+                new[start:start + step] = (values[:, edge:edge + w.size] * w).sum(axis=1)
+                edge += w.size
+        for level, new in enumerate(sums, first):
+            if not np.isfinite(new).all():  # a non-finite value anywhere reaches its row's sum
+                raise QuadratureFailure("integrand returned a non-finite value")
+            h = 2.0**-level
+            prev = estimate[active]
+            estimate[active] = 0.5 * prev + new * h * half if level else new * h * half
+            err[active] = np.abs(estimate[active] - prev) if level else math.inf
+        if last >= _FIRST_TEST:
             active = active[err[active] > np.maximum(rel_tol * np.abs(estimate[active]), abs_tol)]
             if not active.size:
                 return estimate, err
@@ -158,13 +192,14 @@ def tanh_sinh(
     b: float,
     rel_tol: float = 1e-10,
     abs_tol: float = 0.0,
-    max_level: int = 12,
+    max_level: int = _MAX_LEVEL,
 ) -> tuple[float, float]:
     """Integrate ``f`` over the finite interval (a, b).
 
-    Returns ``(value, error_estimate)``.  ``f`` is called once per level with
-    that level's new abscissae as a 1-D array; a float-only ``f`` is
-    evaluated point by point instead (see :func:`array_fn`).  The integrand is
+    Returns ``(value, error_estimate)``.  ``f`` is called with 1-D arrays of
+    abscissae: once with those of levels 0-3, then once per further level with
+    that level's new ones; a float-only ``f`` is evaluated point by point
+    instead (see :func:`array_fn`).  The integrand is
     never evaluated at the endpoints; integrable endpoint singularities are
     fine.  Raises :class:`QuadratureFailure` when the level cap is reached
     without the successive-refinement estimate meeting

@@ -49,7 +49,7 @@ import numpy as np
 
 from .exceptions import ContourOverflow, DomainError, NonConvergent, StrategyDisagreement
 from .inversion import talbot_contour
-from .quadrature import _BLOCK, _integrate_rows, _nodes
+from .quadrature import _BLOCK, _batch, _batches, _integrate_rows
 
 __all__ = [
     "PrabhakarParams",
@@ -252,6 +252,8 @@ def hyper_pfq(
                     f"denominator parameter {d} hits a nonpositive integer at term {r + 1}"
                 )
             ratio_den *= d + r
+        if ratio_den == 0.0:
+            raise DomainError(f"pFq denominator product underflows to 0 at term {r + 1}")
         term *= x * ratio_num / ratio_den
         total += term
         if abs(term) > 1e200:
@@ -692,17 +694,21 @@ def _levy_series(alpha: float, y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _levy_angles(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log a(theta), a(theta) - a(0+)) on the tanh-sinh level of (0, pi) that has ``n`` nodes.
+def _levy_angles(alpha: float, first: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log a(theta), a(theta) - a(0+)) on the integrand call of (0, pi) that starts at ``first``.
 
-    Every level of (0, pi) has its own node count, so (alpha, n) keys one
-    level.  sin(theta) is taken as the sine of the node's distance from the
-    nearer endpoint, which keeps its relative accuracy next to pi.  Where
-    a > e**690 the factor exp(-scale * a) has long since underflowed: log a
-    is -inf there and a is capped at e**690, so the integrand is 0.
+    The theta quadrature's integrand calls (``quadrature._batches``) each
+    start at their own node, the centre for levels 0-3 and the first left node
+    for a later level, so (alpha, first) keys one call; node counts do not
+    tell them apart.  sin(theta) is taken as the sine of the node's distance
+    from the nearer endpoint, which keeps its relative accuracy next to pi.
+    Where a > e**690 the factor exp(-scale * a) has long since underflowed:
+    log a is -inf there and a is capped at e**690, so the integrand is 0.
     """
-    level = next(k for k in range(_LEVY_MAX_LEVEL + 1) if _nodes(0.0, math.pi, k)[0].size == n)
-    theta, _, dist = _nodes(0.0, math.pi, level)
+    theta, _, dist = next(
+        nodes for nodes in (_batch(0.0, math.pi, *levels) for levels in _batches(_LEVY_MAX_LEVEL))
+        if nodes[0][0] == first
+    )
     q = alpha / (1.0 - alpha)
     log_a = (
         q * np.log(np.sin(alpha * theta))
@@ -748,8 +754,8 @@ def levy_stable_density(alpha: float, x):
     with ``s a(0+) < 1e-8`` for alpha <= 0.95; ``x = inf`` gives 0.  Every other
     point takes the angular quadrature: the integrals of all such points are
     rows of one tanh-sinh run over theta.  The angle factors log a(th) and
-    a(th) - a(0+) depend on alpha and the level's abscissae only, so they are
-    computed once per (alpha, level) and cached (:func:`_levy_angles`); a
+    a(th) - a(0+) depend on alpha and the call's abscissae only, so they are
+    computed once per (alpha, integrand call) and cached (:func:`_levy_angles`); a
     point's work is ``exp(log a - s (a - a(0+)))``.  The factor
     ``exp(-s a(0+))`` joins the prefactor in log space, so the integrand does
     not underflow with the density, which keeps its relative accuracy down to
@@ -791,7 +797,7 @@ def levy_stable_density(alpha: float, x):
         row_scale = scale[body]
 
         def integrand(theta, rows):
-            log_a, shift = _levy_angles(alpha, theta.size)
+            log_a, shift = _levy_angles(alpha, float(theta[0]))
             with np.errstate(over="ignore"):
                 expo = log_a - row_scale[rows, None] * shift
             return np.where(expo > -745.0, np.exp(expo), 0.0)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -105,12 +106,34 @@ def test_efros_with_scalar_only_h_equals_array_h(a, b, t):
         return laplace.subordination_pdf(psi, xi, tt)
 
     scalar = laplace.efros_compose(lambda xi: math.exp(-xi), kernel, t, rel_tol=1e-8)
-    # the array-capable kernel is adapted on its own: one call per probe and level
+    # the array-capable kernel is adapted on its own: one probe call, one call for levels
+    # 0-3, then one per further level, each with the nodes of one or both halves on (0, 1)
     assert all(isinstance(x, np.ndarray) for x in kernel_calls)
-    assert 8 <= len(kernel_calls) <= 30
+    per_half = [quadrature._batch(0.0, 1.0, 0, 3)[0].size] + [
+        quadrature._nodes(0.0, 1.0, k)[0].size for k in range(4, len(kernel_calls) + 2)
+    ]
+    assert kernel_calls[0].size == 61
+    assert all(x.size in (n, 2 * n) for x, n in zip(kernel_calls[1:], per_half))
     array = laplace.efros_compose(lambda xi: np.exp(-xi), kernel, t, rel_tol=1e-8)
     assert scalar == pytest.approx(array, rel=1e-14, abs=0.0)
     assert array == pytest.approx(relaxation(ModelSpec("hn", a, b), t), abs=1e-9)
+
+
+@pytest.mark.parametrize("kind, parent", [("hn", "cd"), ("jws", "mcd")])
+def test_levy_parent_composition_calls_the_kernel_a_few_times(kind, parent):
+    # split at the peak of u k(u), both halves in each call: the probe, levels 0-3, and at
+    # most three further levels
+    a, b, t = 0.5, 0.5, 1.0
+    calls = []
+
+    def kernel(u, tt):
+        calls.append(u)
+        return laplace.subordination_kernel(a, u, tt)
+
+    spec = ModelSpec(parent, 1.0, b)
+    value = laplace.efros_compose(lambda u: relaxation(spec, u), kernel, t, rel_tol=1e-8)
+    assert len(calls) <= 5
+    assert value == pytest.approx(relaxation(ModelSpec(kind, a, b), t), abs=1e-9)
 
 
 def test_tanh_sinh_takes_scalar_only_and_zero_dimensional_integrands():
@@ -179,11 +202,54 @@ def test_engine_matches_the_point_by_point_rule(f, f_array, a, b, rel_tol):
 
     value, err = quadrature.tanh_sinh(counted, a, b, rel_tol=rel_tol)
     ref_value, ref_err, levels = point_by_point_tanh_sinh(f, a, b, rel_tol, 12)
-    # the same levels, one array call each; the level sums differ only in summation order
-    assert len(calls) == levels and all(np.ndim(x) == 1 for x in calls)
+    # the same levels, one array call for levels 0-3 and one for each later level; the level
+    # sums differ only in summation order
+    assert len(calls) == levels - 3 and all(np.ndim(x) == 1 for x in calls)
     assert value == pytest.approx(ref_value, rel=1e-14)
     assert abs(err - ref_err) <= 1e-14 * abs(ref_value)
     assert quadrature.tanh_sinh(f, a, b, rel_tol=rel_tol)[0] == pytest.approx(value, rel=1e-14)
+
+
+def per_level_integrate_rows(f, a, b, n_rows, rel_tol, max_level):
+    """Reference: the row engine as it ran before levels 0-3 shared one integrand call, one
+    call per level; also returns each row's last level, -1 for a row left at the cap."""
+    half = 0.5 * (b - a)
+    estimate, err = np.zeros(n_rows), np.full(n_rows, math.inf)
+    last = np.full(n_rows, -1)
+    active = np.arange(n_rows)
+    for level in range(max_level + 1):
+        h = 2.0**-level
+        x, w, _ = quadrature._nodes(a, b, level)
+        new = (np.reshape(f(x, active), (active.size, x.size)) * w).sum(axis=1)
+        prev = estimate[active]
+        estimate[active] = 0.5 * prev + new * h * half if level else new * h * half
+        err[active] = np.abs(estimate[active] - prev) if level else math.inf
+        if level >= 3:
+            done = err[active] <= rel_tol * np.abs(estimate[active])
+            last[active[done]] = level
+            active = active[~done]
+            if not active.size:
+                break
+    return estimate, err, last
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, math.pi), (-1.0, 4.0)])
+def test_levels_0_to_3_in_one_call_leave_every_sum_unchanged(a, b):
+    # rows built from correctly rounded operations only, so a value does not depend on the
+    # array it is computed in: a constant, a quadratic, an endpoint singularity, and peaks
+    # at the left end, the narrowest of which is still short of tolerance at the cap
+    widths = [1.0, 1e-1, 1e-2, 1e-3, 1e-4]
+
+    def rows_fn(x, rows):
+        y = (x - a) / (b - a)
+        shapes = [np.ones_like(y), 1.0 + y * y, 1.0 / np.sqrt(y)]
+        return np.array([shapes[r] if r < 3 else 1.0 / (widths[r - 3] + y * y) for r in rows])
+
+    n_rows, max_level = 3 + len(widths), 5
+    ref_value, ref_err, last = per_level_integrate_rows(rows_fn, a, b, n_rows, 1e-12, max_level)
+    assert 3 in last and ((last > 3) & (last < max_level)).any() and -1 in last
+    value, err = quadrature._integrate_rows(rows_fn, a, b, n_rows, 1e-12, 0.0, max_level)
+    assert value.tolist() == ref_value.tolist() and err.tolist() == ref_err.tolist()
 
 
 def test_rows_stop_at_their_own_levels():
@@ -369,6 +435,23 @@ def test_subordination_kernel_keeps_its_small_u_limit(alpha, u, t):
 def test_subordination_kernel_takes_a_t_whose_power_overflows():
     # t**-alpha passes the float range; at u = 1 the density's argument 1e-320 gives 0
     assert laplace.subordination_kernel(0.99, np.array([1.0, 10.0]), 1e-320).tolist() == [0.0, 0.0]
+
+
+def test_subordination_kernel_at_subnormal_t_and_tiny_u():
+    # u**(-1/alpha) passes the float range, x = t u**(-1/alpha) does not; where the kernel
+    # itself passes the float range (about 1e316 here) it raises, never warning or giving NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            laplace.subordination_kernel(0.99, 1e-320, 1e-320)
+        u, t = 1e-160, 1e-322
+        value = laplace.subordination_kernel(0.5, u, t)
+    # at alpha = 1/2 the density is x**-1.5 exp(-1/(4x)) / (2 sqrt(pi)); x is about 0.01
+    with mp.workdps(30):
+        u_, t_ = mp.mpf(u), mp.mpf(t)
+        x = t_ / u_**2
+        expected = t_ * x**-1.5 * mp.exp(-1 / (4 * x)) / (2 * mp.sqrt(mp.pi)) / (u_**3 / 2)
+    assert value == pytest.approx(float(expected), rel=1e-11)
 
 
 def test_levy_density_keeps_its_accuracy_where_it_is_subnormal():

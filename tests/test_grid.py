@@ -5,7 +5,7 @@ import contextlib
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relaxkit import specfun
@@ -89,6 +89,7 @@ def assert_numbers_equal_grid_elements(fn, points):
     nu=st.floats(-2.0, 3.0) | st.floats(20.0, 60.0),
     log_x=st.floats(-3.0, 3.5),
 )
+@example(kind="hypergeometric-reduction", alpha=0.25, mu=5e-324, nu=1.0, log_x=0.0)
 def test_a_number_equals_its_grid_element_on_every_route(kind, alpha, mu, nu, log_x):
     # a number is a 1-element grid: every strategy, mu < 0 and nu < 0 included
     strategy = EvalStrategy(kind=kind)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from relaxkit import quadrature
 from relaxkit.exceptions import DomainError
 from relaxkit.kernels import (
     KernelConfig,
@@ -205,6 +206,16 @@ def test_evolution_residual_hn():
 def test_evolution_residual_jws():
     cfg = KernelConfig(ModelSpec("jws", alpha=0.5, beta=0.5))
     assert evolution_residual(cfg, np.linspace(0.1, 5.0, 8)) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ["hn", "jws"])
+def test_evolution_residual_leaves_out_nodes_that_round_onto_t(kind):
+    # the upper half of each convolution samples u = t - s; the kernel is singular at u = t,
+    # where the nodes closest to s = 0 round
+    t = 1.3
+    assert any((t - quadrature._nodes(0.0, t / 2.0, k)[0] == t).any() for k in range(4))
+    residual = evolution_residual(KernelConfig(ModelSpec(kind, alpha=0.5, beta=0.5)), [t])
+    assert math.isfinite(residual) and residual < 1e-4
 
 
 def test_evolution_residual_cc_reduces_to_caputo():
