@@ -24,8 +24,12 @@ alpha`` coupling, and a sigmoid at its floor has slope 0.
 
 Accepted steps never increase the residual norm, and a trial step whose
 residuals raise a ``RelaxkitError`` counts as rejected.  The loop converges
-on gradient max-norm < 1e-12 or step norm < 1e-12 relative; after 200
-iterations, or when no damping lowers the cost, it returns with
+on gradient max-norm < 1e-12, on step norm < 1e-12 relative, or at the
+rounding floor: when the undamped Gauss-Newton decrease ``g . A**-1 g``
+(``g = J.T r``, ``A = J.T J``) is at most 1e-13 of the cost, so that no step
+can lower the cost by more than rounding.  That test does not depend on the
+damping, so a fit whose every trial step raises still ends unconverged.
+After 200 iterations, or when no damping lowers the cost, it returns with
 ``converged=False``.  The gradient bound sits below the rounding floor of
 ``aicc_score``, so a noise-free fit of the generating kind reaches the floor
 and ties with the wider kinds that contain it (at 1e-10 a cd(0.4) spectrum
@@ -75,6 +79,11 @@ TIME_KINDS = KINDS
 _MAX_ITER = 200
 _GRAD_TOL = 1e-12
 _STEP_TOL = 1e-12
+# the rounding floor: a Gauss-Newton decrease at most this fraction of the cost
+_FLOOR_TOL = 1e-13
+# ridge of the floor test's solve, relative to the damping diagonal: it only
+# keeps flat directions from making the normal matrix singular
+_FLOOR_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -465,8 +474,12 @@ def fit(
     the model with fewer free parameters, then lexical kind order).  Frequency
     datasets jointly optimize (alpha, beta, log tau, eps_inf, log delta_eps)
     with real and imaginary residuals stacked and equally weighted; time
-    datasets optimize (alpha, beta, log tau).  Non-convergence is not an
-    exception: the best parameters so far come back with ``converged=False``.
+    datasets optimize (alpha, beta, log tau).  ``converged=True`` means the
+    fit stopped on the gradient, step-size or rounding-floor test (the
+    undamped Gauss-Newton decrease at most 1e-13 of the cost: no step can
+    lower it by more than rounding).  Non-convergence is not an exception:
+    out of iterations, or with every damped trial step failing, the best
+    parameters so far come back with ``converged=False``.
     """
     if len(dataset) < 5:
         raise DomainError("need at least 5 data points to fit")
@@ -481,12 +494,26 @@ def fit(
 
 
 def _levenberg_marquardt(problem: _Problem) -> FitResult:
+    """Damped Gauss-Newton (Levenberg-Marquardt) from ``problem.u0``.
+
+    Each iteration forms ``g = J.T r`` and ``A = J.T J`` once.  It ends the fit
+    converged when max |g| < ``_GRAD_TOL`` or when the Gauss-Newton decrease
+    ``g . solve(A + _FLOOR_RIDGE D, g)`` (``D`` the damping diagonal) is at
+    most ``_FLOOR_TOL`` of the cost: the rounding floor, where no step can
+    lower the cost by more than rounding.  Otherwise it tries damped steps,
+    raising lambda tenfold per rejected trial, until one does not raise the
+    cost; an accepted step below ``_STEP_TOL`` of ``|u|`` also converges.  A
+    fit out of iterations, or whose trials all fail up to lambda = 1e14, ends
+    with ``converged=False`` at its best point.  The last Jacobian is reused
+    for the standard errors when ``u`` has not moved since it was formed.
+    """
     u = problem.u0.copy()
     r = problem.residuals(u)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     iterations = 0
+    J = None  # the Jacobian at u, while u has not moved since it was formed
     for iterations in range(1, _MAX_ITER + 1):
         J = _jacobian(problem, u)
         g = J.T @ r
@@ -495,6 +522,13 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
             break
         A = J.T @ J
         diag = np.diag(np.maximum(np.diag(A), 1e-12))
+        try:
+            gauss_newton = float(g @ np.linalg.solve(A + _FLOOR_RIDGE * diag, g))
+        except np.linalg.LinAlgError:
+            raise DegenerateJacobian("normal equations are singular") from None
+        if gauss_newton <= _FLOOR_TOL * cost:
+            converged = True
+            break
         step_taken = False
         for _ in range(60):
             try:
@@ -511,6 +545,7 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
                 u, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-14)
                 step_taken = True
+                J = None
                 break
             lam *= 10.0
             if lam > 1e14:
@@ -522,7 +557,7 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
             break
 
     spec, scale = problem.unpack(u)
-    stderr = _stderr(problem, u, r)
+    stderr = _stderr(problem, u, r, J)
     return FitResult(
         spec=spec,
         scale=scale,
@@ -533,11 +568,15 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
     )
 
 
-def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray) -> dict:
-    """Gauss-Newton covariance proxy mapped to the physical parameters."""
+def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray, J: Optional[np.ndarray]) -> dict:
+    """Gauss-Newton covariance proxy mapped to the physical parameters.
+
+    ``J`` is the Jacobian at ``u`` when the caller has it; if None it is formed here.
+    """
     m, p = r.size, u.size
     try:
-        J = _jacobian(problem, u)
+        if J is None:
+            J = _jacobian(problem, u)
         A = J.T @ J
         dof = max(m - p, 1)
         sigma2 = float(r @ r) / dof

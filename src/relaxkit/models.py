@@ -339,8 +339,9 @@ def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
 
     ``omega`` is a number (the result is a pair of floats) or an array (the
     result is a pair of arrays of its shape).  HN and JWS go through the
-    explicit trigonometric split (amplitude ``[1 + 2 w**alpha cos(pi alpha/2)
-    + w**2 alpha]**(beta/2)`` and the branch-resolved angle of :func:`theta`);
+    explicit trigonometric split (amplitude ``|1 + (i w)**alpha|**beta``, formed
+    with ``hypot`` so that it stays finite up to w = 1e308, and the
+    branch-resolved angle of :func:`theta`);
     the other kinds use eps* = eps_inf + strength * phi_hat.  The two routes
     agree to rounding and the equality is pinned by tests.
     """
@@ -354,7 +355,8 @@ def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
         w = np.where(zero, 1.0, w)
         sin_h, cos_h = math.sin(math.pi * a / 2.0), math.cos(math.pi * a / 2.0)
         wa = w**a
-        denom = (1.0 + 2.0 * wa * cos_h + w ** (2.0 * a)) ** (b / 2.0)
+        # |1 + (i w)**a|**b; hypot keeps it finite where w**(2a) would overflow
+        denom = np.hypot(1.0 + wa * cos_h, wa * sin_h) ** b
         if spec.kind == "hn":
             ang = b * np.arctan2(sin_h, w**-a + cos_h)
             eps_re = scale.eps_inf + scale.strength * np.cos(ang) / denom

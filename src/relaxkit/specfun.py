@@ -570,11 +570,15 @@ def prabhakar_rational(
     """E[l/k, mu; nu](-x) as a finite sum of k generalized hypergeometric terms.
 
     The j-th summand is
-    ``(nu)_j (-x)**j / (j! Gamma(mu + j l/k)) * (1+k)F(l+k)(1, D(k, nu+j);
-    D(k, 1+j), D(l, mu + j l/k); (-1)**k x**k / l**l)`` with ``D(n, a)`` the
-    list ``a/n, ..., (a+n-1)/n``.  This is a cross-validation path, not the
-    default: like the power series its accuracy degrades as exp(x**(k/l)), so
-    arguments beyond the convergence safeguard are rejected.
+    ``(nu)_j (-x)**j / (j! Gamma(c)) * (1+k)F(l+k)(1, D(k, nu+j);
+    D(k, 1+j), D(l, c); (-1)**k x**k / l**l)`` with ``c = mu + j l/k`` and
+    ``D(n, a)`` the list ``a/n, ..., (a+n-1)/n``.  Its ``1/Gamma(c)`` is folded
+    into the terms: by Gauss's multiplication formula ``Gamma(c) prod_i
+    ((c+i)/l)_r = Gamma(c + l r) / l**(l r)``, so term r carries
+    ``1/Gamma(c + l r)``, which stays finite where ``Gamma(c)`` has a pole
+    (mu <= 0).  This is a cross-validation path, not the default: like the
+    power series its accuracy degrades as exp(x**(k/l)), so arguments beyond
+    the convergence safeguard are rejected.
     """
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
@@ -584,16 +588,41 @@ def prabhakar_rational(
             f"x={x} lies outside the hypergeometric reduction's convergence safeguard "
             f"(x**(k/l) = {x ** (k / l):.3g} > {_SERIES_MAX_U})"
         )
-    arg = (-1.0) ** k * x**k / float(l) ** l
+    arg = (-1.0) ** k * x**k  # the l**l of the pFq argument cancels against Gauss's l**(l r)
     total = 0.0
     rgamma = _special().rgamma
     for j in range(k):
-        coeff = pochhammer(nu, j) * (-x) ** j / math.factorial(j) * float(rgamma(mu + l * j / k))
+        coeff = pochhammer(nu, j) * (-x) ** j / math.factorial(j)
         if coeff == 0.0:
             continue
-        nums = [1.0] + _delta_list(k, nu + j)
-        dens = _delta_list(k, 1.0 + j) + _delta_list(l, mu + l * j / k)
-        total += coeff * hyper_pfq(nums, dens, arg, strategy)
+        c = mu + l * j / k
+        nums, dens = _delta_list(k, nu + j), _delta_list(k, 1.0 + j)
+        # term r: coeff * prod (nums)_r / prod (dens)_r * arg**r / Gamma(c + l r)
+        weight, part, small = coeff, 0.0, 0
+        for r in range(strategy.series_max_terms):
+            term = weight * float(rgamma(c + l * r))
+            part += term
+            if abs(term) > 1e200:
+                raise NonConvergent(f"rational-order terms grew past safeguard at r={r}")
+            # terms at the poles of Gamma are 0 and do not count towards the stop
+            if c + l * r > 0.0 and abs(term) < strategy.rel_tolerance * max(abs(part), _TINY):
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+            for a in nums:
+                weight *= a + r
+            for d in dens:
+                weight /= d + r
+            weight *= arg
+            if weight == 0.0:
+                break  # a numerator parameter (or x = 0) terminated the series
+        else:
+            raise NonConvergent(
+                f"rational-order sum did not converge within {strategy.series_max_terms} terms"
+            )
+        total += part
     return total
 
 

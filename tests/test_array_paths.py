@@ -477,9 +477,11 @@ def test_levy_density_does_not_depend_on_earlier_calls():
     for cached in (specfun._levy_angles, specfun._levy_series_table, quadrature._nodes):
         info = cached.cache_info()
         assert info.currsize <= info.maxsize == 64
-    # the angle factors are keyed by node count, which tells the levels of (0, pi) apart
-    sizes = [quadrature._nodes(0.0, math.pi, k)[0].size for k in range(12)]
-    assert len(set(sizes)) == len(sizes)
+    # the angle factors are keyed by the first node of an integrand call of (0, pi),
+    # which tells its calls apart
+    firsts = [quadrature._batch(0.0, math.pi, *levels)[0][0]
+              for levels in quadrature._batches(specfun._LEVY_MAX_LEVEL)]
+    assert len(set(firsts)) == len(firsts)
 
 
 def test_node_distances_are_the_offsets_from_the_nearer_endpoint():

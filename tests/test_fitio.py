@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relaxkit import fitio
 from relaxkit.exceptions import DomainError, EmptyDataset, ParseError, StrategyDisagreement
 from relaxkit.fitio import (
     SpectrumDataset,
@@ -21,7 +22,7 @@ from relaxkit.fitio import (
     parse_csv,
     synthesize,
 )
-from relaxkit.models import KINDS, ModelSpec, PermittivityScale
+from relaxkit.models import KINDS, ModelSpec, PermittivityScale, permittivity, relaxation
 
 SCALE = PermittivityScale(5.0, 2.0)
 GRID = np.logspace(-3, 3, 40)
@@ -427,3 +428,89 @@ def test_compare_rejects_unknown_kinds():
     ds = synthesize(ModelSpec("debye"), SCALE, GRID, 0.0, seed=0)
     with pytest.raises(DomainError):
         compare(ds, ("debye", "havriliak"))
+
+
+# ---------------------------------------------------------------------------
+# stop rules
+# ---------------------------------------------------------------------------
+
+
+def test_a_fit_whose_every_trial_raises_ends_unconverged(monkeypatch):
+    # lambda grows tenfold per rejected trial, so any stop on the damped
+    # predicted decrease would call this fit converged; the floor test does not
+    ds = synthesize(ModelSpec("hn", alpha=0.6, beta=0.5), SCALE, GRID, 0.01, seed=2)
+    original = _Problem.residuals
+    calls = []
+
+    def residuals(self, u):
+        calls.append(u)
+        if len(calls) > 1:  # every call after the starting point is a trial
+            raise StrategyDisagreement("trial step outside the evaluator's reach")
+        return original(self, u)
+
+    monkeypatch.setattr(_Problem, "residuals", residuals)
+    res = fit(ds, "hn")
+    assert not res.converged and res.iterations == 1 and len(calls) > 10
+
+
+def _record_evaluations(monkeypatch):
+    """Log 'J' per Jacobian and 'r' per residual evaluation, and the last Jacobian's point."""
+    events, points = [], []
+    residuals, jacobian = _Problem.residuals, fitio._jacobian
+
+    def counted_residuals(self, u):
+        events.append("r")
+        return residuals(self, u)
+
+    def counted_jacobian(problem, u):
+        events.append("J")
+        points.append(u.copy())
+        return jacobian(problem, u)
+
+    monkeypatch.setattr(_Problem, "residuals", counted_residuals)
+    monkeypatch.setattr(fitio, "_jacobian", counted_jacobian)
+    return events, points
+
+
+def _generating_residual(ds, spec):
+    if isinstance(ds, SpectrumDataset):
+        re, im = permittivity(spec, SCALE, ds.omega)
+        r = np.concatenate([re - ds.eps_re, im - ds.eps_im])
+    else:
+        r = relaxation(spec, ds.t) - ds.n
+    return float(np.sqrt(r @ r))
+
+
+# 1 %-noise fits at the rounding floor: without the floor test the loop evaluated
+# 14, 12 and 14 trials in its last iteration before lambda or the step size stopped it
+FLOOR_FITS = [
+    ("hn", "time", 0.55, 0.7, 0),
+    ("hn", "frequency", 0.6, 0.4, 0),
+    ("jws", "frequency", 0.7, 0.5, 1),
+]
+
+
+@pytest.mark.parametrize("kind,domain,alpha,beta,seed", FLOOR_FITS)
+def test_a_fit_at_the_rounding_floor_stops_within_a_few_trials(monkeypatch, kind, domain, alpha, beta, seed):
+    spec = ModelSpec(kind, alpha=alpha, beta=beta)
+    ds = synthesize(spec, SCALE if domain == "frequency" else None, GRID, 0.01, seed=seed, domain=domain)
+    events, _ = _record_evaluations(monkeypatch)
+    res = fit(ds, kind)
+    # the last iteration's trials run from its Jacobian to the next one (or to the end)
+    starts = [i for i, e in enumerate(events) if e == "J"] + [len(events)]
+    assert starts[res.iterations] - starts[res.iterations - 1] - 1 <= 4
+    assert res.converged
+    assert res.residual_norm <= _generating_residual(ds, spec) * (1.0 + 1e-9)
+
+
+def test_a_fit_that_ends_by_the_floor_test_forms_one_jacobian_per_iteration(monkeypatch):
+    ds = synthesize(ModelSpec("hn", alpha=0.55, beta=0.7), None, GRID, 0.01, seed=0, domain="time")
+    events, points = _record_evaluations(monkeypatch)
+    res = fit(ds, "hn")
+    jacobians = events.count("J")
+    # the loop ended right after forming a Jacobian, with the gradient above its bound
+    assert res.converged and events[-1] == "J"
+    problem = _Problem(ds, "hn", False, None, None)
+    g = fitio._jacobian(problem, points[-1]).T @ problem.residuals(points[-1])
+    assert np.max(np.abs(g)) >= fitio._GRAD_TOL
+    assert jacobians == res.iterations

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,23 @@ def test_permittivity_routes_agree():
             eps = SCALE.eps_inf + SCALE.strength * spectral(spec, float(w))
             assert re == pytest.approx(eps.real, abs=1e-12 * SCALE.eps_static)
             assert im == pytest.approx(-eps.imag, abs=1e-12 * SCALE.eps_static)
+
+
+@pytest.mark.parametrize("kind", ["hn", "jws"])
+@pytest.mark.parametrize("alpha", [0.6, 0.9])
+@pytest.mark.parametrize("w_tau", [1e170, 1e200, 1e300])
+def test_hn_jws_permittivity_reaches_its_high_frequency_limit(kind, alpha, w_tau):
+    # w**(2 alpha) passes the float range here; the amplitude must not.  Beyond
+    # the loss peak eps* - eps_inf is strength (i w)**(-alpha beta) (HN) or
+    # strength beta (i w)**-alpha (JWS) to first order
+    beta, scale = 0.5, PermittivityScale(5.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        re, im = permittivity(ModelSpec(kind, alpha=alpha, beta=beta, tau=w_tau), scale, 1.0)
+    power, weight = (alpha * beta, 1.0) if kind == "hn" else (alpha, beta)
+    assert re == pytest.approx(scale.eps_inf, rel=0.0, abs=1e-15)
+    expected = scale.strength * weight * w_tau**-power * math.sin(math.pi * power / 2.0)
+    assert im == pytest.approx(expected, rel=1e-12)
 
 
 SPECTRAL_SPECS = (ModelSpec("debye"), ModelSpec("cc", alpha=0.7), ModelSpec("cd", beta=0.4),

@@ -212,6 +212,22 @@ def test_rational_convergence_safeguard():
         prabhakar_rational(RationalOrder(1, 2), 1.0, 1.0, 50.0)
 
 
+@pytest.mark.parametrize("alpha", [1 / 4, 1 / 3, 1 / 2, 3 / 5, 3 / 4])
+def test_rational_reduction_matches_mpmath_at_the_poles_of_gamma(alpha):
+    # for mu <= 0, 1/Gamma(mu + j l/k) vanishes where the summand's pFq has a pole
+    # in step; folded into the terms, their product stays finite, as it must
+    x = [0.1, 1.0]
+    for mu in (-1.5, -1.0, -0.5, 0.0, 5e-324, 0.5, 1.0, 1.75):
+        for nu in (0.5, 1.0, 2.0):
+            exact = np.array([float(v) for v in mp_prabhakar(alpha, mu, nu, x, 40)])
+            value = prabhakar_eval(alpha, mu, nu, np.array(x), RATIONAL)
+            assert np.all(np.abs(value - exact) <= 1e-12 * np.maximum(np.abs(exact), 1.0))
+    if alpha == 1 / 4:
+        assert prabhakar_eval(alpha, 0.0, 1.0, 1.0, RATIONAL) == pytest.approx(
+            -0.06382225757900062, rel=1e-12
+        )
+
+
 # ---------------------------------------------------------------------------
 # derivative via index shift
 # ---------------------------------------------------------------------------
