@@ -17,10 +17,11 @@ valid model.
 The Jacobian is exact, one array pass per iteration: ``models._partials``
 (d phi_hat / d(alpha, beta, log tau)) at ``p = i omega tau`` for spectra,
 and for decays ``-partials / p``, the parameter derivatives of the
-relaxation image ``(1 - phi_hat) / p``, inverted on the Talbot contour of
-``kernels._invert`` (kww by its closed form).  The chain rule of the
-transforms follows: the alpha column carries the ``beta = sigmoid(u2) /
-alpha`` coupling, and a sigmoid at its floor has slope 0.
+relaxation image ``(1 - phi_hat) / p``, stacked as nodes x points x columns
+and inverted in one ``inversion.talbot_sum`` call (kww by its closed form).
+The chain rule of the transforms follows: the alpha column carries the
+``beta = sigmoid(u2) / alpha`` coupling, and a sigmoid at its floor has
+slope 0.
 
 Accepted steps never increase the residual norm, and a trial step whose
 residuals raise a ``RelaxkitError`` counts as rejected.  The loop converges
@@ -48,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import DegenerateJacobian, DomainError, EmptyDataset, ParseError, RelaxkitError
-from .kernels import _invert
+from .inversion import talbot_sum
 from .models import (
     _KINDS,
     _SPECTRAL_KINDS,
@@ -437,7 +438,7 @@ class _Problem:
             d[positive, 2] = spec.alpha * xa * n
         elif x.size:
             # n_hat = (1 - phi_hat) / p, so d n / d theta inverts -(d phi_hat / d theta) / p
-            d[positive] = _invert(lambda p: -_partials(spec, p) / p[..., None], x)
+            d[positive] = talbot_sum(lambda p: -_partials(spec, p) / p[..., None], x)
         return self.w[:, None] * d
 
 

@@ -11,8 +11,8 @@ Time-domain kernels.  With ``g(w) = (1 + w)**beta - 1`` (``models._pow1p_m1``)
 the HN family has ``M_hat(z) = 1 / (B g((z tau)**alpha))`` and the JWS family
 ``k_hat(z) = B / (g((z tau)**-alpha) z)``; cd and mcd are the alpha = 1 cases,
 and mcd k loses its point mass ``B tau / beta``.  These four kernels are
-inverted on the fixed 24-node Talbot contour (Abate & Valko 2004) as one
-array over the nodes x the points; against 34-digit mpmath they are within
+images in p = z tau handed to ``inversion.talbot_sum`` on its 24 nodes, all
+the points in one call; against 34-digit mpmath they are within
 1e-10 relative on t/tau from 1e-3 to 1e3, the constant bound
 ``memory_time_with_bound`` reports for them.  (32 and 48 nodes lose digits
 to rounding.)  The others are closed forms with bound 0: hn k and jws/mcd M
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ContourOverflow, DomainError
-from .inversion import talbot_contour
+from .exceptions import DomainError
+from .inversion import talbot_sum
 from .models import (
     ModelSpec,
     _SPECTRAL_KINDS,
@@ -67,8 +67,6 @@ __all__ = [
 ]
 
 _CONTOUR_BOUND = 1e-10  # relative error bound of the contour-inverted kernels
-# nodes x 1 columns of the 24-node contour at t = 1
-_CONTOUR_Z, _CONTOUR_W = (np.array(a)[:, None] for a in talbot_contour(24))
 
 
 @dataclass(frozen=True)
@@ -130,20 +128,6 @@ def _series_sum(*args):
     raise NotImplementedError("the kernel renewal series is gone")
 
 
-def _invert(image, x: np.ndarray) -> np.ndarray:
-    """Inverse Laplace transform of ``image(p)``, p = z tau on the nodes x points array, at the
-    times x = t/tau (a 1-D array).  A stacked image (nodes x points x columns) inverts every
-    column in the same pass; the columns become the result's last axis.  The nodes are summed
-    in ascending order (cumsum, not a pairwise sum), so a point's value does not depend on
-    the grid around it."""
-    values = image(_CONTOUR_Z / x)
-    lift = (1,) * (values.ndim - 2)
-    terms = (_CONTOUR_W.reshape((-1, 1) + lift) * values).real
-    if not np.all(np.isfinite(terms)):
-        raise ContourOverflow("non-finite kernel image on the Talbot contour")
-    return np.cumsum(terms, axis=0)[-1] * 2.0 / (5.0 * x).reshape((-1,) + lift)
-
-
 def _w_over_g_less(w, b: float):
     """``w / g(w) - 1/b`` as ``-h / (b (h + b))`` with ``h = g(w)/w - b``; at small |w|, where
     h cancels (and subtracting 1/b from w / g(w) would lose 3-5 digits of mcd k at small t),
@@ -187,7 +171,7 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str, strategy: EvalStrategy
             return x ** (a - 1.0) / (B * tau * math.gamma(a)), zero
         if _jws(spec):
             return prabhakar_eval(a, 0.0, -b, x**a, strategy) / (B * t), zero
-        value = _invert(lambda p: 1.0 / _ratio(spec, p), x) / (B * tau)
+        value = talbot_sum(lambda p: 1.0 / _ratio(spec, p), x) / (B * tau)
         return value, _CONTOUR_BOUND * abs(value)
 
     # which == "k"
@@ -205,7 +189,7 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str, strategy: EvalStrategy
     # leading term p**(a-1) / b inverts in closed form (for mcd, a = 1, it is the
     # point mass and its regular part is 0), the rest on the contour
     lead = x**-a * float(_special().rgamma(1.0 - a)) / b
-    value = B * (lead + _invert(lambda p: p ** (a - 1.0) * _w_over_g_less(p**-a, b), x))
+    value = B * (lead + talbot_sum(lambda p: p ** (a - 1.0) * _w_over_g_less(p**-a, b), x))
     return value, _CONTOUR_BOUND * abs(value)
 
 

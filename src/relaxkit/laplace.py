@@ -1,17 +1,19 @@
 """Numerical forward/inverse Laplace transforms and the Efros composition operator.
 
-Two independent inversion algorithms (fixed Talbot and Gaver-Stehfest) back
-every time-domain identity in the package; disagreement between them is a
-raised diagnostic rather than a silent average.  Point masses at t = 0 are
-carried structurally as ``singular_weight`` (a constant term of the image)
-and are never folded into a pointwise inversion value.
+``inverse_laplace`` inverts one image at one t, by fixed Talbot
+(``inversion.talbot``, a wrapper of the one contour engine
+``inversion.talbot_sum``) or by Gaver-Stehfest, the real-axis reference that
+the tests compare Talbot against; with ``cross_check`` a disagreement
+between them is a raised diagnostic rather than a silent average.  Point
+masses at t = 0 are carried structurally as ``singular_weight`` (a constant
+term of the image) and are never folded into a pointwise inversion value.
 
 All operations are pure and take whole arrays where the Efros composition
 needs them: its lower and upper halves are the two rows of one tanh-sinh run,
 so it evaluates h and its kernel once for levels 0-3 and once per further
 level, both halves together; the Levy kernel runs all its points as rows of
 one quadrature, and the subordination pdf samples the exponent once per call
-and sums the contour nodes in ascending order.
+and hands its image to ``inversion.talbot_sum``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import inversion
-from .exceptions import ContourOverflow, DomainError, InversionDisagreement, QuadratureFailure
+from .exceptions import DomainError, InversionDisagreement, QuadratureFailure
 from .quadrature import _MAX_LEVEL, _integrate_rows, array_fn, tanh_sinh
 from .specfun import _levy_series, levy_stable_density
 
@@ -95,8 +97,6 @@ def inverse_laplace(image: LaplaceImage, t: float, cfg: InversionConfig = DEFAUL
     ``cross_check_rel_tol`` relative to the larger magnitude (the classic
     smoke alarm for oscillatory or otherwise Gaver-hostile originals).
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
     if cfg.method == TALBOT:
         value = inversion.talbot(image.regular, t, nodes=cfg.nodes)
         if cfg.cross_check:
@@ -170,8 +170,8 @@ def efros_compose(
     each holding the nodes of both halves still running; a float-only one is
     evaluated point by point (``quadrature.array_fn``).
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not (0.0 < t < math.inf):
+        raise DomainError(f"t must be positive and finite, got {t}")
     h_arr = array_fn(h)
     kernel = array_fn(lambda u: kernel_f(u, t))
 
@@ -210,8 +210,8 @@ def subordination_kernel(alpha: float, u, t: float):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     us = np.asarray(u, dtype=float)
     flat = us.ravel()
-    if not (flat > 0.0).all() or t <= 0.0:
-        raise DomainError("u and t must be positive")
+    if not (flat > 0.0).all() or not (0.0 < t < math.inf):
+        raise DomainError("u and t must be positive, t finite")
     with np.errstate(over="ignore"):  # an infinite t**-alpha or y leaves the point to the density
         t_alpha = np.float64(t) ** -alpha
         y = flat * t_alpha
@@ -242,28 +242,28 @@ def subordination_pdf(
 ):
     """Leading-process density f(xi, t) for a characteristic exponent Psi_hat.
 
-    Inverts ``(Psi_hat(z)/z) exp(-xi Psi_hat(z))`` at time t on the fixed
-    Talbot contour (:func:`relaxkit.inversion.talbot_contour`); composing it
+    Inverts ``(Psi_hat(z)/z) exp(-xi Psi_hat(z))`` at time t with
+    :func:`relaxkit.inversion.talbot_sum`; composing it
     with ``exp(-xi)``-type parent relaxations reproduces the subordination
     integrals the memory formalism predicts.  ``xi`` may be a number or an
     array; the exponent is evaluated once per call, on the contour nodes.
     """
     xis = np.asarray(xi, dtype=float)
-    if not (xis > 0.0).all() or t <= 0.0:
-        raise DomainError("xi and t must be positive")
-    zk, wk = inversion.talbot_contour(int(nodes))
-    # Psi and Psi/z node by node in Python complex arithmetic, the rest as
-    # points x nodes, so that a value does not depend on how many points share
-    # the call: other numpy paths round complex products differently, and the
-    # contour sum amplifies that a thousandfold
-    z = [zj / t for zj in zk]
-    psi = [exponent(zj) for zj in z]
-    psi_z = np.array([p / zj for p, zj in zip(psi, z)])
-    w = -np.multiply.outer(xis.ravel(), np.array(psi, dtype=complex))
-    if (w.real > 690.0).any():
-        raise QuadratureFailure("subordination image overflow")
-    contrib = (np.array(wk) * (psi_z * np.exp(w))).real
-    if not np.isfinite(contrib).all():
-        raise ContourOverflow("non-finite image value on Talbot contour")
-    value = contrib.cumsum(axis=1)[:, -1] * 2.0 / (5.0 * t)  # nodes in ascending order
+    if not ((xis > 0.0) & (xis < math.inf)).all() or not (0.0 < t < math.inf):
+        raise DomainError("xi and t must be positive and finite")
+
+    def image(z):
+        # Psi and Psi/z node by node in Python complex arithmetic, the rest as
+        # nodes x points, so that a value does not depend on how many points
+        # share the call: other numpy paths round complex products differently,
+        # and the contour sum amplifies that a thousandfold
+        zs = z[:, 0].tolist()
+        psi = [exponent(zj) for zj in zs]
+        psi_z = np.array([[p / zj] for p, zj in zip(psi, zs)])
+        w = -np.multiply.outer(np.array(psi, dtype=complex), xis.ravel())
+        if (w.real > 690.0).any():
+            raise QuadratureFailure("subordination image overflow")
+        return psi_z * np.exp(w)
+
+    value = inversion.talbot_sum(image, t, int(nodes))
     return float(value[0]) if xis.ndim == 0 else value.reshape(xis.shape)

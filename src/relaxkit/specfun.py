@@ -47,8 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import ContourOverflow, DomainError, NonConvergent, StrategyDisagreement
-from .inversion import talbot_contour
+from .exceptions import DomainError, NonConvergent, StrategyDisagreement
+from .inversion import talbot_sum
 from .quadrature import _BLOCK, _batch, _batches, _integrate_rows
 
 __all__ = [
@@ -77,14 +77,10 @@ _KINDS = (AUTO, POWER_SERIES, ASYMPTOTIC_SERIES, CONTOUR_INVERSION, HYPERGEOMETR
 # about exp(u)*eps to cancellation, the asymptotic expansion gains exp(-u)
 _SERIES_MAX_U = 25.0
 _ASYM_SAFE_U = 50.0
-_CONTOUR_NODES = 24
 _TINY = 1e-300
 # terms per block of the array series and expansion: the blocks bound their
 # memory, and a point drops out after the block in which it converges
 _SERIES_ROWS, _ASYM_ROWS = 64, 16
-# the fixed Talbot contour at t = 1 as node and weight columns, with log z
-_TALBOT_Z, _TALBOT_W = (np.array(a)[:, None] for a in talbot_contour(_CONTOUR_NODES))
-_TALBOT_LOG_Z = np.log(_TALBOT_Z)
 
 
 @functools.cache
@@ -399,25 +395,26 @@ def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     z**(alpha nu - mu) / (x + z**alpha)**nu; evaluating the inversion at
     t = 1 yields E(-x).  For mu = 0 the image tends to 1 at infinity (a unit
     point mass at t = 0); the constant is subtracted so the returned value is
-    the pointwise one.  Requires mu >= 0; the nodes x points array sums the nodes
-    in ascending order (cumsum) whatever the number of points.
+    the pointwise one.  Requires mu >= 0; the image goes to
+    ``inversion.talbot_sum`` (24 nodes) at t = 1, all the points in one call.
     """
     if mu < 0.0:
         raise NonConvergent("contour inversion restricted to mu >= 0")
-    za = _TALBOT_Z**alpha
-    # z**(alpha nu - mu) / (x + z**alpha)**nu in log space: |nu| can be
-    # large (kernel series evaluate nu = beta*r) and would overflow a
-    # direct power
-    w = nu * np.log(za / (x + za)) - mu * _TALBOT_LOG_Z
-    if np.any(w.real > 5.0):
-        # a genuine image of this family stays bounded on the contour;
-        # growth means the (large-nu, large-x) corner where the Talbot
-        # tails blow up and the inversion is meaningless
-        raise NonConvergent("image grows on the Talbot contour (nu and x too large)")
-    terms = (_TALBOT_W * (np.exp(w) - (1.0 if mu == 0.0 else 0.0))).real
-    if not np.all(np.isfinite(terms)):
-        raise ContourOverflow("non-finite image value on Talbot contour")
-    return np.cumsum(terms, axis=0)[-1] * 2.0 / 5.0
+
+    def image(z):
+        za = z**alpha
+        # z**(alpha nu - mu) / (x + z**alpha)**nu in log space: |nu| can be
+        # large (kernel series evaluate nu = beta*r) and would overflow a
+        # direct power
+        w = nu * np.log(za / (x + za)) - mu * np.log(z)
+        if np.any(w.real > 5.0):
+            # a genuine image of this family stays bounded on the contour;
+            # growth means the (large-nu, large-x) corner where the Talbot
+            # tails blow up and the inversion is meaningless
+            raise NonConvergent("image grows on the Talbot contour (nu and x too large)")
+        return np.exp(w) - (1.0 if mu == 0.0 else 0.0)
+
+    return talbot_sum(image, 1.0)
 
 
 def _check_handoff(series, contour, x, alpha, mu, nu, rel: float) -> None:

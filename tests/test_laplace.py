@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from relaxkit.exceptions import DomainError, InversionDisagreement
-from relaxkit.inversion import gaver_stehfest, stehfest_weights, talbot
+from relaxkit.exceptions import ContourOverflow, DomainError, InversionDisagreement
+from relaxkit.inversion import gaver_stehfest, stehfest_weights, talbot, talbot_sum
 from relaxkit.laplace import (
     InversionConfig,
     LaplaceImage,
@@ -16,8 +16,9 @@ from relaxkit.laplace import (
     forward_laplace,
     inverse_laplace,
     subordination_kernel,
+    subordination_pdf,
 )
-from relaxkit.models import ModelSpec, relaxation
+from relaxkit.models import ModelSpec, _partials, relaxation
 from relaxkit.quadrature import tanh_sinh
 
 TALBOT32 = InversionConfig(method="talbot", nodes=32)
@@ -211,3 +212,65 @@ def test_inversion_cores_raise_domain_error():
         gaver_stehfest(lambda s: 1.0 / s, -1.0)
     with pytest.raises(DomainError):
         stehfest_weights(7)
+
+
+def _hn_exponent(z):
+    return (1.0 + z**0.5) ** 0.5 - 1.0
+
+
+def _levy_kernel(u, t):
+    return subordination_kernel(0.5, u, t)
+
+
+# each entry point that takes one time t, plus subordination_pdf's xi, on the image 1/z, the
+# hn(0.5, 0.5) exponent or a Levy kernel
+TIME_ENTRY_POINTS = {
+    "inverse_laplace-talbot": lambda t: inverse_laplace(LaplaceImage(lambda z: 1.0 / z), t),
+    "inverse_laplace-gaver-stehfest": lambda t: inverse_laplace(LaplaceImage(lambda z: 1.0 / z), t, GS14),
+    "talbot": lambda t: talbot(lambda z: 1.0 / z, t),
+    "gaver_stehfest": lambda t: gaver_stehfest(lambda s: 1.0 / s, t),
+    "subordination_pdf": lambda t: subordination_pdf(_hn_exponent, 1.0, t),
+    "subordination_pdf-xi": lambda xi: subordination_pdf(_hn_exponent, np.array([1.0, xi]), 1.0),
+    "subordination_kernel": lambda t: subordination_kernel(0.5, 1.0, t),
+    "efros_compose": lambda t: efros_compose(lambda xi: np.exp(-xi), _levy_kernel, t),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", TIME_ENTRY_POINTS)
+def test_a_time_outside_zero_to_infinity_raises_domain_error(entry, t):
+    with pytest.raises(DomainError):
+        TIME_ENTRY_POINTS[entry](t)
+
+
+def _overflowing(z):
+    with np.errstate(over="ignore"):
+        return np.exp(1e3 * z)  # inf wherever Re z > 0.71
+
+
+@pytest.mark.parametrize(
+    "image",
+    [_overflowing, lambda z: np.stack([1.0 / (1.0 + z), _overflowing(z)], axis=-1)],
+    ids=["points", "stacked"],
+)
+def test_a_non_finite_image_raises_contour_overflow(image):
+    with pytest.raises(ContourOverflow):
+        talbot_sum(image, np.array([0.5, 1.0, 2.0]))
+
+
+def test_talbot_raises_contour_overflow_on_a_non_finite_image():
+    with pytest.raises(ContourOverflow):
+        talbot(lambda z: math.inf, 1.0)
+    with pytest.raises(ContourOverflow):
+        talbot(lambda z: complex(math.nan, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("hn", alpha=0.7, beta=0.5), ModelSpec("jws", alpha=0.6, beta=0.5)])
+def test_a_stacked_image_inverts_each_column_as_its_own_call(spec):
+    # the time-domain fit Jacobian inverts its three partials as one stacked image
+    x = np.geomspace(1e-3, 1e3, 40)
+    stacked = talbot_sum(lambda p: -_partials(spec, p) / p[..., None], x)
+    assert stacked.shape == (x.size, 3)
+    for column in range(3):
+        alone = talbot_sum(lambda p: -_partials(spec, p)[..., column] / p, x)
+        assert np.array_equal(stacked[:, column], alone)
