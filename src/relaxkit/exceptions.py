@@ -31,6 +31,9 @@ class InversionDisagreement(RelaxkitError):
             f"gaver-stehfest={stehfest_value:.9g} (rel diff {rel_diff:.3g})"
         )
 
+    def __reduce__(self):  # args holds the message, not the constructor's arguments
+        return type(self), (self.talbot_value, self.stehfest_value, self.rel_diff), vars(self)
+
 
 class ContourOverflow(RelaxkitError):
     """Image evaluation on the inversion contour overflowed or returned non-finite values."""
@@ -50,6 +53,9 @@ class ParseError(RelaxkitError):
         self.line = line
         self.reason = reason
         super().__init__(f"line {line}: {reason}")
+
+    def __reduce__(self):  # args holds the message, not the constructor's arguments
+        return type(self), (self.line, self.reason), vars(self)
 
 
 class EmptyDataset(RelaxkitError):

@@ -14,14 +14,14 @@ Residuals are evaluated per grid: one array call of ``models.permittivity``
 sigmoids are floored at 1e-12, so a saturated transform still maps to a
 valid model.
 
-The Jacobian is exact, one array pass per iteration: ``models._partials``
-(d phi_hat / d(alpha, beta, log tau)) at ``p = i omega tau`` for spectra,
-and for decays ``-partials / p``, the parameter derivatives of the
-relaxation image ``(1 - phi_hat) / p``, stacked as nodes x points x columns
-and inverted in one ``inversion.talbot_sum`` call (kww by its closed form).
-The chain rule of the transforms follows: the alpha column carries the
-``beta = sigmoid(u2) / alpha`` coupling, and a sigmoid at its floor has
-slope 0.
+The Jacobian is exact, one array pass per iteration, one column per free
+parameter: ``models._partials`` (d phi_hat / d(alpha, beta, log tau)) at
+``p = i omega tau`` for spectra, and for decays ``-partials / p``, the
+derivatives of the relaxation image ``(1 - phi_hat) / p`` on factored nodes
+p = z / x, inverted in one stacked ``inversion.talbot_sum`` call (kww, and
+Debye as kww at alpha = 1, by the closed form).  The chain rule of the
+transforms follows: the alpha column carries the ``beta = sigmoid(u2) /
+alpha`` coupling, and a sigmoid at its floor has slope 0.
 
 Accepted steps never increase the residual norm, and a trial step whose
 residuals raise a ``RelaxkitError`` counts as rejected.  The loop converges
@@ -419,10 +419,12 @@ class _Problem:
         return self.w * (relaxation(spec, self.dataset.t) - self.dataset.n)
 
     def model_partials(self, spec: ModelSpec, scale) -> np.ndarray:
-        """d residuals / d(alpha, beta, log tau[, eps_inf, log delta_eps]), one column each."""
+        """d residuals / d(alpha, beta, log tau[, eps_inf, log delta_eps]), one column per
+        free parameter, in the order of ``names``."""
+        free = (self.free_alpha, self.free_beta)
         if self.frequency:
             w = self.dataset.omega * spec.tau
-            shape = scale.strength * _partials(spec, 1j * w)
+            shape = scale.strength * _partials(spec, 1j, 1.0 / w, free)  # p = i w
             d = np.column_stack([shape, np.ones(w.size), scale.strength * _spectral(spec, w)])
             rows = np.empty((2 * w.size, d.shape[1]))
             rows[0::2] = d.real  # eps' = Re eps*, eps'' = -Im eps*
@@ -430,32 +432,32 @@ class _Problem:
             return np.repeat(self.w, 2)[:, None] * rows
         positive = self.dataset.t > 0.0  # n(0) = 1 for every parameter vector: zero rows
         x = self.dataset.t[positive] / spec.tau
-        d = np.zeros((positive.size, 3))
-        if self.kind == "kww":
+        d = np.zeros((positive.size, len(self.names)))
+        if self.kind in ("kww", "debye"):  # n = exp(-x**alpha); kww at alpha = 1 is Debye
             xa = x**spec.alpha
             n = np.exp(-xa)
-            d[positive, 0] = -xa * np.log(x) * n
-            d[positive, 2] = spec.alpha * xa * n
+            if self.free_alpha:
+                d[positive, 0] = -xa * np.log(x) * n
+            d[positive, -1] = spec.alpha * xa * n
         elif x.size:
-            # n_hat = (1 - phi_hat) / p, so d n / d theta inverts -(d phi_hat / d theta) / p
-            d[positive] = talbot_sum(lambda p: -_partials(spec, p) / p[..., None], x)
+            # n_hat = (1 - phi_hat) / p, so d n / d theta inverts -(d phi_hat / d theta) / p;
+            # the image gets p = z / x, and its first column times x[0] is the nodes z
+            d[positive] = talbot_sum(lambda p: _partials(spec, p[:, :1] * x[0], x, free, -1.0 / p), x)
         return self.w[:, None] * d
 
 
 def _jacobian(problem: _Problem, u: np.ndarray) -> np.ndarray:
     """d residuals / d u: the model's exact partials times the derivative of ``unpack``."""
     spec, scale = problem.unpack(u)
-    d = problem.model_partials(spec, scale)
-    cols = []
+    J = problem.model_partials(spec, scale)
+    beta = int(problem.free_alpha)  # the beta column, when beta is free
     if problem.free_alpha:
-        col = d[:, 0]
         if problem.free_beta and not problem.strict:
-            col = col - spec.beta / spec.alpha * d[:, 1]  # beta = sigmoid(u2) / alpha
-        cols.append(_floored_slope(u[0]) * col)
+            J[:, 0] -= spec.beta / spec.alpha * J[:, 1]  # beta = sigmoid(u2) / alpha
+        J[:, 0] *= _floored_slope(u[0])
     if problem.free_beta:
-        slope = _floored_slope(u[len(cols)])
-        cols.append((slope if problem.strict else slope / spec.alpha) * d[:, 1])
-    J = np.column_stack(cols + [d[:, 2:]])
+        slope = _floored_slope(u[beta])
+        J[:, beta] *= slope if problem.strict else slope / spec.alpha
     if not np.all(np.isfinite(J)):
         raise DegenerateJacobian("non-finite entries in the fit Jacobian")
     return J

@@ -133,8 +133,8 @@ def forward_laplace(
     ``C exp(-zT) T**p / z * (1 + p/(zT) + p(p-1)/(zT)**2 + ...)``,
     valid for any real tail exponent.
     """
-    if z <= 0.0:
-        raise DomainError(f"z must be positive, got {z}")
+    if not (0.0 < z < math.inf):
+        raise DomainError(f"z must be positive and finite, got {z}")
     T = 45.0 / z
 
     def weighted(t):

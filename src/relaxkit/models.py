@@ -311,27 +311,34 @@ def _ratio(spec: ModelSpec, p):
     return _pow1p_m1(p**spec.alpha, spec.beta)
 
 
-def _partials(spec: ModelSpec, p: np.ndarray) -> np.ndarray:
-    """d phi_hat / d(alpha, beta, log tau) at p = z tau (a complex array), stacked on a new
-    last axis.  With q = p**alpha, P = 1 + q (HN family) or Q = p**-alpha, R = 1 + Q,
-    psi = R**-beta (JWS family, phi_hat = 1 - psi); tau enters through p alone, so the
-    log tau column is p d phi_hat / dp.  The powers are exponentials of the logs that
-    the columns need anyway: a complex exp costs about a quarter of a complex **."""
+def _partials(spec: ModelSpec, z, x: np.ndarray, free=(True, True), factor=1.0) -> np.ndarray:
+    """d phi_hat / d(alpha, beta, log tau) times ``factor`` at p = z / x (z complex, nodes x 1
+    or a number; x positive reals), stacked on a new last axis: the alpha and beta columns
+    where ``free`` says so, then log tau.  With q = p**alpha, P = 1 + q, phi = P**-beta (HN
+    family) or Q = p**-alpha, R = 1 + Q, psi = R**-beta (JWS family, phi_hat = 1 - psi); tau
+    enters through p alone, so the log tau column is p d phi_hat / dp.  p is never formed:
+    log p = log z - log x and p**e = z**e x**-e, so only log P and P**-beta cost a complex
+    transcendental per point; at beta = 1 phi is 1 / P, and log P serves the beta column only."""
     a, b = spec.alpha, spec.beta
-    log_p = np.log(p)
-    if _jws(spec):
-        Q = np.exp(-a * log_p)
-        R = 1.0 + Q
-        log_R = np.log(R)
-        psi = np.exp(-b * log_R)
-        s = b * psi * Q / R
-        return np.stack([-s * log_p, log_R * psi, -a * s], axis=-1)
-    q = np.exp(a * log_p)
+    e = -a if _jws(spec) else a
+    q = z**e * x**-e
     P = 1.0 + q
-    log_P = np.log(P)
-    phi = np.exp(-b * log_P)
-    s = b * q / P * phi
-    return np.stack([-s * log_p, -log_P * phi, -a * s], axis=-1)
+    log_P = _log(P) if free[1] or b != 1.0 else None
+    # phi (psi for the JWS family) carries the factor: every column is proportional to it
+    phi = factor / P if b == 1.0 else factor * np.exp(-b * log_P)
+    s = q / P * phi
+    columns = [(b * np.log(x) - b * np.log(z)) * s] if free[0] else []  # -b s log p
+    if free[1]:
+        columns.append((log_P if _jws(spec) else -log_P) * phi)
+    columns.append((-a * b) * s)
+    return np.stack(columns, axis=-1)
+
+
+def _log(w: np.ndarray) -> np.ndarray:
+    """np.log of a complex array from its modulus and angle, at about half the cost."""
+    out = np.empty_like(w)
+    out.real, out.imag = np.log(np.abs(w)), np.arctan2(w.imag, w.real)
+    return out
 
 
 def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
@@ -556,8 +563,8 @@ def asymptotic(
         raise DomainError(f"which must be 'response' or 'relaxation', got {which!r}")
     if regime not in ("short", "long"):
         raise DomainError(f"regime must be 'short' or 'long', got {regime!r}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not (0.0 < t < math.inf):
+        raise DomainError(f"t must be positive and finite, got {t}")
     x = t / spec.tau
     a, b, r = spec.alpha, spec.beta, _special().rgamma
     ab = a * b

@@ -22,6 +22,7 @@ from relaxkit.fitio import (
     parse_csv,
     synthesize,
 )
+from relaxkit.inversion import talbot_sum
 from relaxkit.models import KINDS, ModelSpec, PermittivityScale, permittivity, relaxation
 
 SCALE = PermittivityScale(5.0, 2.0)
@@ -358,6 +359,49 @@ def test_time_sample_at_zero_has_a_zero_row(kind):
     J = _jacobian(problem, problem.u0)
     assert np.all(J[0] == 0.0) and np.all(np.any(J[1:] != 0.0, axis=1))
     _assert_matches_differences(problem, problem.u0)
+
+
+def _all_partials(spec, p):
+    """d phi_hat / d(alpha, beta, log tau) from complex logs and powers of p itself: the
+    reference for the factored partials."""
+    a, b = spec.alpha, spec.beta
+    log_p = np.log(p)
+    if spec.kind in ("mcd", "jws"):
+        Q = np.exp(-a * log_p)
+        R = 1.0 + Q
+        log_R = np.log(R)
+        psi = np.exp(-b * log_R)
+        s = b * psi * Q / R
+        return np.stack([-s * log_p, log_R * psi, -a * s], axis=-1)
+    q = np.exp(a * log_p)
+    P = 1.0 + q
+    log_P = np.log(P)
+    phi = np.exp(-b * log_P)
+    s = b * q / P * phi
+    return np.stack([-s * log_p, -log_P * phi, -a * s], axis=-1)
+
+
+# every kind at SHAPES, the pins alpha = 1 and beta = 1 reached inside the wide kinds,
+# and a saturated alpha sigmoid
+FREE_COLUMN_SPECS = [(kind, *SHAPES[kind]) for kind in KINDS if kind != "kww"] + [
+    ("hn", 1.0, 0.5), ("hn", 0.6, 1.0), ("jws", 1.0, 0.6), ("jws", 0.7, 1.0),
+    ("cc", 1e-12, 1.0), ("hn", 1e-12, 0.5), ("jws", 1e-12, 0.5),
+]
+
+
+@pytest.mark.parametrize("kind,alpha,beta", FREE_COLUMN_SPECS)
+def test_time_partials_match_the_stacked_all_column_inversion(kind, alpha, beta):
+    # the free columns, on factored nodes (Debye in closed form), against one stacked
+    # Talbot inversion of all three partials at p = z tau
+    spec = ModelSpec(kind, alpha, beta, tau=1.5)
+    t = np.logspace(-3, 3, 40)
+    problem = _Problem(TimeDataset(t, np.ones(t.size)), kind, False, None, None)
+    reference = talbot_sum(lambda p: -_all_partials(spec, p) / p[..., None], t / spec.tau)
+    free = [i for i, name in enumerate(("alpha", "beta", "tau")) if name in problem.names]
+    expected = reference[:, free]
+    got = problem.model_partials(spec, None)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.max(np.abs(expected), axis=0))
 
 
 # ---------------------------------------------------------------------------

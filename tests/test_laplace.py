@@ -18,7 +18,7 @@ from relaxkit.laplace import (
     subordination_kernel,
     subordination_pdf,
 )
-from relaxkit.models import ModelSpec, _partials, relaxation
+from relaxkit.models import ModelSpec, _partials, asymptotic, relaxation
 from relaxkit.quadrature import tanh_sinh
 
 TALBOT32 = InversionConfig(method="talbot", nodes=32)
@@ -222,8 +222,8 @@ def _levy_kernel(u, t):
     return subordination_kernel(0.5, u, t)
 
 
-# each entry point that takes one time t, plus subordination_pdf's xi, on the image 1/z, the
-# hn(0.5, 0.5) exponent or a Levy kernel
+# each entry point that takes one time t, plus subordination_pdf's xi and forward_laplace's z,
+# on the image 1/z, the hn(0.5, 0.5) exponent or a Levy kernel; and models.asymptotic
 TIME_ENTRY_POINTS = {
     "inverse_laplace-talbot": lambda t: inverse_laplace(LaplaceImage(lambda z: 1.0 / z), t),
     "inverse_laplace-gaver-stehfest": lambda t: inverse_laplace(LaplaceImage(lambda z: 1.0 / z), t, GS14),
@@ -233,6 +233,8 @@ TIME_ENTRY_POINTS = {
     "subordination_pdf-xi": lambda xi: subordination_pdf(_hn_exponent, np.array([1.0, xi]), 1.0),
     "subordination_kernel": lambda t: subordination_kernel(0.5, 1.0, t),
     "efros_compose": lambda t: efros_compose(lambda xi: np.exp(-xi), _levy_kernel, t),
+    "forward_laplace-z": lambda z: forward_laplace(lambda t: np.exp(-t), z),
+    "asymptotic": lambda t: asymptotic(ModelSpec("hn", alpha=0.6, beta=0.5), "relaxation", "short", t),
 }
 
 
@@ -267,10 +269,15 @@ def test_talbot_raises_contour_overflow_on_a_non_finite_image():
 
 @pytest.mark.parametrize("spec", [ModelSpec("hn", alpha=0.7, beta=0.5), ModelSpec("jws", alpha=0.6, beta=0.5)])
 def test_a_stacked_image_inverts_each_column_as_its_own_call(spec):
-    # the time-domain fit Jacobian inverts its three partials as one stacked image
+    # the time-domain fit Jacobian inverts its three partials as one stacked image; the
+    # image gets p = z / x and recovers the nodes z from its first column
     x = np.geomspace(1e-3, 1e3, 40)
-    stacked = talbot_sum(lambda p: -_partials(spec, p) / p[..., None], x)
+
+    def image(p):
+        return _partials(spec, p[:, :1] * x[0], x, factor=-1.0 / p)
+
+    stacked = talbot_sum(image, x)
     assert stacked.shape == (x.size, 3)
     for column in range(3):
-        alone = talbot_sum(lambda p: -_partials(spec, p)[..., column] / p, x)
+        alone = talbot_sum(lambda p: image(p)[..., column], x)
         assert np.array_equal(stacked[:, column], alone)
