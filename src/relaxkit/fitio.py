@@ -424,7 +424,7 @@ class _Problem:
         free = (self.free_alpha, self.free_beta)
         if self.frequency:
             w = self.dataset.omega * spec.tau
-            shape = scale.strength * _partials(spec, 1j, 1.0 / w, free)  # p = i w
+            shape = _partials(spec, 1j, 1.0 / w, free, scale.strength)  # p = i w
             d = np.column_stack([shape, np.ones(w.size), scale.strength * _spectral(spec, w)])
             rows = np.empty((2 * w.size, d.shape[1]))
             rows[0::2] = d.real  # eps' = Re eps*, eps'' = -Im eps*
