@@ -450,14 +450,14 @@ def _jacobian(problem: _Problem, u: np.ndarray) -> np.ndarray:
     """d residuals / d u: the model's exact partials times the derivative of ``unpack``."""
     spec, scale = problem.unpack(u)
     J = problem.model_partials(spec, scale)
-    beta = int(problem.free_alpha)  # the beta column, when beta is free
+    beta_col = int(problem.free_alpha)  # the index of the beta column, when beta is free
     if problem.free_alpha:
         if problem.free_beta and not problem.strict:
             J[:, 0] -= spec.beta / spec.alpha * J[:, 1]  # beta = sigmoid(u2) / alpha
         J[:, 0] *= _floored_slope(u[0])
     if problem.free_beta:
-        slope = _floored_slope(u[beta])
-        J[:, beta] *= slope if problem.strict else slope / spec.alpha
+        slope = _floored_slope(u[beta_col])
+        J[:, beta_col] *= slope if problem.strict else slope / spec.alpha
     if not np.all(np.isfinite(J)):
         raise DegenerateJacobian("non-finite entries in the fit Jacobian")
     return J
