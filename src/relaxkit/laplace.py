@@ -10,10 +10,11 @@ term of the image) and are never folded into a pointwise inversion value.
 
 All operations are pure and take whole arrays where the Efros composition
 needs them: its lower and upper halves are the two rows of one tanh-sinh run,
-so it evaluates h and its kernel once for levels 0-3 and once per further
-level, both halves together; the Levy kernel runs all its points as rows of
-one quadrature, and the subordination pdf samples the exponent once per call
-and hands its image to ``inversion.talbot_sum``.
+so it evaluates h and its kernel once for levels 0-3 and once per batch of
+the further levels the run predicts it needs, both halves together; the Levy
+kernel sends the points its series misses straight to the density's theta
+quadrature, all as rows of one run, and the subordination pdf samples the
+exponent once per call and hands its image to ``inversion.talbot_sum``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import inversion
 from .exceptions import DomainError, InversionDisagreement, QuadratureFailure
 from .quadrature import _MAX_LEVEL, _integrate_rows, array_fn, tanh_sinh
-from .specfun import _levy_series, levy_stable_density
+from .specfun import _levy_series, _levy_theta, levy_stable_density
 
 __all__ = [
     "LaplaceImage",
@@ -166,9 +167,10 @@ def efros_compose(
     upper one through u = c / s, as the two rows of one tanh-sinh run
     (``quadrature._integrate_rows``).  The kernel must be nonnegative and h
     bounded on its effective support.  ``h`` and ``kernel_f`` get 1-D arrays
-    of xi, once for the probe and then once per integrand call of the run,
-    each holding the nodes of both halves still running; a float-only one is
-    evaluated point by point (``quadrature.array_fn``).
+    of xi, once for the probe and then once per integrand call of the run
+    (levels 0-3, then each batch of predicted further levels), each holding
+    the nodes of both halves still running; a float-only one is evaluated
+    point by point (``quadrature.array_fn``).
     """
     if not (0.0 < t < math.inf):
         raise DomainError(f"t must be positive and finite, got {t}")
@@ -204,7 +206,10 @@ def subordination_kernel(alpha: float, u, t: float):
     Where the density takes its large-x series, term k of the kernel is
     ``c_k t**(-alpha k) u**(k-1) / (pi alpha)``, summed as such, so the kernel
     keeps its finite limit ``Gamma(1+alpha) sin(pi alpha) t**-alpha / (pi alpha)``
-    as u -> 0, where the density itself underflows.
+    as u -> 0, where the density itself underflows.  Points where that series
+    fails take the density's angular quadrature without trying its series
+    again; only where ``u t**-alpha`` overflowed, so that the kernel's series
+    was not tried, does the density try its own on ``x**-alpha``.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -227,8 +232,15 @@ def subordination_kernel(alpha: float, u, t: float):
     value[rest] = 0.0
     rest, x = rest[x > 0.0], x[x > 0.0]
     if rest.size:
+        # the density's series on x**-alpha repeats the one that just failed on y, so
+        # such points go straight to its quadrature; where y overflowed, it was not tried
+        density = np.empty(rest.size)
+        tried = np.isfinite(y[rest])
+        density[tried] = _levy_theta(alpha, x[tried])
+        if not tried.all():
+            density[~tried] = levy_stable_density(alpha, x[~tried])
         with np.errstate(over="ignore", invalid="ignore"):
-            value[rest] = x * levy_stable_density(alpha, x) / (alpha * flat[rest])
+            value[rest] = x * density / (alpha * flat[rest])
         if not np.isfinite(value[rest]).all():
             raise DomainError(f"the subordination kernel passes the float range at t = {t}")
     return float(value[0]) if us.ndim == 0 else value.reshape(us.shape)

@@ -294,8 +294,8 @@ def spectral_ratio_real(spec: ModelSpec, s: float) -> float:
     """
     if spec.kind == "kww":
         raise DomainError("kww has no simple rational spectral function")
-    if s <= 0.0:
-        raise DomainError(f"s must be positive, got {s}")
+    if not (0.0 < s < math.inf):
+        raise DomainError(f"s must be positive and finite, got {s}")
     return _ratio(spec, float(s * spec.tau))
 
 
@@ -474,8 +474,8 @@ def pdf_g(spec: ModelSpec, xi):
     kww's density is the Levy stable density.
     """
     xs = np.asarray(xi, dtype=float)
-    if not (xs > 0.0).all():
-        raise DomainError(f"xi must be positive, got {xi}")
+    if not ((xs > 0.0) & (xs < math.inf)).all():
+        raise DomainError(f"xi must be positive and finite, got {xi}")
     law, a, b = _law(spec), spec.alpha, spec.beta
     if law == "debye":
         raise DomainError("the Debye mixing measure is a point mass at xi = 1, not a density")
@@ -513,8 +513,8 @@ def pdf_g_hypergeometric(
     xi > 1 for HN-type and xi < 1 for JWS-type; this is the cross-validation
     path against the closed trigonometric forms.
     """
-    if xi <= 0.0:
-        raise DomainError(f"xi must be positive, got {xi}")
+    if not (0.0 < xi < math.inf):
+        raise DomainError(f"xi must be positive and finite, got {xi}")
     if spec.kind in ("debye", "kww"):
         raise DomainError(f"no hypergeometric mixture form for kind {spec.kind!r}")
     jws_like = _jws(spec)

@@ -9,15 +9,18 @@ in a cancellation-free form so integrands may be sampled arbitrarily close to
 a singular endpoint.
 
 Levels 0-3 are always summed before the first stop test, so integrands get
-the abscissae of all four in one 1-D array, then each further level's new
-ones in one array (per level: the left side, then the right side, the
-centre once at level 0); float-only callables are evaluated point by point
-instead (:func:`array_fn`).  The abscissae and their matching weights are
-built once per (interval, level) and kept in a small cache (:func:`_nodes`,
-:func:`_batch`), so a level's sum is the row-wise
+the abscissae of all four in one 1-D array.  Each later call holds the new
+abscissae of every further level the slowest running row is predicted to
+need (:func:`_predicted_levels`; per level: the left side, then the right
+side, the centre once at level 0); float-only callables are evaluated point
+by point instead (:func:`array_fn`).  The abscissae and their matching
+weights are built once per (interval, level) and kept in a small cache
+(:func:`_nodes`, :func:`_batch`), so a level's sum is the row-wise
 ``(values * weights).sum(axis=1)`` over that level's own nodes, whose per-row
 summation makes a row's value independent of the other rows evaluated with
-it and of the levels sampled in the same call.
+it and of the levels sampled in the same call.  The stop test runs level by
+level, so values, error estimates and stop levels do not depend on how the
+levels are grouped into calls.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import QuadratureFailure, RelaxkitError
+from .exceptions import DomainError, QuadratureFailure, RelaxkitError
 
 _HALF_PI = math.pi / 2.0
 _MAX_U = 4.2  # sinh(4.2)*pi/2 ~ 52; tanh is 1 to double precision well before
 _BLOCK = 2**14  # largest rows x abscissae block handed to a row integrand
 _FIRST_TEST = 3  # the first level whose estimate meets the stop test
+_LOOKAHEAD = 3  # most levels one predicted integrand call samples
 _MAX_LEVEL = 12
 _LEVELS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -87,28 +91,34 @@ def _nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray, np.n
     return nodes
 
 
-def _batches(max_level: int) -> list[tuple[int, int]]:
-    """(first, last) levels of each integrand call of a run capped at ``max_level``.
-
-    Levels up to the first stop test share one call, every later level has its own.
-    """
-    first = min(_FIRST_TEST, max_level)
-    return [(0, first)] + [(k, k) for k in range(first + 1, max_level + 1)]
-
-
 @functools.lru_cache(maxsize=64)
-def _batch(a: float, b: float, first: int, last: int) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """(abscissae, weights per level, endpoint distances) of levels first..last on (a, b).
+def _batch(a: float, b: float, first: int, last: int) -> tuple[np.ndarray, tuple]:
+    """(abscissae, weights per level) of levels first..last on (a, b).
 
     The levels' :func:`_nodes` one after the other: the nodes of one integrand
     call, whose level sums each take their own slice.  Read-only, like theirs.
     """
     parts = [_nodes(a, b, k) for k in range(first, last + 1)]
-    if len(parts) == 1:
-        return parts[0][0], (parts[0][1],), parts[0][2]
-    x, dist = (np.concatenate([p[i] for p in parts]) for i in (0, 2))
-    x.flags.writeable = dist.flags.writeable = False
-    return x, tuple(p[1] for p in parts), dist
+    x = parts[0][0] if len(parts) == 1 else np.concatenate([p[0] for p in parts])
+    x.flags.writeable = False
+    return x, tuple(p[1] for p in parts)
+
+
+@functools.lru_cache(maxsize=64)
+def _call_levels(a: float, b: float, first_node: float, size: int) -> range:
+    """The levels whose :func:`_nodes` on (a, b) make up an integrand call.
+
+    A call holds the nodes of whole consecutive levels, so its first node,
+    which is the first node of exactly one level (the centre at level 0, the
+    innermost left node after it), tells the first level, and its size the
+    last.
+    """
+    first = next(k for k in range(_MAX_LEVEL + 1) if _nodes(a, b, k)[0][0] == first_node)
+    last, n = first, _nodes(a, b, first)[0].size
+    while n < size:
+        last += 1
+        n += _nodes(a, b, last)[0].size
+    return range(first, last + 1)
 
 
 def array_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -138,6 +148,41 @@ def array_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return call
 
 
+def _predicted_levels(estimate: np.ndarray, err: np.ndarray, rel_tol: float,
+                      abs_tol: float) -> int:
+    """Further levels the slowest of these rows is predicted to need, 1 to ``_LOOKAHEAD``.
+
+    Tanh-sinh roughly doubles its correct digits per level (Takahasi & Mori
+    1974; Bailey, Jeyabalan & Li 2005), so a row whose relative error
+    ``err / |I|`` must fall to ``max(rel_tol |I|, abs_tol) / |I|`` needs about
+    ``log2(log(target) / log(err / |I|))`` more levels.  A row whose error is
+    not below its value, or whose target is 0, gets the most.
+    """
+    scale = np.abs(estimate)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log(np.maximum(rel_tol * scale, abs_tol) / scale) / np.log(err / scale)
+    need = np.where(ratio > 0.0, ratio, math.inf).max()
+    return _LOOKAHEAD if need > 2.0**_LOOKAHEAD else max(1, math.ceil(math.log2(need)))
+
+
+def _level_sums(f, x: np.ndarray, weights: tuple, rows: np.ndarray) -> np.ndarray:
+    """Row sums ``(values * w).sum(axis=1)`` of each level's slice of one integrand call.
+
+    ``f`` gets ``x`` on row blocks of at most ``_BLOCK`` values; the result
+    has one line per level of ``weights`` and one column per row.
+    """
+    sums = np.empty((len(weights), rows.size))
+    step = max(1, _BLOCK // max(x.size, 1))
+    for start in range(0, rows.size, step):
+        block = rows[start:start + step]
+        values = np.reshape(f(x, block), (block.size, x.size))
+        edge = 0
+        for new, w in zip(sums, weights):
+            new[start:start + step] = (values[:, edge:edge + w.size] * w).sum(axis=1)
+            edge += w.size
+    return sums
+
+
 def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol: float,
                     max_level: int) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``n_rows`` integrands over (a, b) at once; (values, error estimates).
@@ -145,38 +190,55 @@ def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol:
     ``f(x, rows)`` returns the integrands with indices ``rows`` at the
     abscissae ``x``, shape ``(len(rows), len(x))`` (or ``len(x)`` for one
     row), called on row blocks of at most ``_BLOCK`` values: once for levels
-    0-3 together, then once per level (:func:`_batches`).  Each row stops at
-    the first level >= 3 that meets the :func:`tanh_sinh` rule and drops out
-    of later levels.
+    0-3 together, then once for each batch of the further levels that the
+    slowest running row is predicted to need (:func:`_predicted_levels`).
+    Each row stops at the first level >= 3 that meets the :func:`tanh_sinh`
+    rule, tested level by level inside a batch, and drops out of later
+    levels; a value it got at a later level of the batch is never used, not
+    even to fail on a non-finite one.  If a call of several predicted levels
+    raises, it is made again one level per call, as is the rest of the run,
+    so only a level some row reaches can fail the run.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"tanh-sinh needs finite endpoints, got ({a}, {b})")
+    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_tol < math.inf):
+        raise DomainError(f"tolerances must be finite and nonnegative, got {rel_tol}, {abs_tol}")
     if not (b > a):
         raise QuadratureFailure(f"empty or inverted interval ({a}, {b})")
     half = 0.5 * (b - a)
     estimate = np.zeros(n_rows)
     err = np.full(n_rows, math.inf)
     active = np.arange(n_rows)
-    for first, last in _batches(max_level):
-        x, weights, _ = _batch(a, b, first, last)
-        sums = np.empty((len(weights), active.size))
-        step = max(1, _BLOCK // max(x.size, 1))
-        for start in range(0, active.size, step):
-            rows = active[start:start + step]
-            values = np.reshape(f(x, rows), (rows.size, x.size))
-            edge = 0
-            for new, w in zip(sums, weights):
-                new[start:start + step] = (values[:, edge:edge + w.size] * w).sum(axis=1)
-                edge += w.size
+    first, last, speculate = 0, min(_FIRST_TEST, max_level), True
+    while True:
+        x, weights = _batch(a, b, first, last)
+        try:
+            sums = _level_sums(f, x, weights, active)
+        except Exception:  # whatever it is, a level some row reaches raises it again below
+            if first == 0 or last == first:  # a call the level-by-level schedule makes too
+                raise
+            last, speculate = first, False
+            continue
+        cols = np.arange(active.size)  # the columns of sums that belong to running rows
         for level, new in enumerate(sums, first):
+            new = new[cols]
             if not np.isfinite(new).all():  # a non-finite value anywhere reaches its row's sum
                 raise QuadratureFailure("integrand returned a non-finite value")
             h = 2.0**-level
             prev = estimate[active]
             estimate[active] = 0.5 * prev + new * h * half if level else new * h * half
             err[active] = np.abs(estimate[active] - prev) if level else math.inf
-        if last >= _FIRST_TEST:
-            active = active[err[active] > np.maximum(rel_tol * np.abs(estimate[active]), abs_tol)]
-            if not active.size:
-                return estimate, err
+            if level >= _FIRST_TEST:
+                running = err[active] > np.maximum(rel_tol * np.abs(estimate[active]), abs_tol)
+                active, cols = active[running], cols[running]
+                if not active.size:
+                    return estimate, err
+        if last == max_level:
+            break
+        first = last + 1
+        if speculate:
+            last += _predicted_levels(estimate[active], err[active], rel_tol, abs_tol) - 1
+        last = min(last + 1, max_level)
     # rows left at the cap pass if converged short of tolerance (err says so)
     short = err[active] > np.maximum(math.sqrt(rel_tol) * np.abs(estimate[active]), abs_tol)
     if short.any():
@@ -197,14 +259,16 @@ def tanh_sinh(
     """Integrate ``f`` over the finite interval (a, b).
 
     Returns ``(value, error_estimate)``.  ``f`` is called with 1-D arrays of
-    abscissae: once with those of levels 0-3, then once per further level with
-    that level's new ones; a float-only ``f`` is evaluated point by point
-    instead (see :func:`array_fn`).  The integrand is
-    never evaluated at the endpoints; integrable endpoint singularities are
-    fine.  Raises :class:`QuadratureFailure` when the level cap is reached
-    without the successive-refinement estimate meeting
+    abscissae: once with those of levels 0-3, then once per batch of further
+    levels with their new ones, as many levels as the run's error predicts it
+    needs (see :func:`_integrate_rows`); a float-only ``f`` is evaluated point
+    by point instead (see :func:`array_fn`).  The integrand is never evaluated
+    at the endpoints; integrable endpoint singularities are fine.  Raises
+    :class:`DomainError` for a non-finite endpoint or a NaN, infinite or
+    negative tolerance, and :class:`QuadratureFailure` when the level cap is
+    reached without the successive-refinement estimate meeting
     ``max(rel_tol*|I|, abs_tol)``, or when the integrand returns a non-finite
-    value at an interior node.
+    value at an interior node of a level the run reaches.
     """
     g = array_fn(f)
     value, err = _integrate_rows(lambda x, rows: g(x), a, b, 1, rel_tol, abs_tol, max_level)

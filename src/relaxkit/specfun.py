@@ -49,7 +49,7 @@ import numpy as np
 
 from .exceptions import DomainError, NonConvergent, StrategyDisagreement
 from .inversion import talbot_sum
-from .quadrature import _BLOCK, _batch, _batches, _integrate_rows
+from .quadrature import _BLOCK, _call_levels, _integrate_rows, _nodes
 
 __all__ = [
     "PrabhakarParams",
@@ -720,21 +720,17 @@ def _levy_series(alpha: float, y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _levy_angles(alpha: float, first: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log a(theta), a(theta) - a(0+)) on the integrand call of (0, pi) that starts at ``first``.
+def _levy_angles(alpha: float, levels: range) -> tuple[np.ndarray, np.ndarray]:
+    """(log a(theta), a(theta) - a(0+)) on the nodes new at ``levels`` on (0, pi).
 
-    The theta quadrature's integrand calls (``quadrature._batches``) each
-    start at their own node, the centre for levels 0-3 and the first left node
-    for a later level, so (alpha, first) keys one call; node counts do not
-    tell them apart.  sin(theta) is taken as the sine of the node's distance
-    from the nearer endpoint, which keeps its relative accuracy next to pi.
-    Where a > e**690 the factor exp(-scale * a) has long since underflowed:
-    log a is -inf there and a is capped at e**690, so the integrand is 0.
+    The levels of one integrand call of the theta quadrature
+    (``quadrature._call_levels``), so (alpha, levels) keys one call.
+    sin(theta) is taken as the sine of the node's distance from the nearer
+    endpoint, which keeps its relative accuracy next to pi.  Where
+    a > e**690 the factor exp(-scale * a) has long since underflowed: log a is
+    -inf there and a is capped at e**690, so the integrand is 0.
     """
-    theta, _, dist = next(
-        nodes for nodes in (_batch(0.0, math.pi, *levels) for levels in _batches(_LEVY_MAX_LEVEL))
-        if nodes[0][0] == first
-    )
+    theta, dist = (np.concatenate([_nodes(0.0, math.pi, k)[i] for k in levels]) for i in (0, 2))
     q = alpha / (1.0 - alpha)
     log_a = (
         q * np.log(np.sin(alpha * theta))
@@ -747,6 +743,49 @@ def _levy_angles(alpha: float, first: float) -> tuple[np.ndarray, np.ndarray]:
     log_a[log_a > 690.0] = -np.inf
     log_a.flags.writeable = shift.flags.writeable = False
     return log_a, shift
+
+
+def _levy_theta(alpha: float, x: np.ndarray) -> np.ndarray:
+    """The Levy density at the points of the 1-D array ``x`` by the angular quadrature alone.
+
+    The integrals of all points are rows of one tanh-sinh run over theta.
+    The angle factors log a(th) and a(th) - a(0+) depend on alpha and the
+    call's nodes only, so they are computed once per (alpha, integrand call) and cached
+    (:func:`_levy_angles`); a point's work is ``exp(log a - s (a - a(0+)))``.
+    The factor ``exp(-s a(0+))`` joins the prefactor in log space, so the
+    integrand does not underflow with the density, which keeps its relative
+    accuracy down to the subnormal spacing once it leaves the normal range.
+    """
+    out = np.zeros(x.size)
+    q = alpha / (1.0 - alpha)
+    with np.errstate(over="ignore"):  # an infinite scale makes a zero density
+        scale = x ** -q
+    a_left = alpha**q * (1.0 - alpha)  # a(0+), the integrand's smallest exponent scale
+    # log of the prefactor times exp(-scale a(0+)), which the integrand leaves out
+    log_prefactor = (
+        math.log(alpha / (math.pi * (1.0 - alpha)))
+        - np.log(x) / (1.0 - alpha)
+        - scale * a_left
+    )
+    # once scale a(0+) >= 1 the integrand is at most a(0+): where pi a(0+) times
+    # the prefactor rounds to 0, so does the density, and its spike at theta = 0
+    # would be too narrow to integrate
+    body = ~((scale * a_left >= 1.0) & (log_prefactor + math.log(math.pi * a_left) < -746.0))
+    if body.any():
+        row_scale = scale[body]
+
+        def integrand(theta, rows):
+            levels = _call_levels(0.0, math.pi, float(theta[0]), theta.size)
+            log_a, shift = _levy_angles(alpha, levels)
+            with np.errstate(over="ignore"):
+                expo = log_a - row_scale[rows, None] * shift
+            return np.where(expo > -745.0, np.exp(expo), 0.0)
+
+        value, _ = _integrate_rows(
+            integrand, 0.0, math.pi, row_scale.size, 1e-12, 0.0, _LEVY_MAX_LEVEL
+        )
+        out[body] = np.exp(log_prefactor[body] + np.log(value))
+    return out
 
 
 def levy_stable_density(alpha: float, x):
@@ -778,14 +817,7 @@ def levy_stable_density(alpha: float, x):
     within the table (at most 256 terms) and cancels by at most 10x, which
     holds up to about ``s a(0+) = 2`` for alpha <= 0.9 and covers every point
     with ``s a(0+) < 1e-8`` for alpha <= 0.95; ``x = inf`` gives 0.  Every other
-    point takes the angular quadrature: the integrals of all such points are
-    rows of one tanh-sinh run over theta.  The angle factors log a(th) and
-    a(th) - a(0+) depend on alpha and the call's abscissae only, so they are
-    computed once per (alpha, integrand call) and cached (:func:`_levy_angles`); a
-    point's work is ``exp(log a - s (a - a(0+)))``.  The factor
-    ``exp(-s a(0+))`` joins the prefactor in log space, so the integrand does
-    not underflow with the density, which keeps its relative accuracy down to
-    the subnormal spacing once it leaves the normal range.  The tests check
+    point takes the angular quadrature (:func:`_levy_theta`).  The tests check
     both routes against a 30-digit quadrature of the Zolotarev integral at
     1e-12 relative.
     The alpha = 1/2 closed form ``x**-1.5 exp(-1/(4x)) / (2 sqrt(pi))`` is
@@ -802,34 +834,5 @@ def levy_stable_density(alpha: float, x):
     out = _levy_series(alpha, y)
     series = ~np.isnan(out)
     out[series] = out[series] * y[series] / math.pi / flat[series]
-    rest = np.flatnonzero(~series)
-    q = alpha / (1.0 - alpha)
-    with np.errstate(over="ignore"):  # an infinite scale makes a zero density
-        scale = flat[rest] ** -q
-    a_left = alpha**q * (1.0 - alpha)  # a(0+), the integrand's smallest exponent scale
-    # log of the prefactor times exp(-scale a(0+)), which the integrand leaves out
-    log_prefactor = (
-        math.log(alpha / (math.pi * (1.0 - alpha)))
-        - np.log(flat[rest]) / (1.0 - alpha)
-        - scale * a_left
-    )
-    # once scale a(0+) >= 1 the integrand is at most a(0+): where pi a(0+) times
-    # the prefactor rounds to 0, so does the density, and its spike at theta = 0
-    # would be too narrow to integrate
-    zero = (scale * a_left >= 1.0) & (log_prefactor + math.log(math.pi * a_left) < -746.0)
-    out[rest[zero]] = 0.0
-    body = ~zero
-    if body.any():
-        row_scale = scale[body]
-
-        def integrand(theta, rows):
-            log_a, shift = _levy_angles(alpha, float(theta[0]))
-            with np.errstate(over="ignore"):
-                expo = log_a - row_scale[rows, None] * shift
-            return np.where(expo > -745.0, np.exp(expo), 0.0)
-
-        value, _ = _integrate_rows(
-            integrand, 0.0, math.pi, row_scale.size, 1e-12, 0.0, _LEVY_MAX_LEVEL
-        )
-        out[rest[body]] = np.exp(log_prefactor[body] + np.log(value))
+    out[~series] = _levy_theta(alpha, flat[~series])
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

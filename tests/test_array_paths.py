@@ -107,13 +107,15 @@ def test_efros_with_scalar_only_h_equals_array_h(a, b, t):
 
     scalar = laplace.efros_compose(lambda xi: math.exp(-xi), kernel, t, rel_tol=1e-8)
     # the array-capable kernel is adapted on its own: one probe call, one call for levels
-    # 0-3, then one per further level, each with the nodes of one or both halves on (0, 1)
+    # 0-3, then one per batch of whole further levels, each batch starting where the last
+    # one ended, with the nodes of one or both halves on (0, 1)
     assert all(isinstance(x, np.ndarray) for x in kernel_calls)
-    per_half = [quadrature._batch(0.0, 1.0, 0, 3)[0].size] + [
-        quadrature._nodes(0.0, 1.0, k)[0].size for k in range(4, len(kernel_calls) + 2)
-    ]
     assert kernel_calls[0].size == 61
-    assert all(x.size in (n, 2 * n) for x, n in zip(kernel_calls[1:], per_half))
+    first = 0
+    for x in kernel_calls[1:]:
+        lasts = [3] if first == 0 else range(first, quadrature._MAX_LEVEL + 1)
+        sizes = {k: quadrature._batch(0.0, 1.0, first, k)[0].size for k in lasts}
+        first = 1 + next(k for k, n in sizes.items() if x.size in (n, 2 * n))
     array = laplace.efros_compose(lambda xi: np.exp(-xi), kernel, t, rel_tol=1e-8)
     assert scalar == pytest.approx(array, rel=1e-14, abs=0.0)
     assert array == pytest.approx(relaxation(ModelSpec("hn", a, b), t), abs=1e-9)
@@ -122,7 +124,7 @@ def test_efros_with_scalar_only_h_equals_array_h(a, b, t):
 @pytest.mark.parametrize("kind, parent", [("hn", "cd"), ("jws", "mcd")])
 def test_levy_parent_composition_calls_the_kernel_a_few_times(kind, parent):
     # split at the peak of u k(u), both halves in each call: the probe, levels 0-3, and at
-    # most three further levels
+    # most two batches of further levels
     a, b, t = 0.5, 0.5, 1.0
     calls = []
 
@@ -132,7 +134,7 @@ def test_levy_parent_composition_calls_the_kernel_a_few_times(kind, parent):
 
     spec = ModelSpec(parent, 1.0, b)
     value = laplace.efros_compose(lambda u: relaxation(spec, u), kernel, t, rel_tol=1e-8)
-    assert len(calls) <= 5
+    assert len(calls) <= 4
     assert value == pytest.approx(relaxation(ModelSpec(kind, a, b), t), abs=1e-9)
 
 
@@ -178,6 +180,14 @@ def point_by_point_tanh_sinh(f, a, b, rel_tol, max_level):
     return estimate, err, levels
 
 
+def call_levels(a, b, calls):
+    """The levels of each integrand call on (a, b), checked against the nodes of those levels."""
+    levels = [quadrature._call_levels(a, b, float(x[0]), x.size) for x in calls]
+    for x, r in zip(calls, levels):
+        assert x.tolist() == quadrature._batch(a, b, r[0], r[-1])[0].tolist()
+    return levels
+
+
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
 @pytest.mark.parametrize(
     "f, f_array, a, b",
@@ -202,9 +212,11 @@ def test_engine_matches_the_point_by_point_rule(f, f_array, a, b, rel_tol):
 
     value, err = quadrature.tanh_sinh(counted, a, b, rel_tol=rel_tol)
     ref_value, ref_err, levels = point_by_point_tanh_sinh(f, a, b, rel_tol, 12)
-    # the same levels, one array call for levels 0-3 and one for each later level; the level
-    # sums differ only in summation order
-    assert len(calls) == levels - 3 and all(np.ndim(x) == 1 for x in calls)
+    # the same levels, one array call for levels 0-3 and one for each batch of later levels,
+    # the last of which holds the stop level; the level sums differ only in summation order
+    sampled = call_levels(a, b, calls)
+    assert sampled[0] == range(4) and all(p.stop == r.start for p, r in zip(sampled, sampled[1:]))
+    assert levels - 1 in sampled[-1] and all(np.ndim(x) == 1 for x in calls)
     assert value == pytest.approx(ref_value, rel=1e-14)
     assert abs(err - ref_err) <= 1e-14 * abs(ref_value)
     assert quadrature.tanh_sinh(f, a, b, rel_tol=rel_tol)[0] == pytest.approx(value, rel=1e-14)
@@ -257,20 +269,104 @@ def test_rows_stop_at_their_own_levels():
     seen = []
 
     def rows_fn(x, rows):
-        seen.append(rows.tolist())
+        seen.append((rows.tolist(), quadrature._call_levels(0.0, 1.0, float(x[0]), x.size)))
         return np.array([1.0 + x * x if r == 0 else 1.0 / (1e-4 + x * x) for r in rows])
 
     value, err = quadrature._integrate_rows(rows_fn, 0.0, 1.0, 2, 1e-12, 0.0, 12)
-    joint_levels = [sum(r in rows for rows in seen) for r in (0, 1)]
+    joint = list(seen)
+    last = per_level_integrate_rows(rows_fn, 0.0, 1.0, 2, 1e-12, 12)[2]
+    assert last[0] < last[1]
     for r in (0, 1):
         seen.clear()
         alone = quadrature._integrate_rows(
             lambda x, rows: rows_fn(x, np.array([r])), 0.0, 1.0, 1, 1e-12, 0.0, 12
         )
         assert (value[r], err[r]) == (alone[0][0], alone[1][0])
-        assert joint_levels[r] == len(seen)
-    assert joint_levels[0] < joint_levels[1]
+        # a row is sampled up to the call that holds its stop level, and by no later call
+        for calls in (joint, seen):
+            mine = [levels for rows, levels in calls if r in rows]
+            assert last[r] in mine[-1] and mine == [levels for _, levels in calls][:len(mine)]
     assert value == pytest.approx([4.0 / 3.0, 100.0 * math.atan(100.0)], rel=1e-12)
+
+
+def peaks(widths):
+    """Rows 1 / (width + x**2) on (0, 1), built from correctly rounded operations only."""
+    return lambda x, rows: np.array([1.0 / (widths[r] + x * x) for r in rows])
+
+
+def test_rows_stopping_at_three_levels_of_one_batch_match_the_per_level_engine():
+    # the narrowest peak has the batch after levels 0-3 span levels 4-6; the three rows
+    # stop at 4, 5 and 6 inside it
+    rows_fn, seen = peaks([1.0, 0.03, 1e-4]), []
+
+    def counted(x, rows):
+        seen.append(quadrature._call_levels(0.0, 1.0, float(x[0]), x.size))
+        return rows_fn(x, rows)
+
+    value, err = quadrature._integrate_rows(counted, 0.0, 1.0, 3, 1e-12, 0.0, 12)
+    ref_value, ref_err, last = per_level_integrate_rows(rows_fn, 0.0, 1.0, 3, 1e-12, 12)
+    assert seen == [range(0, 4), range(4, 7)] and last.tolist() == [4, 5, 6]
+    assert value.tolist() == ref_value.tolist() and err.tolist() == ref_err.tolist()
+
+
+@pytest.mark.parametrize("failure", ["non-finite", "error"])
+def test_a_failure_at_a_level_no_row_reaches_does_not_fail_the_run(failure):
+    # this row stops at level 5 of a batch of levels 4-6; the per-level engine never samples
+    # level 6, where the integrand returns inf or raises
+    rows_fn, seen = peaks([1e-5]), []
+
+    def failing(x, rows):
+        seen.append(quadrature._call_levels(0.0, 1.0, float(x[0]), x.size))
+        values = rows_fn(x, rows)
+        if 6 in seen[-1]:
+            if failure == "error":
+                raise DomainError("level 6 is outside the integrand's domain")
+            start = sum(quadrature._nodes(0.0, 1.0, k)[0].size for k in seen[-1] if k < 6)
+            values[:, start:start + quadrature._nodes(0.0, 1.0, 6)[0].size] = np.inf
+        return values
+
+    value, err = quadrature._integrate_rows(failing, 0.0, 1.0, 1, 1e-10, 0.0, 12)
+    ref_value, ref_err, last = per_level_integrate_rows(rows_fn, 0.0, 1.0, 1, 1e-10, 12)
+    assert last.tolist() == [5] and seen[:2] == [range(0, 4), range(4, 7)]
+    # a call that raised is made again one level per call
+    assert seen[2:] == ([range(4, 5), range(5, 6)] if failure == "error" else [])
+    assert value.tolist() == ref_value.tolist() and err.tolist() == ref_err.tolist()
+    with pytest.raises(DomainError if failure == "error" else QuadratureFailure):
+        quadrature._integrate_rows(failing, 0.0, 1.0, 1, 1e-13, 0.0, 12)
+
+
+@pytest.mark.parametrize(
+    "a, b, rel_tol, abs_tol",
+    [
+        (0.0, math.inf, 1e-10, 0.0),
+        (-math.inf, 0.0, 1e-10, 0.0),
+        (0.0, math.nan, 1e-10, 0.0),
+        (0.0, 1.0, math.nan, 0.0),
+        (0.0, 1.0, math.inf, 0.0),
+        (0.0, 1.0, -1e-10, 0.0),
+        (0.0, 1.0, 1e-10, math.nan),
+        (0.0, 1.0, 1e-10, math.inf),
+        (0.0, 1.0, 1e-10, -1.0),
+    ],
+)
+def test_tanh_sinh_rejects_non_finite_endpoints_and_bad_tolerances(a, b, rel_tol, abs_tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            quadrature.tanh_sinh(lambda x: 1.0 / (1e-3 + x * x), a, b, rel_tol, abs_tol)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1e-9])
+def test_efros_and_forward_laplace_reject_bad_tolerances(rel_tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            laplace.efros_compose(
+                lambda u: np.exp(-u), lambda u, t: laplace.subordination_kernel(0.5, u, t), 1.0,
+                rel_tol=rel_tol,
+            )
+        with pytest.raises(DomainError):
+            laplace.forward_laplace(lambda t: np.exp(-t), 1.0, rel_tol=rel_tol)
 
 
 def test_row_blocks_stay_within_the_block_size():
@@ -477,11 +573,13 @@ def test_levy_density_does_not_depend_on_earlier_calls():
     for cached in (specfun._levy_angles, specfun._levy_series_table, quadrature._nodes):
         info = cached.cache_info()
         assert info.currsize <= info.maxsize == 64
-    # the angle factors are keyed by the first node of an integrand call of (0, pi),
-    # which tells its calls apart
-    firsts = [quadrature._batch(0.0, math.pi, *levels)[0][0]
-              for levels in quadrature._batches(specfun._LEVY_MAX_LEVEL)]
-    assert len(set(firsts)) == len(firsts)
+    # the angle factors are keyed by the levels of an integrand call of (0, pi), which its
+    # first node and size tell
+    top = specfun._LEVY_MAX_LEVEL
+    for first in range(top + 1):
+        for last in range(first, top + 1):
+            x = quadrature._batch(0.0, math.pi, first, last)[0]
+            assert quadrature._call_levels(0.0, math.pi, float(x[0]), x.size) == range(first, last + 1)
 
 
 def test_node_distances_are_the_offsets_from_the_nearer_endpoint():

@@ -596,6 +596,25 @@ def test_pdf_debye_is_point_mass():
         pdf_g(ModelSpec("debye"), np.array([0.5, 1.0]))
 
 
+HN_SIX = ModelSpec("hn", alpha=0.6, beta=0.5)
+ARGUMENT_ENTRY_POINTS = {
+    "spectral_ratio_real": lambda s: spectral_ratio_real(HN_SIX, s),
+    "pdf_g": lambda xi: pdf_g(HN_SIX, xi),
+    "pdf_g-array": lambda xi: pdf_g(HN_SIX, np.array([1.0, xi])),
+    "pdf_g-kww": lambda xi: pdf_g(ModelSpec("kww", alpha=0.6), xi),
+    "pdf_g_hypergeometric": lambda xi: pdf_g_hypergeometric(HN_SIX, xi),
+}
+
+
+@pytest.mark.parametrize("arg", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ARGUMENT_ENTRY_POINTS)
+def test_an_argument_outside_zero_to_infinity_raises_domain_error(entry, arg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            ARGUMENT_ENTRY_POINTS[entry](arg)
+
+
 def pdf_g_point(spec, xi):
     """Reference: g(xi) at one float by the math module, formula by formula."""
     a, b = spec.alpha, spec.beta
