@@ -8,8 +8,9 @@ import textwrap
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # calls that never need scipy.special: a closed-form (Debye) relaxation table, an hn
-# permittivity table, the contour-inverted hn M kernel and the Levy density; an hn
-# relaxation grid evaluates the Prabhakar function, which needs rgamma
+# permittivity table, the contour-inverted hn M kernel, the Levy density and an hn
+# relaxation grid (a positive sum over the rate density g); the Prabhakar function
+# needs rgamma
 SCRIPT = textwrap.dedent(
     """
     import sys
@@ -18,7 +19,8 @@ SCRIPT = textwrap.dedent(
 
     import relaxkit
     import relaxkit.cli as cli
-    from relaxkit import KernelConfig, ModelSpec, levy_stable_density, memory_M_time, relaxation
+    from relaxkit import (KernelConfig, ModelSpec, levy_stable_density, memory_M_time,
+                          prabhakar_eval, relaxation)
 
     grid = ["--grid", "0.001:1000:32"]
     hn = ["--model", "hn", "--alpha", "0.6", "--beta", "0.5"]
@@ -28,8 +30,10 @@ SCRIPT = textwrap.dedent(
     spec = ModelSpec("hn", alpha=0.6, beta=0.5)
     memory_M_time(KernelConfig(spec), t)
     levy_stable_density(0.5, t)
-    print("before:", "scipy.special" in sys.modules)
     relaxation(spec, t)
+    assert cli.main(["eval", "response", *hn, *grid]) == 0
+    print("before:", "scipy.special" in sys.modules)
+    prabhakar_eval(0.6, 1.3, 0.5, t)
     print("after:", "scipy.special" in sys.modules)
     """
 )
