@@ -16,12 +16,9 @@ module evaluates:
   is rejected there);
 * complex permittivity split into (eps', eps'') with the sign convention
   ``eps* = eps' - i eps''``;
-* the time-domain response and relaxation functions and n''.  For cc, hn and
-  jws in the valid regime (beta <= 1/alpha) n is completely monotone, so on
-  x in [3e-4, 1e4] n, phi and n'' are positive sums over the mixture density
-  g on a fixed exp-sinh rule, within 1e-11 relative of mpmath (n'' within
-  1e-12).  Other points and laws, and explicit strategies, go through the
-  Prabhakar function, e.g.
+* the time-domain response and relaxation functions: cc, hn and jws in the
+  valid regime as positive sums over g (:func:`relaxation_derivatives`), the
+  rest through the Prabhakar function, e.g.
   ``phi_HN = x**(alpha beta - 1) E[alpha, alpha beta; beta](-x**alpha) / tau``
   and ``n_JWS = E[alpha, 1; beta](-x**alpha)``;
 * the relaxation-rate mixture density g(xi) with ``n(t) = Int exp(-x xi) g(xi) dxi``;
@@ -392,12 +389,9 @@ def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
 def _derivative(spec: ModelSpec, x: np.ndarray, k: int, strategy: EvalStrategy) -> np.ndarray:
     """d^k n / dt^k (k = 0, 1, 2) at x = t/tau, an array.
 
-    debye, cd and kww are closed forms.  cc, hn and jws in the valid regime
-    are completely monotone, ``n = Int exp(-x xi) g(xi) dxi`` with g >= 0, so
-    under AUTO the points with x in [3e-4, 1e4] take the positive sum
-    ``(-1)**k tau**-k Sum_j xi_j**k exp(-x xi_j) g(xi_j) w_j`` on a fixed
-    exp-sinh rule (:func:`_exp_sinh`).  The other points take the Prabhakar
-    route: each differentiation of ``x**(mu-1) E[alpha, mu; beta](-x**alpha)``
+    debye, cd and kww are closed forms.  cc, hn and jws take :func:`_cm_sum` at
+    x in [3e-4, 1e4] where the rule serves them.  Other points shift the
+    Prabhakar index: each differentiation of ``x**(mu-1) E[alpha, mu; beta](-x**alpha)``
     lowers mu and the power of x by one, starting from the HN form
     ``n = 1 - x**(ab) E[a, 1+ab; b](-x**a)`` or the JWS form
     ``n = E[a, 1; b](-x**a)``.  cc takes the JWS form for n and the HN form
@@ -405,15 +399,25 @@ def _derivative(spec: ModelSpec, x: np.ndarray, k: int, strategy: EvalStrategy) 
     """
     law, a, b, tau = _law(spec), spec.alpha, spec.beta, spec.tau
     if law in ("cc", "hn", "jws", "mcd"):
-        level = _exp_sinh_level(law, a, b, strategy)
-        inside = (x >= 3e-4) & (x <= 1e4) & (level is not None)
+        # the rule needs g >= 0 (beta <= 1/alpha); its step 2**-level resolves g's singularities
+        # at log xi = +-i pi (1 - a)/a, and stops at level 7 (1255 nodes, alpha ~ 0.977);
+        # g ~ xi**(p-1) at 0 leaves ~1e-300**p below the first node, so p >= 0.06
+        level = max(5, math.ceil(math.log2(a / (0.34 * (1.0 - a))))) if a < 1.0 else 8
+        p = a * b if law == "jws" else a
+        rule = strategy.kind == AUTO and a * b <= 1.0 and level <= 7 and p >= 0.06
+        inside = (x >= 3e-4) & (x <= 1e4) & rule
         out = np.empty_like(x)
         if inside.any():
-            # n'' weighs large xi more: its peak, xi ~ 2/x, needs the finer step at small x
+            # n'' weighs large xi more: at small x its peak, xi ~ 2/x, needs the finer step
             out[inside] = _cm_sum(spec, x[inside], k, level + k // 2) / (-tau) ** k
         rest = ~inside
         if rest.any():
-            out[rest] = _prabhakar_derivative(law, a, b, tau, x[rest], k, strategy)
+            xr = x[rest]
+            if law in ("jws", "mcd") or (law == "cc" and k == 0):
+                out[rest] = prabhakar_eval(a, 1.0 - k, b, xr**a, strategy) / (xr**k * tau**k)
+            else:
+                e = prabhakar_eval(a, a * b + (1 - k), b, xr**a, strategy)
+                out[rest] = ((1.0 if k == 0 else 0.0) - xr ** (a * b - k) * e) / tau**k
         return out
     if k == 0:
         if law == "cd":  # upper incomplete gamma ratio Gamma(beta, x) / Gamma(beta)
@@ -429,50 +433,23 @@ def _derivative(spec: ModelSpec, x: np.ndarray, k: int, strategy: EvalStrategy) 
     return (-d if k == 1 else d) / tau**k
 
 
-def _prabhakar_derivative(law: str, a: float, b: float, tau: float, x: np.ndarray, k: int,
-                          strategy: EvalStrategy) -> np.ndarray:
-    """d^k n / dt^k of a Prabhakar law (cc, hn, jws, mcd) through the index shift."""
-    if law in ("jws", "mcd") or (law == "cc" and k == 0):
-        return prabhakar_eval(a, 1.0 - k, b, x**a, strategy) / (x**k * tau**k)
-    e = prabhakar_eval(a, a * b + (1 - k), b, x**a, strategy)
-    return ((1.0 if k == 0 else 0.0) - x ** (a * b - k) * e) / tau**k
-
-
-def _exp_sinh_level(law: str, a: float, b: float, strategy: EvalStrategy):
-    """The level of the exp-sinh rule that serves this law, or None for the Prabhakar route.
-
-    Only cc, hn and jws under AUTO with g >= 0 (beta <= 1/alpha) qualify.  The step
-    2**-level resolves g's singularities at log xi = +-i pi (1 - a)/a; beyond level 7
-    (alpha above ~0.97) the rule costs more than it saves.  The first node, xi = 1e-300,
-    leaves out the mass ~1e-300**p of g ~ xi**(p-1) at 0, so p must be >= 0.06.
-    """
-    if law not in ("cc", "hn", "jws") or strategy.kind != AUTO or a * b > 1.0:
-        return None
-    level = max(5, math.ceil(math.log2(a / (0.34 * (1.0 - a)))))
-    return level if level <= 7 and (a * b if law == "jws" else a) >= 0.06 else None
-
-
 def _exp_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes xi = exp((pi/2) sinh s) and weights dxi/ds h of the step h = 2**-level on
-    s in [-6.8, 3]: xi runs from 1e-300 to 6.7e6, past 745/3e-4, where exp(-x xi)
-    underflows at the rule's smallest x."""
-    h = 2.0**-level
-    s = np.arange(math.ceil(-6.8 / h), math.floor(3.0 / h) + 1) * h
+    """Nodes xi = exp((pi/2) sinh s) and weights h dxi/ds, step h = 2**-level, s in
+    [-6.8, 3]: xi from 1e-300 to 6.7e6, where exp(-x xi) underflows at x = 3e-4."""
+    s = np.arange(math.ceil(-6.8 * 2**level), math.floor(3.0 * 2**level) + 1) * 2.0**-level
     xi = np.exp(math.pi / 2.0 * np.sinh(s))
-    return xi, xi * np.cosh(s) * (math.pi / 2.0 * h)
+    return xi, xi * np.cosh(s) * (math.pi / 2.0 * 2.0**-level)
 
 
 _EXP_SINH = {level: _exp_sinh(level) for level in (5, 6, 7, 8)}
 
 
 def _cm_sum(spec: ModelSpec, x: np.ndarray, k: int, level: int) -> np.ndarray:
-    """Sum_j xi_j**k exp(-x xi_j) g(xi_j) w_j for each x, in blocks of 16 rows.
+    """tau**k |d^k n / dt^k| = Sum_j xi_j**k exp(-x xi_j) g(xi_j) w_j for each x.
 
-    Each row is summed on its own (``sum(axis=1)``, not a matrix product, whose
-    blocking would tie a row's bits to its neighbours), so a number equals its
-    grid element.  The exponent is floored at -708: numpy's exp is several times
-    slower where it underflows, and the floored terms add below 1e-300.
-    """
+    Rows are summed one by one (``sum(axis=1)``: a matrix product's blocking would tie
+    a row's bits to its neighbours), so a number equals its grid element.  numpy's exp
+    is several times slower where it underflows: the exponent is floored at -708."""
     xi, w = _EXP_SINH[level]
     gw = pdf_g(spec, xi) * w * xi**k
     out = np.empty_like(x)
@@ -498,10 +475,8 @@ def response(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
     """Regular (pointwise) part of the response function phi(t) = -dn/dt at t > 0.
 
     ``t`` is a number (a float) or an array (an array of its shape, one grid call); a
-    number is a 1-element grid, so it gives exactly the element of a grid call.  cc, hn
-    and jws in the valid regime sum over the rate density g under AUTO at t/tau in
-    [3e-4, 1e4], within 1e-11 relative; other points and laws take the Prabhakar route
-    (see :func:`relaxation_derivatives`).
+    number is a 1-element grid, so it gives exactly the element of a grid call.  Routes
+    and tolerances: :func:`relaxation_derivatives`.
     """
     return -_time_function(spec, t, 1, strategy)
 
@@ -516,10 +491,8 @@ def relaxation(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
     """Relaxation function n(t) with n(0) = 1 exactly, monotone to 0 at infinity.
 
     ``t`` is a number (a float) or an array (an array of its shape, one grid call); a
-    number is a 1-element grid, so it gives exactly the element of a grid call.  cc, hn
-    and jws in the valid regime sum over the rate density g under AUTO at t/tau in
-    [3e-4, 1e4], within 1e-11 relative; other points and laws take the Prabhakar route
-    (see :func:`relaxation_derivatives`).
+    number is a 1-element grid, so it gives exactly the element of a grid call.  Routes
+    and tolerances: :func:`relaxation_derivatives`.
     """
     return _time_function(spec, t, 0, strategy)
 
@@ -531,15 +504,12 @@ def relaxation_derivatives(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_
     one grid call each); a number gives exactly the elements of a grid call.
     Complete monotonicity shows up as the sign pattern (+, -, +).
 
-    Under the default AUTO strategy, cc, hn and jws with beta <= 1/alpha at
-    t/tau in [3e-4, 1e4] take ``(-1)**k tau**-k Sum_j xi_j**k exp(-t xi_j/tau)
-    g(xi_j) w_j``, a sum of positive terms over the rate density g (:func:`pdf_g`)
-    on a fixed exp-sinh rule: n and n' within 1e-11 relative of mpmath, n''
-    within 1e-12.  The rule skips alpha above ~0.977 (its step would pass
-    2**-7) and alpha (jws: alpha beta) below 0.06.  Everything else takes the
-    Prabhakar route: each differentiation of
-    ``t**(mu-1) E[alpha, mu; nu](-(t/tau)**alpha)`` lowers mu by one, so the
-    derivatives are Prabhakar evaluations in their own right.
+    Under AUTO, cc, hn and jws with beta <= 1/alpha at t/tau in [3e-4, 1e4] are
+    ``(-1)**k tau**-k Sum_j xi_j**k exp(-t xi_j/tau) g(xi_j) w_j``, positive terms
+    over the rate density g on a fixed exp-sinh rule: n and n' within 1e-11 relative,
+    n'' within 1e-12 (not for alpha above ~0.977 or alpha, for jws alpha beta, below
+    0.06).  The rest lowers mu by one per derivative of
+    ``t**(mu-1) E[alpha, mu; nu](-(t/tau)**alpha)``: Prabhakar evaluations.
     """
     d2 = _time_function(spec, t, 2, strategy)
     return relaxation(spec, t, strategy), -response(spec, t, strategy), d2

@@ -275,11 +275,8 @@ def suite_figures() -> list[CheckResult]:
 
 
 def suite_mixture(tol: float = 1e-5) -> list[CheckResult]:
-    """Mixture representation: Int exp(-t xi/tau) g(xi) dxi = n(t).
-
-    n comes from the Prabhakar route (an explicit contour strategy): under AUTO,
-    cc, hn and jws evaluate n as this very integral on a fixed rule.
-    """
+    """Mixture representation: Int exp(-t xi/tau) g(xi) dxi = n(t), n from the contour
+    (under AUTO, cc, hn and jws evaluate n as this integral on a fixed rule)."""
     contour = EvalStrategy(CONTOUR_INVERSION)
     cases = [
         _spec("hn", 0.5, 0.5),
