@@ -8,24 +8,28 @@ pure scale: it cancels from the Sonine product, the evolution residuals and
 ``Psi_hat / B``.
 
 Time-domain kernels.  With ``g(w) = (1 + w)**beta - 1`` (``models._pow1p_m1``)
-the HN family has ``M_hat(z) = 1 / (B g((z tau)**alpha))`` and the JWS family
-``k_hat(z) = B / (g((z tau)**-alpha) z)``; cd and mcd are the alpha = 1 cases,
-and mcd k loses its point mass ``B tau / beta``.  These four kernels are
-images in p = z tau handed to ``inversion.talbot_sum`` on its 24 nodes, all
-the points in one call; against 34-digit mpmath they are within
-1e-10 relative on t/tau from 1e-3 to 1e3, the constant bound
-``memory_time_with_bound`` reports for them.  (32 and 48 nodes lose digits
-to rounding.)  The others are closed forms with bound 0: hn k and jws/mcd M
-in Prabhakar functions, cd k as ``B Gamma(-beta, t/tau) / |Gamma(-beta)|``,
-cc in powers of t, Debye ``M = 1/(B tau)`` and the pure point mass
-``k = B tau delta(t)``.
+and p = z tau, ``_ratio(p)`` is ``g(p**alpha)`` (HN family) or
+``1 / g(p**-alpha)`` (JWS family).  Every kernel that is not elementary is
+its own image inverted by ``inversion.talbot_sum`` on 24 nodes, all the
+points in one call, within its bound against 30-digit mpmath on t/tau from
+1e-3 to 1e3 (32 and 48 nodes lose digits to rounding):
 
-Evolution equations.  The HN family shares one kernel
-``K(w) = w**(-ab) E[a, 1-ab; -b](-(w/tau)**a)`` (``_K``), which the Caputo
-residual, the Caputo/Riemann-Liouville identity and its RL side all
-convolve against n' or n; every such convolution is split at t/2, its halves
-the two rows of one tanh-sinh run (``_split_integral``), so an integrand call
-takes the abscissae of both.
+* M of hn, cd, jws and mcd: ``1 / (B _ratio(p))``, bound ``1e-10 |M|``;
+* hn k: ``B _ratio(p) / p``, bound ``1e-10 |k|``, ``1e-11 / (1 - alpha) |k|``
+  beyond alpha = 0.9; on ``alpha beta = 1`` each node leaves the point
+  mass ``B tau delta(t)`` without cancellation;
+* jws/mcd k: its leading term ``B x**-alpha / (beta Gamma(1 - alpha))`` in
+  closed form (mcd's is the point mass ``B tau / beta``), the rest on the
+  contour, bound ``1e-10 |k|``.
+
+The others are closed forms with bound 0: cd k as
+``B Gamma(-beta, t/tau) / |Gamma(-beta)|``, cc in powers of t, Debye
+``M = 1/(B tau)`` and the pure point mass ``k = B tau delta(t)``.
+
+Evolution equations.  Each family convolves its own kernel, with w the
+point-mass weight of k: ``n + (w/B) n' + (1/B) k * n' = 0`` for the HN
+family, ``n - 1 + B M * n = 0`` for the JWS family; the
+Caputo/Riemann-Liouville identity convolves the same kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings  # noqa: F401  (rebound by relaxbench's tracer to count warnings)
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +56,7 @@ from .models import (
     spectral_ratio_real,
 )
 from .quadrature import _MAX_LEVEL, _integrate_rows
-from .specfun import DEFAULT_STRATEGY, EvalStrategy, _special, prabhakar_eval
+from .specfun import _special
 
 __all__ = [
     "KernelConfig",
@@ -140,26 +145,24 @@ def _w_over_g_less(w, b: float):
     return -h / (b * (h + b))
 
 
-def memory_time_with_bound(
-    cfg: KernelConfig, t, which: str, strategy: EvalStrategy = DEFAULT_STRATEGY
-):
+def memory_time_with_bound(cfg: KernelConfig, t, which: str):
     """Regular part of M(t) or k(t) plus its error bound.
 
     ``t`` is a number (two floats) or an array (two arrays of its shape); a
     number is evaluated as a 1-element array, so it gives exactly the element
-    of a grid call.  The bound is ``1e-10 |value|`` for the contour-inverted
-    kernels (hn/cd M, jws/mcd k) and 0 for the closed forms.
+    of a grid call.  The bound is the contour's (see the module docstring)
+    for the inverted kernels and 0 for the closed forms.
     """
     t, scalar = _grid(t, "t", positive=True)
     if which not in ("M", "k"):
         raise DomainError("which must be 'M' or 'k'")
-    value, bound = _kernel(cfg, t.reshape(-1), which, strategy)
+    value, bound = _kernel(cfg, t.reshape(-1), which)
     if scalar:
         return float(value[0]), float(bound[0])
     return value.reshape(t.shape), bound.reshape(t.shape)
 
 
-def _kernel(cfg: KernelConfig, t: np.ndarray, which: str, strategy: EvalStrategy):
+def _kernel(cfg: KernelConfig, t: np.ndarray, which: str):
     """(value, bound) of M or the regular part of k on a 1-D array of times t > 0."""
     spec = cfg.spec
     law, a, b, tau, B = _law(spec), spec.alpha, spec.beta, spec.tau, cfg.rate_B
@@ -169,8 +172,6 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str, strategy: EvalStrategy
     if which == "M":
         if law in ("debye", "cc"):
             return x ** (a - 1.0) / (B * tau * math.gamma(a)), zero
-        if _jws(spec):
-            return prabhakar_eval(a, 0.0, -b, x**a, strategy) / (B * t), zero
         value = talbot_sum(lambda p: 1.0 / _ratio(spec, p), x) / (B * tau)
         return value, _CONTOUR_BOUND * abs(value)
 
@@ -179,8 +180,9 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str, strategy: EvalStrategy
         return zero, zero  # pure point mass B*tau*delta(t); see kernel_singular_weight
     if law == "cc":
         return B * x**-a / math.gamma(1.0 - a), zero
-    if law == "hn":
-        return B * x ** (-a * b) * prabhakar_eval(a, 1.0 - a * b, -b, x**a, strategy) - B, zero
+    if law == "hn":  # b / Gamma(1 - a), the tail amplitude, shrinks like 1 - a; rounding does not
+        value = B * talbot_sum(lambda p: _hn_k_image(spec, p), x)
+        return value, _CONTOUR_BOUND * max(1.0, 0.1 / (1.0 - a)) * abs(value)
     if law == "cd":
         # B Gamma(-b, x) / |Gamma(-b)| with Gamma(-b, x) = (x**-b e**-x - Gamma(1-b, x)) / b
         sc = _special()
@@ -193,73 +195,64 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str, strategy: EvalStrategy
     return value, _CONTOUR_BOUND * abs(value)
 
 
-def memory_M_time(cfg: KernelConfig, t: float, strategy: EvalStrategy = DEFAULT_STRATEGY) -> float:
-    """Regular part of the memory function M(t)."""
-    return memory_time_with_bound(cfg, t, "M", strategy)[0]
-
-
-def memory_k_time(cfg: KernelConfig, t: float, strategy: EvalStrategy = DEFAULT_STRATEGY) -> float:
-    """Regular part of the Sonine partner kernel k(t)."""
-    return memory_time_with_bound(cfg, t, "k", strategy)[0]
-
-
-def _K(spec: ModelSpec, w):
-    """The HN-family evolution kernel w**(-ab) E[a, 1-ab; -b](-(w/tau)**a), w a number or array."""
+def _hn_k_image(spec: ModelSpec, p):
+    """hn ``k_hat / (B tau) = g(p**a) / p``, less its point mass 1 at a b = 1, where away from
+    the origin it is ``g(p**-a) - 1/p``: no cancellation against 1."""
     a, b = spec.alpha, spec.beta
-    return w ** -(a * b) * prabhakar_eval(a, 1.0 - a * b, -b, (w / spec.tau) ** a)
+    if a * b != 1.0:
+        return _ratio(spec, p) / p
+    out = _pow1p_m1(p**-a, b) - 1.0 / p
+    near = np.abs(p) < 1.0
+    out[near] = _ratio(spec, p[near]) / p[near] - 1.0
+    return out
 
 
-def _split_integral(f, t: float, rel_tol: float) -> float:
-    """Int_0^t f(u) du split at t/2: the convolutions here carry an integrable singularity at
-    each end (u**(ab-1) from n' at 0, the kernel's at t).  The halves are the two rows of one
-    tanh-sinh run over s in (0, t/2), u = s and u = t - s, so ``f`` gets the nodes of both in
-    one array per integrand call; nodes where t - s rounds onto t are left out."""
+def memory_M_time(cfg: KernelConfig, t: float) -> float:
+    """Regular part of the memory function M(t)."""
+    return memory_time_with_bound(cfg, t, "M")[0]
+
+
+def memory_k_time(cfg: KernelConfig, t: float) -> float:
+    """Regular part of the Sonine partner kernel k(t)."""
+    return memory_time_with_bound(cfg, t, "k")[0]
+
+
+def _convolution(cfg: KernelConfig, which: str, t: float, f, rel_tol: float) -> float:
+    """Int_0^t kappa(t-u) f(u) du, kappa the regular part of M or k, split at t/2: it carries
+    an integrable singularity at each end (f's at 0, the kernel's at t).  The halves are the
+    two rows of one tanh-sinh run over s in (0, t/2), so an integrand call takes the nodes of
+    both in one array: u = s on the first, t - u = s on the second, where the kernel gets its
+    lag s itself (t - (t - s) would round it away near the singularity)."""
 
     def halves(s, rows):
-        u = np.where(rows[:, None] == 0, s, t - s)
-        inside = u < t
-        out = np.zeros(u.shape)
-        out[inside] = f(u[inside])
-        return out
+        first = rows[:, None] == 0
+        u, lag = np.where(first, s, t - s), np.where(first, t - s, s)
+        return _kernel(cfg, lag.reshape(-1), which)[0].reshape(lag.shape) * f(u)
 
     parts, _ = _integrate_rows(halves, 0.0, t / 2.0, 2, rel_tol, 0.0, _MAX_LEVEL)
     return float(parts[0] + parts[1])
 
 
-def _caputo_convolution(spec: ModelSpec, t: float) -> float:
-    """Int_0^t K(t-u) n'(u) du."""
-    return _split_integral(lambda u: _K(spec, t - u) * (-response(spec, u)), t, 1e-9)
-
-
 def evolution_residual(cfg: KernelConfig, t_grid) -> float:
     """Max absolute residual of the model's memory evolution equation on t_grid.
 
-    HN family (hn, cc, cd, debye): the Caputo-type form,
-    ``Int_0^t K(t-u) n'(u) du + tau**(-ab) = 0``.
-    JWS family (jws, mcd): the integral form,
-    ``Int_0^t (t-u)**-1 E[a, 0; -b](-((t-u)/tau)**a) n(u) du - 1 = 0``.
+    HN family (hn, cc, cd, debye), with k's point-mass weight w:
+    ``n(t) + (w/B) n'(t) + (1/B) Int_0^t k(t-u) n'(u) du = 0``; Debye's
+    regular k is 0 and w = B tau, so it reads ``n + tau n' = 0``.
+    JWS family (jws, mcd): ``n(t) - 1 + B Int_0^t M(t-u) n(u) du = 0``.
     Residuals are independent of the rate constant B.
     """
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0.0 for t in ts) or sorted(ts) != ts:
         raise DomainError("t_grid must be positive and sorted ascending")
-    spec = cfg.spec
-    a, b, tau = spec.alpha, spec.beta, spec.tau
+    spec, B, w = cfg.spec, cfg.rate_B, kernel_singular_weight(cfg, "k")
+    n, phi = partial(relaxation, spec), partial(response, spec)  # phi = -n'
     worst = 0.0
     for t in ts:
-        if _law(spec) == "debye":
-            # k is the point mass B*tau*delta: the equation collapses to tau n' + n = 0
-            resid = tau * (-response(spec, t)) + relaxation(spec, t)
-        elif _jws(spec):
-            def integrand(u):
-                w = t - u
-                return prabhakar_eval(a, 0.0, -b, (w / tau) ** a) / w * relaxation(spec, u)
-
-            # the kernel's formal delta samples n at the endpoint: the
-            # distributional convolution is the regular integral plus n(t)
-            resid = _split_integral(integrand, t, 1e-9) + relaxation(spec, t) - 1.0
+        if _jws(spec):
+            resid = n(t) - 1.0 + B * _convolution(cfg, "M", t, n, 1e-9)
         else:
-            resid = (_caputo_convolution(spec, t) + tau ** (-a * b)) * tau ** (a * b)
+            resid = n(t) - (w * phi(t) + _convolution(cfg, "k", t, phi, 1e-9)) / B
         worst = max(worst, abs(resid))
     return worst
 
@@ -267,23 +260,26 @@ def evolution_residual(cfg: KernelConfig, t_grid) -> float:
 def caputo_rl_identity_residual(cfg: KernelConfig, t_grid, fd_step: float = 1e-3) -> float:
     """Max residual of the Caputo/Riemann-Liouville operator relation on t_grid.
 
-    Checks ``C-op n(t) = RL-op n(t) - K(t) n(0+)`` with
-    ``K(t) = t**(-ab) E[a, 1-ab; -b](-(t/tau)**a)``: the left side is the
-    Caputo convolution against n', the RL side differentiates (by central
-    finite difference with relative step ``fd_step``) the convolution against
-    n itself.
+    Checks ``Int_0^t K(t-u) n'(u) du = d/dt Int_0^t K(t-u) n(u) du - K(t) n(0+)``
+    with K the regular kernel of the family's evolution equation (k for the HN
+    family, M for the JWS one) at B = 1, so the residual is independent of B:
+    the left side is the Caputo convolution, the Riemann-Liouville side
+    differentiates (by central finite difference with relative step
+    ``fd_step``) the convolution against n itself.
     """
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0.0 for t in ts):
         raise DomainError("t_grid must be positive")
     spec = cfg.spec
+    unit, which = KernelConfig(spec), "M" if _jws(spec) else "k"
 
     def rl_integral(t: float) -> float:
-        return _split_integral(lambda u: _K(spec, t - u) * relaxation(spec, u), t, 1e-10)
+        return _convolution(unit, which, t, partial(relaxation, spec), 1e-10)
 
     worst = 0.0
     for t in ts:
         h = fd_step * t
         rl = (rl_integral(t + h) - rl_integral(t - h)) / (2.0 * h)
-        worst = max(worst, abs(_caputo_convolution(spec, t) + _K(spec, t) - rl))
+        caputo = -_convolution(unit, which, t, partial(response, spec), 1e-9)
+        worst = max(worst, abs(caputo + _kernel(unit, np.array([t]), which)[0][0] - rl))
     return worst

@@ -24,16 +24,16 @@ array around it, so a number gives exactly the element of a grid call.
 
 The public dataclass ``PrabhakarParams`` enforces ``nu > 0`` (the regime the
 relaxation models and the complete-monotonicity statements live in); the
-module-level evaluators accept any real ``mu`` and ``nu`` because the memory
-kernels need ``E[alpha, mu; -beta]`` and second derivatives need ``mu < 0``.
+module-level evaluators accept any real ``mu`` and ``nu``: second derivatives
+need ``mu < 0``, and a negative ``nu`` is evaluated as well.
 
 ``scipy.special`` takes longer to import than numpy and relaxkit together, so
 it is imported on first use, through the cached accessor ``_special()``, which
 ``models`` and ``kernels`` share: ``rgamma`` for every Prabhakar evaluation,
 ``hyp1f1`` for the alpha = 1 Kummer route, ``gammaincc`` for the Cole-Davidson
 closed forms and ``binom`` for the jws/mcd k small-w series.  The Debye and KWW
-closed forms, spectra and permittivities, the hn/cd M kernels and the Levy
-density never load it.
+closed forms, spectra and permittivities, every M kernel, the hn k kernel and
+the Levy density never load it.
 """
 
 from __future__ import annotations
@@ -540,8 +540,8 @@ def prabhakar_eval(
 ):
     """Low-level Prabhakar evaluation accepting any real ``mu`` and ``nu``.
 
-    The memory kernels need ``nu = -beta`` and ``mu = 0``; second derivatives
-    of the relaxation functions need ``mu < 0``.  Same contract as
+    A negative ``nu`` is evaluated as well; second derivatives of the
+    relaxation functions need ``mu < 0``.  Same contract as
     :func:`prabhakar` otherwise.  ``x`` is a number (a float result) or an
     array (an array of its shape); both go through :func:`_eval_grid`, a
     number as a 1-element array, so it gives exactly the element of a grid call.

@@ -8,9 +8,9 @@ import textwrap
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # calls that never need scipy.special: a closed-form (Debye) relaxation table, an hn
-# permittivity table, the contour-inverted hn M kernel, the Levy density and an hn
-# relaxation grid (a positive sum over the rate density g); the Prabhakar function
-# needs rgamma
+# permittivity table, the contour-inverted hn M and k and jws and mcd M kernels, the Levy
+# density and an hn relaxation grid (a positive sum over the rate density g); the Prabhakar
+# function needs rgamma
 SCRIPT = textwrap.dedent(
     """
     import sys
@@ -19,8 +19,8 @@ SCRIPT = textwrap.dedent(
 
     import relaxkit
     import relaxkit.cli as cli
-    from relaxkit import (KernelConfig, ModelSpec, levy_stable_density, memory_M_time,
-                          prabhakar_eval, relaxation)
+    from relaxkit import (KernelConfig, ModelSpec, levy_stable_density, memory_k_time,
+                          memory_M_time, prabhakar_eval, relaxation)
 
     grid = ["--grid", "0.001:1000:32"]
     hn = ["--model", "hn", "--alpha", "0.6", "--beta", "0.5"]
@@ -29,6 +29,9 @@ SCRIPT = textwrap.dedent(
     t = np.logspace(-2.0, 2.0, 24)
     spec = ModelSpec("hn", alpha=0.6, beta=0.5)
     memory_M_time(KernelConfig(spec), t)
+    memory_k_time(KernelConfig(spec), t)
+    memory_M_time(KernelConfig(ModelSpec("jws", alpha=0.6, beta=0.5)), t)
+    memory_M_time(KernelConfig(ModelSpec("mcd", beta=0.5)), t)
     levy_stable_density(0.5, t)
     relaxation(spec, t)
     assert cli.main(["eval", "response", *hn, *grid]) == 0

@@ -203,6 +203,21 @@ def test_evolution_residual_hn():
     assert evolution_residual(cfg, np.linspace(0.1, 5.0, 8)) < 1e-4
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.5, 2.0), (0.8, 1.25)])
+def test_evolution_residual_on_the_regime_boundary(alpha, beta):
+    # at alpha beta = 1 k carries the point mass B tau delta(t); a residual without its
+    # (w/B) n'(t) term read 0.25 and 0.48 here
+    cfg = KernelConfig(ModelSpec("hn", alpha=alpha, beta=beta), rate_B=1.7)
+    assert evolution_residual(cfg, [0.5, 1.0, 2.0]) < 1e-6
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("jws", alpha=0.3, beta=0.95), ModelSpec("cc", alpha=0.6)])
+def test_convolutions_give_the_kernel_its_exact_lag(spec):
+    # forming the lag as t - (t - s) rounds it away where the kernel is singular: the
+    # residuals read 1.1e-5 (jws) and 2.6e-7 (cc) that way
+    assert evolution_residual(KernelConfig(spec), [0.01, 1.0, 20.0]) < 1e-9
+
+
 def test_evolution_residual_jws():
     cfg = KernelConfig(ModelSpec("jws", alpha=0.5, beta=0.5))
     assert evolution_residual(cfg, np.linspace(0.1, 5.0, 8)) < 1e-4
@@ -239,9 +254,11 @@ def test_evolution_residual_cc_reduces_to_caputo():
 
 
 def test_caputo_rl_identity():
+    ts = [0.3, 1.0, 3.0]
     for spec in (ModelSpec("hn", alpha=0.5, beta=0.5), ModelSpec("jws", alpha=0.5, beta=0.5)):
-        cfg = KernelConfig(spec)
-        assert caputo_rl_identity_residual(cfg, [0.3, 1.0, 3.0]) < 1e-4
+        residual = caputo_rl_identity_residual(KernelConfig(spec), ts)
+        assert residual < 1e-4
+        assert caputo_rl_identity_residual(KernelConfig(spec, rate_B=7.3), ts) == residual
 
 
 def test_evolution_residual_grid_validation():
