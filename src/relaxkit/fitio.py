@@ -440,9 +440,8 @@ class _Problem:
                 d[positive, 0] = -xa * np.log(x) * n
             d[positive, -1] = spec.alpha * xa * n
         elif x.size:
-            # n_hat = (1 - phi_hat) / p, so d n / d theta inverts -(d phi_hat / d theta) / p;
-            # the image gets p = z / x, and its first column times x[0] is the nodes z
-            d[positive] = talbot_sum(lambda p: _partials(spec, p[:, :1] * x[0], x, free, -1.0 / p), x)
+            # n_hat = (1 - phi_hat) / p, so d n / d theta inverts -(d phi_hat / d theta) / p
+            d[positive] = talbot_sum(lambda z, x: _partials(spec, z, x, free, -x / z), x)
         return self.w[:, None] * d
 
 

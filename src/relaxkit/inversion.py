@@ -2,11 +2,11 @@
 
 :func:`talbot_sum` is the one fixed-Talbot engine (Abate & Valko 2004): the
 kernels, the Prabhakar midrange, the subordination density, the fit's time
-Jacobian and :func:`talbot` each hand it an image on its nodes.  It owns the
-contour, the division of the nodes by t, the non-finite check and the sum
-over the nodes in ascending order (cumsum), so a point's value does not
-depend on the points that share its call.  Gaver-Stehfest (Stehfest 1970,
-Salzer weights) samples the real axis only: the tests' independent reference.
+Jacobian and :func:`talbot` each hand it an image of the nodes z and the times
+t that forms its powers of p = z / t as z**e t**-e.  It owns the contour, the
+non-finite check and the sum over the nodes in ascending order (cumsum), so a
+point's value does not depend on the points that share its call.  Gaver-Stehfest
+(Stehfest 1970, Salzer weights) samples the real axis only: the tests' reference.
 """
 
 from __future__ import annotations
@@ -36,17 +36,17 @@ def talbot_contour(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return z[:, None], weights[:, None]
 
 
-def talbot_sum(image: Callable[[np.ndarray], np.ndarray], t, nodes: int = 24) -> np.ndarray:
+def talbot_sum(image: Callable[..., np.ndarray], t, nodes: int = 24) -> np.ndarray:
     """Fixed-Talbot inversion of ``image`` at the times ``t`` (a number or a 1-D array).
 
-    ``image`` gets the nodes over t (nodes x 1, or nodes x points) and returns nodes
-    x points values, or nodes x points x columns, each column as if inverted alone.
-    A non-finite term raises :class:`ContourOverflow`.  Accuracy in doubles
-    saturates around 1e-11 relative to the image scale for 24..32 nodes.
+    ``image(z, t)`` gets the read-only nodes z at t = 1 (nodes x 1) and the times as given,
+    and returns nodes x points values at p = z / t, or nodes x points x columns, each column
+    as if inverted alone.  A non-finite term raises :class:`ContourOverflow`.  Accuracy in
+    doubles saturates around 1e-11 relative to the image scale for 24..32 nodes.
     """
     z, weights = talbot_contour(nodes)
     t = np.asarray(t, dtype=float)
-    values = image(z / t)
+    values = image(z, t)
     lift = (1,) * (values.ndim - 2)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below as ContourOverflow
         terms = (weights.reshape((-1, 1) + lift) * values).real
@@ -60,7 +60,7 @@ def talbot(F: Callable[[complex], complex], t: float, nodes: int = 32) -> float:
     if not (0.0 < t < math.inf):
         raise DomainError(f"t must be positive and finite, got {t}")
     return float(
-        talbot_sum(lambda z: np.array([[F(zk)] for zk in z[:, 0].tolist()]), t, int(nodes))[0]
+        talbot_sum(lambda z, t: np.array([[F(s)] for s in (z / t)[:, 0].tolist()]), t, int(nodes))[0]
     )
 
 
@@ -79,13 +79,7 @@ def stehfest_weights(n: int) -> tuple[float, ...]:
         acc = 0
         for j in range((k + 1) // 2, min(k, half) + 1):
             num = j ** half * math.factorial(2 * j)
-            den = (
-                math.factorial(half - j)
-                * math.factorial(j)
-                * math.factorial(j - 1)
-                * math.factorial(k - j)
-                * math.factorial(2 * j - k)
-            )
+            den = math.prod(map(math.factorial, (half - j, j, j - 1, k - j, 2 * j - k)))
             acc += num // den if num % den == 0 else num / den
         weights.append((-1) ** (k + half) * float(acc))
     return tuple(weights)
@@ -101,15 +95,10 @@ def gaver_stehfest(F: Callable[[float], float], t: float, nodes: int = 16) -> fl
     """
     if not (0.0 < t < math.inf):
         raise DomainError(f"t must be positive and finite, got {t}")
-    n = int(nodes)
-    if n % 2 != 0:
-        n += 1
+    n = int(nodes) + int(nodes) % 2
     V = stehfest_weights(n)
     s = _LN2 / t
-    total = 0.0
-    for k in range(1, n + 1):
-        v = complex(F(k * s))
-        total += V[k - 1] * v.real
+    total = sum(V[k - 1] * complex(F(k * s)).real for k in range(1, n + 1))
     if not math.isfinite(total):
         raise ContourOverflow("non-finite image value on Gaver-Stehfest abscissae")
     return total * s

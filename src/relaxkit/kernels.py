@@ -7,12 +7,13 @@ characteristic exponent ``Psi_hat = 1 / M_hat``.  The rate constant B is a
 pure scale: it cancels from the Sonine product, the evolution residuals and
 ``Psi_hat / B``.
 
-Time-domain kernels.  With ``g(w) = (1 + w)**beta - 1`` (``models._pow1p_m1``)
-and p = z tau, ``_ratio(p)`` is ``g(p**alpha)`` (HN family) or
-``1 / g(p**-alpha)`` (JWS family).  Every kernel that is not elementary is
-its own image inverted by ``inversion.talbot_sum`` on 24 nodes, all the
-points in one call, within its bound against 30-digit mpmath on t/tau from
-1e-3 to 1e3 (32 and 48 nodes lose digits to rounding):
+Time-domain kernels.  With ``g(w) = (1 + w)**beta - 1`` (``models._pow1p_m1``),
+p = z / x (z a contour node, x = t/tau) and each power of p taken as z**e x**-e,
+``_ratio(z, x)`` is ``g(p**alpha)`` (HN family) or ``1 / g(p**-alpha)`` (JWS
+family).  Every kernel that is not elementary is its own image inverted by
+``inversion.talbot_sum`` on 24 nodes, all the points in one call, within its
+bound against 30-digit mpmath on t/tau from 1e-3 to 1e3 (32 and 48 nodes lose
+digits to rounding):
 
 * M of hn, cd, jws and mcd: ``1 / (B _ratio(p))``, bound ``1e-10 |M|``;
 * hn k: ``B _ratio(p) / p``, bound ``1e-10 |k|``, ``1e-11 / (1 - alpha) |k|``
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings  # noqa: F401  (rebound by relaxbench's tracer to count warnings)
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -133,16 +134,24 @@ def _series_sum(*args):
     raise NotImplementedError("the kernel renewal series is gone")
 
 
-def _w_over_g_less(w, b: float):
-    """``w / g(w) - 1/b`` as ``-h / (b (h + b))`` with ``h = g(w)/w - b``; at small |w|, where
-    h cancels (and subtracting 1/b from w / g(w) would lose 3-5 digits of mcd k at small t),
-    h is its binomial series ``sum_{j >= 2} C(b, j) w**(j-1)`` to j = 28, whose first
-    dropped term is below 0.25**27 ~ 6e-17 of the sum."""
+@lru_cache(maxsize=128)
+def _binomials(b: float) -> np.ndarray:
+    """C(b, j) for j = 28 down to 2, as the running product C(b, j+1) = C(b, j) (b - j) / (j + 1)."""
+    return np.cumprod([b] + [(b - j) / (j + 1) for j in range(1, 28)])[:0:-1]
+
+
+def _jws_k_image(spec: ModelSpec, z, x):
+    """jws/mcd ``k_hat / (B tau)`` at p = z / x less its leading term, ``p**(a-1) (w / g(w) - 1/b)``
+    with w = p**-a, as ``-h / (b (h + b)) x / (z w)`` with ``h = g(w)/w - b``; at small |w|, where h
+    cancels (subtracting 1/b from w / g(w) would lose 3-5 digits of mcd k at small t), h is its
+    series ``sum_{j >= 2} C(b, j) w**(j-1)`` to j = 28, first dropped term below 0.25**27 of it."""
+    a, b = spec.alpha, spec.beta
+    w = z**-a * x**a
     h = _pow1p_m1(w, b) / w - b
     small = np.abs(w) < 0.25
     if small.any():
-        h[small] = w[small] * np.polyval(_special().binom(b, np.arange(28, 1, -1)), w[small])
-    return -h / (b * (h + b))
+        h[small] = w[small] * np.polyval(_binomials(b), w[small])
+    return -x / (z * w) * h / (b * (h + b))
 
 
 def memory_time_with_bound(cfg: KernelConfig, t, which: str):
@@ -172,7 +181,7 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str):
     if which == "M":
         if law in ("debye", "cc"):
             return x ** (a - 1.0) / (B * tau * math.gamma(a)), zero
-        value = talbot_sum(lambda p: 1.0 / _ratio(spec, p), x) / (B * tau)
+        value = talbot_sum(lambda z, x: 1.0 / _ratio(spec, z, x), x) / (B * tau)
         return value, _CONTOUR_BOUND * abs(value)
 
     # which == "k"
@@ -181,29 +190,30 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str):
     if law == "cc":
         return B * x**-a / math.gamma(1.0 - a), zero
     if law == "hn":  # b / Gamma(1 - a), the tail amplitude, shrinks like 1 - a; rounding does not
-        value = B * talbot_sum(lambda p: _hn_k_image(spec, p), x)
+        value = B * talbot_sum(partial(_hn_k_image, spec), x)
         return value, _CONTOUR_BOUND * max(1.0, 0.1 / (1.0 - a)) * abs(value)
     if law == "cd":
         # B Gamma(-b, x) / |Gamma(-b)| with Gamma(-b, x) = (x**-b e**-x - Gamma(1-b, x)) / b
         sc = _special()
         return B * (x**-b * np.exp(-x) * float(sc.rgamma(1.0 - b)) - sc.gammaincc(1.0 - b, x)), zero
-    # jws / mcd: k_hat(z) = B tau p**(a-1) w / g(w) with p = z tau, w = p**-a; its
+    # jws / mcd: k_hat(s) = B tau p**(a-1) w / g(w) with p = s tau, w = p**-a; its
     # leading term p**(a-1) / b inverts in closed form (for mcd, a = 1, it is the
     # point mass and its regular part is 0), the rest on the contour
-    lead = x**-a * float(_special().rgamma(1.0 - a)) / b
-    value = B * (lead + talbot_sum(lambda p: p ** (a - 1.0) * _w_over_g_less(p**-a, b), x))
+    lead = x**-a * (1.0 / math.gamma(1.0 - a) if a < 1.0 else 0.0) / b
+    value = B * (lead + talbot_sum(partial(_jws_k_image, spec), x))
     return value, _CONTOUR_BOUND * abs(value)
 
 
-def _hn_k_image(spec: ModelSpec, p):
-    """hn ``k_hat / (B tau) = g(p**a) / p``, less its point mass 1 at a b = 1, where away from
-    the origin it is ``g(p**-a) - 1/p``: no cancellation against 1."""
+def _hn_k_image(spec: ModelSpec, z, x):
+    """hn ``k_hat / (B tau) = g(p**a) / p`` at p = z / x, less its point mass 1 at a b = 1,
+    where away from the origin it is ``g(p**-a) - 1/p``: no cancellation against 1."""
     a, b = spec.alpha, spec.beta
     if a * b != 1.0:
-        return _ratio(spec, p) / p
-    out = _pow1p_m1(p**-a, b) - 1.0 / p
-    near = np.abs(p) < 1.0
-    out[near] = _ratio(spec, p[near]) / p[near] - 1.0
+        return _ratio(spec, z, x) * x / z
+    out = _pow1p_m1(z**-a * x**a, b) - x / z
+    near = np.abs(z) < x  # |p| < 1
+    z, x = np.broadcast_arrays(z, x)
+    out[near] = _ratio(spec, z[near], x[near]) * x[near] / z[near] - 1.0
     return out
 
 

@@ -264,12 +264,12 @@ def subordination_pdf(
     if not ((xis > 0.0) & (xis < math.inf)).all() or not (0.0 < t < math.inf):
         raise DomainError("xi and t must be positive and finite")
 
-    def image(z):
+    def image(z, t):
         # Psi and Psi/z node by node in Python complex arithmetic, the rest as
         # nodes x points, so that a value does not depend on how many points
         # share the call: other numpy paths round complex products differently,
         # and the contour sum amplifies that a thousandfold
-        zs = z[:, 0].tolist()
+        zs = (z / t)[:, 0].tolist()
         psi = [exponent(zj) for zj in zs]
         psi_z = np.array([[p / zj] for p, zj in zip(psi, zs)])
         w = -np.multiply.outer(np.array(psi, dtype=complex), xis.ravel())

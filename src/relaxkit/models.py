@@ -281,10 +281,15 @@ def _pow1p_m1(w, b: float):
     scalar = isinstance(w, complex)
     lib = math if scalar else np
     re, im = w.real, w.imag
-    u_re = b * (0.5 * lib.log1p(2.0 * re + re * re + im * im))
-    u_im = b * (math.atan2(im, 1.0 + re) if scalar else np.arctan2(im, 1.0 + re))
+    with np.errstate(over="ignore"):  # the squares overflow past |w| ~ 1e154: hypot there
+        log_abs = 0.5 * lib.log1p(2.0 * re + re * re + im * im)
+    if (log_abs if scalar else log_abs.max(initial=0.0)) == math.inf:
+        log_abs = np.where(log_abs == math.inf, np.log(np.hypot(1.0 + re, im)), log_abs)
+    u_re, u_im = b * log_abs, b * (math.atan2(im, 1.0 + re) if scalar else np.arctan2(im, 1.0 + re))
     if not scalar:
-        return np.expm1(u_re + 1j * u_im)
+        out = np.empty_like(w)
+        out.real, out.imag = u_re, u_im
+        return np.expm1(out, out=out)
     half = math.sin(0.5 * u_im)
     return complex(math.expm1(u_re) * math.cos(u_im) - 2.0 * half * half, math.exp(u_re) * math.sin(u_im))
 
@@ -302,16 +307,21 @@ def spectral_ratio_real(spec: ModelSpec, s: float) -> float:
     return _ratio(spec, float(s * spec.tau))
 
 
-def _ratio(spec: ModelSpec, p):
-    """(1 - phi_hat) / phi_hat at p = z tau (a float, a complex or a complex array).
+def _ratio(spec: ModelSpec, z, x=1.0):
+    """(1 - phi_hat) / phi_hat at p = z / x (z a float, a complex or nodes x 1; x positive reals).
 
-    With g(w) = (1 + w)**beta - 1 it is g(p**alpha) for the HN family and
-    1 / g(p**-alpha) for the JWS family, the characteristic exponent up to the
-    rate constant.
+    With g(w) = (1 + w)**beta - 1 it is g(p**alpha) for the HN family and 1 / g(p**-alpha)
+    for the JWS family, the characteristic exponent up to the rate constant.  p**e is
+    z**e x**-e; past |w| ~ 1e10 expm1(b log|1 + w|) would carry the log's rounding (1e-14
+    at |w| = 1e120) into the result, so w**b is taken from the powers of z and x there.
     """
-    if _jws(spec):
-        return 1.0 / _pow1p_m1(p**-spec.alpha, spec.beta)
-    return _pow1p_m1(p**spec.alpha, spec.beta)
+    e, b = (-spec.alpha if _jws(spec) else spec.alpha), spec.beta
+    xe = x**-e
+    g = _pow1p_m1(z**e * xe, b)
+    if np.ndim(xe) and (far := xe > 1e10).any():  # w**b (1 + 1/w)**b - 1, w**b by real powers
+        w = z**e * xe[far]
+        g[..., far] = z ** (e * b) * xe[far] ** b * (1.0 + _pow1p_m1(1.0 / w, b)) - 1.0
+    return 1.0 / g if _jws(spec) else g
 
 
 def _partials(spec: ModelSpec, z, x: np.ndarray, free=(True, True), factor=1.0) -> np.ndarray:
@@ -319,9 +329,10 @@ def _partials(spec: ModelSpec, z, x: np.ndarray, free=(True, True), factor=1.0) 
     or a number; x positive reals), stacked on a new last axis: the alpha and beta columns
     where ``free`` says so, then log tau.  With q = p**alpha, P = 1 + q, phi = P**-beta (HN
     family) or Q = p**-alpha, R = 1 + Q, psi = R**-beta (JWS family, phi_hat = 1 - psi); tau
-    enters through p alone, so the log tau column is p d phi_hat / dp.  p is never formed:
-    log p = log z - log x and p**e = z**e x**-e, so only log P and P**-beta cost a complex
-    transcendental per point; at beta = 1 phi is 1 / P, and log P serves the beta column only."""
+    enters through p alone, so the log tau column is p d phi_hat / dp.  As in every contour
+    image, p is never formed: log p = log z - log x and p**e = z**e x**-e, so only log P and
+    P**-beta cost a complex transcendental per point; at beta = 1 phi is 1 / P, and log P
+    serves the beta column only."""
     a, b = spec.alpha, spec.beta
     e = -a if _jws(spec) else a
     q = z**e * x**-e

@@ -401,7 +401,7 @@ def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     if mu < 0.0:
         raise NonConvergent("contour inversion restricted to mu >= 0")
 
-    def image(z):
+    def image(z, t):  # t = 1: the nodes z are the points p
         za = z**alpha
         # z**(alpha nu - mu) / (x + z**alpha)**nu in log space: |nu| can be
         # large (kernel series evaluate nu = beta*r) and would overflow a

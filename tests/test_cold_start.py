@@ -8,7 +8,7 @@ import textwrap
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # calls that never need scipy.special: a closed-form (Debye) relaxation table, an hn
-# permittivity table, the contour-inverted hn M and k and jws and mcd M kernels, the Levy
+# permittivity table, the contour-inverted hn, jws and mcd M and k kernels, the Levy
 # density and an hn relaxation grid (a positive sum over the rate density g); the Prabhakar
 # function needs rgamma
 SCRIPT = textwrap.dedent(
@@ -30,8 +30,9 @@ SCRIPT = textwrap.dedent(
     spec = ModelSpec("hn", alpha=0.6, beta=0.5)
     memory_M_time(KernelConfig(spec), t)
     memory_k_time(KernelConfig(spec), t)
-    memory_M_time(KernelConfig(ModelSpec("jws", alpha=0.6, beta=0.5)), t)
-    memory_M_time(KernelConfig(ModelSpec("mcd", beta=0.5)), t)
+    for other in (ModelSpec("jws", alpha=0.6, beta=0.5), ModelSpec("mcd", beta=0.5)):
+        memory_M_time(KernelConfig(other), t)
+        memory_k_time(KernelConfig(other), t)
     levy_stable_density(0.5, t)
     relaxation(spec, t)
     assert cli.main(["eval", "response", *hn, *grid]) == 0

@@ -13,13 +13,14 @@ from scipy import special as sc
 
 from relaxkit import cli
 from relaxkit.exceptions import RelaxkitError
+from relaxkit.inversion import talbot_contour
 from relaxkit.kernels import (
     KernelConfig,
     kernel_singular_weight,
     memory_M_time,
     memory_time_with_bound,
 )
-from relaxkit.models import ModelSpec
+from relaxkit.models import ModelSpec, _ratio
 
 # (kind, which): the contour-inverted kernels first, then the closed forms
 KERNELS = (
@@ -105,8 +106,43 @@ def test_grid_kernels_match_per_point_calls(kernel, alpha, beta, log_tau):
     values, bounds = per_point(cfg, ts, which)
     grid_values, grid_bounds = memory_time_with_bound(cfg, ts, which)
     assert grid_values.shape == ts.shape and grid_bounds.shape == ts.shape
-    assert_rel_close(grid_values, values)
-    assert_rel_close(grid_bounds, bounds)
+    # each image value depends on its own node and point alone: a number is its grid element
+    np.testing.assert_array_equal(grid_values, values)
+    np.testing.assert_array_equal(grid_bounds, bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["hn", "jws"]),
+    alpha=st.floats(0.05, 1.0),
+    beta=st.floats(0.05, 1.0),
+    log_x=st.floats(-6.0, 6.0),
+)
+def test_factored_ratio_matches_mpmath_on_the_contour_nodes(kind, alpha, beta, log_x):
+    # _ratio(spec, z, x) takes p**e as z**e x**-e and never forms p = z / x
+    spec = ModelSpec(kind, alpha=alpha, beta=beta)
+    z = talbot_contour(24)[0]
+    x = 10.0**log_x
+    values = _ratio(spec, z, np.array([x]))[:, 0]
+    with mp.workdps(30):
+        for node, value in zip(z[:, 0].tolist(), values.tolist()):
+            p = mp.mpc(node) / x
+            phi = (1 + p**alpha) ** -beta if kind == "hn" else 1 - (1 + p**-alpha) ** -beta
+            exact = (1 - phi) / phi
+            assert abs(mp.mpc(value) - exact) <= 1e-13 * abs(exact), (node, x)
+
+
+@pytest.mark.parametrize("which, alpha, beta, x", [
+    ("k", 0.95, 0.25, 1e-160), ("k", 0.6, 0.25, 1e-300), ("M", 0.6, 0.25, 1e-300),
+    ("M", 0.95, 0.25, 1e-160),
+])
+def test_hn_kernels_at_tiny_t_stay_finite_and_within_their_bound(which, alpha, beta, x):
+    # |p**alpha| passes 1e154 on the nodes here, where the squares in |1 + w| overflow
+    cfg = KernelConfig(ModelSpec("hn", alpha=alpha, beta=beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, bound = memory_time_with_bound(cfg, x, which)
+    assert math.isfinite(value) and abs(value - mp_kernel(which, "hn", alpha, beta, x)) <= bound
 
 
 def test_scalar_calls_return_floats_and_arrays_keep_their_shape():

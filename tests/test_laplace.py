@@ -245,14 +245,14 @@ def test_a_time_outside_zero_to_infinity_raises_domain_error(entry, t):
         TIME_ENTRY_POINTS[entry](t)
 
 
-def _overflowing(z):
+def _overflowing(z, t):
     with np.errstate(over="ignore"):
-        return np.exp(1e3 * z)  # inf wherever Re z > 0.71
+        return np.exp(1e3 * z / t)  # inf wherever Re z / t > 0.71
 
 
 @pytest.mark.parametrize(
     "image",
-    [_overflowing, lambda z: np.stack([1.0 / (1.0 + z), _overflowing(z)], axis=-1)],
+    [_overflowing, lambda z, t: np.stack([t / (t + z), _overflowing(z, t)], axis=-1)],
     ids=["points", "stacked"],
 )
 def test_a_non_finite_image_raises_contour_overflow(image):
@@ -269,15 +269,15 @@ def test_talbot_raises_contour_overflow_on_a_non_finite_image():
 
 @pytest.mark.parametrize("spec", [ModelSpec("hn", alpha=0.7, beta=0.5), ModelSpec("jws", alpha=0.6, beta=0.5)])
 def test_a_stacked_image_inverts_each_column_as_its_own_call(spec):
-    # the time-domain fit Jacobian inverts its three partials as one stacked image; the
-    # image gets p = z / x and recovers the nodes z from its first column
+    # the time-domain fit Jacobian inverts its three partials as one stacked image of the
+    # nodes z and the points x
     x = np.geomspace(1e-3, 1e3, 40)
 
-    def image(p):
-        return _partials(spec, p[:, :1] * x[0], x, factor=-1.0 / p)
+    def image(z, x):
+        return _partials(spec, z, x, factor=-x / z)
 
     stacked = talbot_sum(image, x)
     assert stacked.shape == (x.size, 3)
     for column in range(3):
-        alone = talbot_sum(lambda p: image(p)[..., column], x)
+        alone = talbot_sum(lambda z, x: image(z, x)[..., column], x)
         assert np.array_equal(stacked[:, column], alone)

@@ -256,6 +256,25 @@ def test_jws_mcd_laplace_image_and_exponent_match_mpmath(spec):
             assert abs(mpmath.mpc(_ratio(spec, z)) - ratio) <= 1e-13 * abs(ratio)
 
 
+def test_pow1p_m1_takes_hypot_where_the_squares_overflow():
+    # |1 + w|**2 passes the float range beyond |w| ~ 1e154; array and scalar paths agree with
+    # mpmath there to the rounding of b log|1 + w| (up to ~200 eps), without a RuntimeWarning
+    import mpmath
+
+    from relaxkit.models import _pow1p_m1
+
+    w = np.array([1e160 + 3e159j, -2e200 + 1e250j, 1e300j, -1e155 - 1e155j, 0.5 + 0.1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _pow1p_m1(w, 0.3).tolist()
+        scalars = [_pow1p_m1(v, 0.3) for v in w.tolist()]
+    with mpmath.workdps(30):
+        for v, value, scalar in zip(w.tolist(), values, scalars):
+            exact = (1 + mpmath.mpc(v)) ** mpmath.mpf(0.3) - 1
+            for got in (value, scalar):
+                assert abs(mpmath.mpc(got) - exact) <= 1e-13 * abs(exact), (v, got)
+
+
 # ---------------------------------------------------------------------------
 # response / relaxation
 # ---------------------------------------------------------------------------
