@@ -142,16 +142,22 @@ def _binomials(b: float) -> np.ndarray:
 
 def _jws_k_image(spec: ModelSpec, z, x):
     """jws/mcd ``k_hat / (B tau)`` at p = z / x less its leading term, ``p**(a-1) (w / g(w) - 1/b)``
-    with w = p**-a, as ``-h / (b (h + b)) x / (z w)`` with ``h = g(w)/w - b``; at small |w|, where h
-    cancels (subtracting 1/b from w / g(w) would lose 3-5 digits of mcd k at small t), h is its
-    series ``sum_{j >= 2} C(b, j) w**(j-1)`` to j = 28, first dropped term below 0.25**27 of it."""
+    with w = p**-a, as ``-h / (b q) x / (z w)`` with ``q = g(w)/w`` and ``h = q - b``.  q is kept
+    apart: at large t it falls below b eps, and h + b would lose its digits, down to 0.  At small
+    |w|, where h cancels (subtracting 1/b from w / g(w) would lose 3-5 digits of mcd k at small t),
+    h is its series ``sum_{j >= 2} C(b, j) w**(j-1)`` to j = 28, first dropped term below 0.25**27
+    of it, and g is not evaluated there."""
     a, b = spec.alpha, spec.beta
     w = z**-a * x**a
-    h = _pow1p_m1(w, b) / w - b
     small = np.abs(w) < 0.25
+    q = np.full_like(w, b)
+    big = ~small
+    q[big] = _pow1p_m1(w[big], b) / w[big]
+    h = q - b
     if small.any():
         h[small] = w[small] * np.polyval(_binomials(b), w[small])
-    return -x / (z * w) * h / (b * (h + b))
+        q[small] += h[small]
+    return -x / (z * w) * h / (b * q)
 
 
 def memory_time_with_bound(cfg: KernelConfig, t, which: str):
@@ -267,15 +273,15 @@ def evolution_residual(cfg: KernelConfig, t_grid) -> float:
     return worst
 
 
-def caputo_rl_identity_residual(cfg: KernelConfig, t_grid, fd_step: float = 1e-3) -> float:
+def caputo_rl_identity_residual(cfg: KernelConfig, t_grid) -> float:
     """Max residual of the Caputo/Riemann-Liouville operator relation on t_grid.
 
     Checks ``Int_0^t K(t-u) n'(u) du = d/dt Int_0^t K(t-u) n(u) du - K(t) n(0+)``
     with K the regular kernel of the family's evolution equation (k for the HN
     family, M for the JWS one) at B = 1, so the residual is independent of B:
     the left side is the Caputo convolution, the Riemann-Liouville side
-    differentiates (by central finite difference with relative step
-    ``fd_step``) the convolution against n itself.
+    differentiates (by central finite difference with relative step 1e-3)
+    the convolution against n itself.
     """
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0.0 for t in ts):
@@ -288,7 +294,7 @@ def caputo_rl_identity_residual(cfg: KernelConfig, t_grid, fd_step: float = 1e-3
 
     worst = 0.0
     for t in ts:
-        h = fd_step * t
+        h = 1e-3 * t
         rl = (rl_integral(t + h) - rl_integral(t - h)) / (2.0 * h)
         caputo = -_convolution(unit, which, t, partial(response, spec), 1e-9)
         worst = max(worst, abs(caputo + _kernel(unit, np.array([t]), which)[0][0] - rl))

@@ -48,7 +48,7 @@ GAVER_STEHFEST = "gaver-stehfest"
 
 @dataclass(frozen=True)
 class LaplaceImage:
-    """A Laplace image f_hat(z), analytic to the right of ``abscissa``.
+    """A Laplace image f_hat(z), analytic in the right half-plane.
 
     ``evaluator`` returns the full image including any constant term;
     ``singular_weight`` is that constant (the coefficient of a delta at
@@ -57,7 +57,6 @@ class LaplaceImage:
     """
 
     evaluator: Callable[[complex], complex]
-    abscissa: float = 0.0
     singular_weight: float = 0.0
 
     def __post_init__(self):
@@ -73,7 +72,6 @@ class InversionConfig:
     method: str = TALBOT
     nodes: int = 32
     cross_check: bool = False
-    cross_check_rel_tol: float = 1e-6
 
     def __post_init__(self):
         if self.method not in (TALBOT, GAVER_STEHFEST):
@@ -85,6 +83,7 @@ class InversionConfig:
 
 
 DEFAULT_INVERSION = InversionConfig()
+_CROSS_CHECK_REL_TOL = 1e-6  # the Talbot/Gaver-Stehfest agreement a cross-check demands
 # best double-precision Gaver-Stehfest order: the Salzer weights grow like
 # 10**(0.3 n) and amplify image rounding, so higher orders lose to roundoff
 _GS_DEFAULT_NODES = 14
@@ -95,26 +94,26 @@ def inverse_laplace(image: LaplaceImage, t: float, cfg: InversionConfig = DEFAUL
 
     With ``cfg.cross_check`` the value is computed by both methods and an
     :class:`InversionDisagreement` is raised when they differ by more than
-    ``cross_check_rel_tol`` relative to the larger magnitude (the classic
+    1e-6 relative to the larger magnitude (the classic
     smoke alarm for oscillatory or otherwise Gaver-hostile originals).
     """
     if cfg.method == TALBOT:
         value = inversion.talbot(image.regular, t, nodes=cfg.nodes)
         if cfg.cross_check:
             other = inversion.gaver_stehfest(image.regular, t, nodes=_GS_DEFAULT_NODES)
-            _check_agreement(value, other, cfg.cross_check_rel_tol)
+            _check_agreement(value, other)
         return value
     value = inversion.gaver_stehfest(image.regular, t, nodes=cfg.nodes)
     if cfg.cross_check:
         other = inversion.talbot(image.regular, t, nodes=max(cfg.nodes, 24))
-        _check_agreement(other, value, cfg.cross_check_rel_tol)
+        _check_agreement(other, value)
     return value
 
 
-def _check_agreement(talbot_value: float, stehfest_value: float, rel_tol: float) -> None:
+def _check_agreement(talbot_value: float, stehfest_value: float) -> None:
     scale = max(abs(talbot_value), abs(stehfest_value), 1e-30)
     rel = abs(talbot_value - stehfest_value) / scale
-    if rel > rel_tol:
+    if rel > _CROSS_CHECK_REL_TOL:
         raise InversionDisagreement(talbot_value, stehfest_value, rel)
 
 
@@ -246,16 +245,11 @@ def subordination_kernel(alpha: float, u, t: float):
     return float(value[0]) if us.ndim == 0 else value.reshape(us.shape)
 
 
-def subordination_pdf(
-    exponent: Callable[[complex], complex],
-    xi,
-    t: float,
-    nodes: int = 32,
-):
+def subordination_pdf(exponent: Callable[[complex], complex], xi, t: float):
     """Leading-process density f(xi, t) for a characteristic exponent Psi_hat.
 
     Inverts ``(Psi_hat(z)/z) exp(-xi Psi_hat(z))`` at time t with
-    :func:`relaxkit.inversion.talbot_sum`; composing it
+    :func:`relaxkit.inversion.talbot_sum` on 32 nodes; composing it
     with ``exp(-xi)``-type parent relaxations reproduces the subordination
     integrals the memory formalism predicts.  ``xi`` may be a number or an
     array; the exponent is evaluated once per call, on the contour nodes.
@@ -277,5 +271,5 @@ def subordination_pdf(
             raise QuadratureFailure("subordination image overflow")
         return psi_z * np.exp(w)
 
-    value = inversion.talbot_sum(image, t, int(nodes))
+    value = inversion.talbot_sum(image, t, 32)
     return float(value[0]) if xis.ndim == 0 else value.reshape(xis.shape)

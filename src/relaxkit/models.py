@@ -14,8 +14,8 @@ module evaluates:
 
 * the spectral function phi_hat(i w) (KWW has no rational spectral form and
   is rejected there);
-* complex permittivity split into (eps', eps'') with the sign convention
-  ``eps* = eps' - i eps''``;
+* complex permittivity ``eps* = eps_inf + strength * phi_hat`` split into
+  (eps', eps'') with the sign convention ``eps* = eps' - i eps''``;
 * the time-domain response and relaxation functions: cc, hn and jws in the
   valid regime as positive sums over g (:func:`relaxation_derivatives`), the
   rest through the Prabhakar function, e.g.
@@ -359,39 +359,18 @@ def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
     """(eps', eps'') at angular frequency omega, convention eps* = eps' - i eps''.
 
     ``omega`` is a number (the result is a pair of floats) or an array (the
-    result is a pair of arrays of its shape).  HN and JWS go through the
-    explicit trigonometric split (amplitude ``|1 + (i w)**alpha|**beta``, formed
-    with ``hypot`` so that it stays finite up to w = 1e308, and the
-    branch-resolved angle of :func:`theta`);
-    the other kinds use eps* = eps_inf + strength * phi_hat.  The two routes
-    agree to rounding and the equality is pinned by tests.
+    result is a pair of arrays of its shape).  Every kind is
+    ``eps* = eps_inf + strength * phi_hat(i omega tau)``; omega = 0 gives
+    exactly ``(eps_static, 0)``.
     """
     if spec.kind == "kww":
         raise DomainError("kww has no frequency-domain permittivity here")
     w, scalar = _grid(omega, "omega")
     w = w * spec.tau
     zero = w == 0.0
-    a, b = spec.alpha, spec.beta
-    if spec.kind in ("hn", "jws"):
-        w = np.where(zero, 1.0, w)
-        sin_h, cos_h = math.sin(math.pi * a / 2.0), math.cos(math.pi * a / 2.0)
-        wa = w**a
-        # |1 + (i w)**a|**b; hypot keeps it finite where w**(2a) would overflow
-        denom = np.hypot(1.0 + wa * cos_h, wa * sin_h) ** b
-        if spec.kind == "hn":
-            ang = b * np.arctan2(sin_h, w**-a + cos_h)
-            eps_re = scale.eps_inf + scale.strength * np.cos(ang) / denom
-            eps_im = scale.strength * np.sin(ang) / denom
-        else:
-            ang = b * np.arctan2(sin_h, wa + cos_h)
-            amp = scale.strength * w ** (a * b) / denom
-            eps_re = scale.eps_static - amp * np.cos(ang)
-            eps_im = amp * np.sin(ang)
-    else:
-        eps = scale.eps_inf + scale.strength * _spectral(spec, w)
-        eps_re, eps_im = eps.real, -eps.imag
-    eps_re = np.where(zero, scale.eps_static, eps_re)
-    eps_im = np.where(zero, 0.0, eps_im)
+    eps = scale.eps_inf + scale.strength * _spectral(spec, w)
+    eps_re = np.where(zero, scale.eps_static, eps.real)
+    eps_im = np.where(zero, 0.0, -eps.imag)
     if scalar:
         return float(eps_re[0]), float(eps_im[0])
     return eps_re, eps_im
@@ -568,9 +547,7 @@ def pdf_g(spec: ModelSpec, xi):
     return float(g[0]) if xs.ndim == 0 else g.reshape(xs.shape)
 
 
-def pdf_g_hypergeometric(
-    spec: ModelSpec, xi: float, strategy: EvalStrategy = DEFAULT_STRATEGY
-) -> float:
+def pdf_g_hypergeometric(spec: ModelSpec, xi: float) -> float:
     """g(xi) through the finite hypergeometric sum for rational alpha = l/k.
 
     The j-th term is ``(-1)^j (beta)_j sin(pi l n_j / k) xi**(-+ l n_j / k - 1)
@@ -603,7 +580,7 @@ def pdf_g_hypergeometric(
             continue
         nums = [1.0] + [(n_j + i) / k for i in range(k)]
         dens = [(1.0 + j + i) / k for i in range(k)]
-        total += coeff * hyper_pfq(nums, dens, arg, strategy)
+        total += coeff * hyper_pfq(nums, dens, arg)
     return total / math.pi
 
 
@@ -679,7 +656,7 @@ def laplace_image(spec: ModelSpec) -> LaplaceImage:
     """
     if spec.kind == "kww":
         raise DomainError("kww has no simple rational spectral image")
-    return LaplaceImage(lambda z: 1.0 / (1.0 + _ratio(spec, z * spec.tau)), 0.0, 0.0)
+    return LaplaceImage(lambda z: 1.0 / (1.0 + _ratio(spec, z * spec.tau)))
 
 
 def response_tail_exponent(spec: ModelSpec) -> float:

@@ -30,10 +30,10 @@ need ``mu < 0``, and a negative ``nu`` is evaluated as well.
 ``scipy.special`` takes longer to import than numpy and relaxkit together, so
 it is imported on first use, through the cached accessor ``_special()``, which
 ``models`` and ``kernels`` share: ``rgamma`` for every Prabhakar evaluation,
-``hyp1f1`` for the alpha = 1 Kummer route, ``gammaincc`` for the Cole-Davidson
-closed forms and ``binom`` for the jws/mcd k small-w series.  The Debye and KWW
-closed forms, spectra and permittivities, every M kernel, the hn k kernel and
-the Levy density never load it.
+``hyp1f1`` for the alpha = 1 Kummer route and ``gammaincc`` for the
+Cole-Davidson closed forms.  The Debye and KWW closed forms, spectra and
+permittivities, every M kernel, the hn, jws and mcd k kernels and the Levy
+density never load it.
 """
 
 from __future__ import annotations
@@ -77,6 +77,11 @@ _KINDS = (AUTO, POWER_SERIES, ASYMPTOTIC_SERIES, CONTOUR_INVERSION, HYPERGEOMETR
 # about exp(u)*eps to cancellation, the asymptotic expansion gains exp(-u)
 _SERIES_MAX_U = 25.0
 _ASYM_SAFE_U = 50.0
+# AUTO's series/contour crossover in u, the series' relative stop tolerance and
+# its term cap
+_CROSSOVER_U = 5.0
+_REL_TOL = 1e-13
+_MAX_TERMS = 2000
 _TINY = 1e-300
 # terms per block of the array series and expansion: the blocks bound their
 # memory, and a point drops out after the block in which it converges
@@ -130,22 +135,13 @@ class PrabhakarParams:
 
 @dataclass(frozen=True)
 class EvalStrategy:
-    """Evaluation policy for the series/contour/asymptotic machinery."""
+    """Evaluation policy for the series/contour/asymptotic machinery: which route ``kind`` takes."""
 
     kind: str = AUTO
-    series_max_terms: int = 2000
-    rel_tolerance: float = 1e-13
-    crossover_magnitude: float = 5.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown strategy kind {self.kind!r}")
-        if self.series_max_terms < 1:
-            raise DomainError("series_max_terms must be >= 1")
-        if not (0.0 < self.rel_tolerance < 1.0):
-            raise DomainError("rel_tolerance must lie in (0, 1)")
-        if not (self.crossover_magnitude > 0.0):
-            raise DomainError("crossover_magnitude must be positive")
 
 
 DEFAULT_STRATEGY = EvalStrategy()
@@ -171,8 +167,8 @@ class RationalOrder:
         return self.l / self.k
 
     @classmethod
-    def from_float(cls, alpha: float, max_denominator: int = 64) -> "RationalOrder":
-        frac = Fraction(alpha).limit_denominator(max_denominator)
+    def from_float(cls, alpha: float) -> "RationalOrder":
+        frac = Fraction(alpha).limit_denominator(64)
         if abs(float(frac) - alpha) > 1e-12:
             raise DomainError(f"alpha={alpha} is not a small rational l/k")
         return cls(frac.numerator, frac.denominator)
@@ -206,16 +202,11 @@ def _delta_list(n: int, a: float) -> list[float]:
     return [(a + j) / n for j in range(n)]
 
 
-def hyper_pfq(
-    numerators: Sequence[float],
-    denominators: Sequence[float],
-    x: float,
-    strategy: EvalStrategy = DEFAULT_STRATEGY,
-) -> float:
+def hyper_pfq(numerators: Sequence[float], denominators: Sequence[float], x: float) -> float:
     """Generalized hypergeometric series pFq(numerators; denominators; x).
 
     Partial sums stop once three consecutive terms fall below
-    ``rel_tolerance * |sum|`` (alternating series make a single small term
+    ``1e-13 |sum|`` (alternating series make a single small term
     unreliable).  Terminating numerator parameters (nonpositive integers)
     stop the series exactly.  Requires ``p <= q + 1``; for ``p == q + 1`` the
     argument must satisfy ``|x| < 1`` unless the series terminates.
@@ -235,7 +226,7 @@ def hyper_pfq(
     total = 1.0
     term = 1.0
     small = 0
-    for r in range(strategy.series_max_terms):
+    for r in range(_MAX_TERMS):
         ratio_num = 1.0
         for c in num:
             ratio_num *= c + r
@@ -254,14 +245,14 @@ def hyper_pfq(
         total += term
         if abs(term) > 1e200:
             raise NonConvergent(f"pFq terms grew past safeguard at r={r + 1}")
-        if abs(term) < strategy.rel_tolerance * max(abs(total), _TINY):
+        if abs(term) < _REL_TOL * max(abs(total), _TINY):
             small += 1
             if small >= 3:
                 return total
         else:
             small = 0
     raise NonConvergent(
-        f"pFq did not converge within {strategy.series_max_terms} terms (|last|={abs(term):.3g})"
+        f"pFq did not converge within {_MAX_TERMS} terms (|last|={abs(term):.3g})"
     )
 
 
@@ -297,8 +288,8 @@ def _term_blocks(nu: float, end: int, rows: int):
         yield j, poch, sign, log_fact[j0 : j0 + j.size]
 
 
-def _series(alpha: float, mu: float, nu: float, x: np.ndarray, rel_tol: float, max_terms: int):
-    """Power series with sign/log-magnitude bookkeeping.
+def _series(alpha: float, mu: float, nu: float, x: np.ndarray):
+    """Power series with sign/log-magnitude bookkeeping, at most ``_MAX_TERMS`` terms.
 
     Returns ``(value, cancellation)`` arrays, where cancellation is the ratio
     of the largest term magnitude to the result magnitude; a value carries
@@ -311,13 +302,13 @@ def _series(alpha: float, mu: float, nu: float, x: np.ndarray, rel_tol: float, m
     total, peak = np.zeros(x.size), np.zeros(x.size)
     small = np.zeros((x.size, 2), dtype=bool)
     live = np.arange(x.size)
-    for r, poch, sign, log_fact in _term_blocks(nu, max_terms, _SERIES_ROWS):
+    for r, poch, sign, log_fact in _term_blocks(nu, _MAX_TERMS, _SERIES_ROWS):
         mag, rg = poch + r * log_x[live] - log_fact, _special().rgamma(alpha * r + mu)
         term = sign * np.exp(np.minimum(mag, 709.0)) * rg
         size = np.abs(term)
         term[:, 0] += total[live]
         sums = np.cumsum(term, axis=1)
-        flags = np.concatenate((small[live], size < rel_tol * np.maximum(np.abs(sums), _TINY)), axis=1)
+        flags = np.concatenate((small[live], size < _REL_TOL * np.maximum(np.abs(sums), _TINY)), axis=1)
         hit = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
         done = hit.any(axis=1)
         stop, rows = np.where(done, hit.argmax(axis=1), r.size - 1), np.arange(live.size)
@@ -330,7 +321,7 @@ def _series(alpha: float, mu: float, nu: float, x: np.ndarray, rel_tol: float, m
         if not live.size:
             break
     if live.size:
-        raise NonConvergent(f"Prabhakar series needs more than {max_terms} terms at x={x[live[0]]}")
+        raise NonConvergent(f"Prabhakar series needs more than {_MAX_TERMS} terms at x={x[live[0]]}")
     return total, peak / np.maximum(np.abs(total), _TINY)
 
 
@@ -347,7 +338,7 @@ def _kummer(mu: float, nu: float, x):
     return value if isinstance(x, np.ndarray) else float(value)
 
 
-def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray, rel_tol: float, jmax: int = 160):
+def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray, jmax: int = 160):
     """Algebraic large-x expansion with optimal truncation.
 
     E[alpha, mu; nu](-x) ~ sum_j (-1)^j (nu)_j x**(-nu-j) / (j! Gamma(mu - alpha(nu+j))),
@@ -356,7 +347,7 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray, rel_tol: floa
     first term that grows (not summed) or is small (summed).  A coefficient
     whose Gamma argument lies within 1e-9 of a nonpositive integer is zero
     (its computed 1/Gamma is rounding noise) and is skipped, so it cannot end
-    the sum.  Points whose error bound misses ``rel_tol`` are NaN.
+    the sum.  Points whose error bound exceeds 1e-12 of the sum are NaN.
     """
     log_x = np.log(x)[:, None]
     total, err, last = np.zeros(x.size), np.full(x.size, np.inf), np.full(x.size, np.inf)
@@ -376,7 +367,7 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray, rel_tol: floa
         term[grow] = 0.0  # a growing term is not summed
         term[:, 0] += total[live]
         sums = np.cumsum(term, axis=1)
-        hit = grow | (size < rel_tol * np.maximum(np.abs(sums), _TINY))
+        hit = grow | (size < _REL_TOL * np.maximum(np.abs(sums), _TINY))
         done = hit.any(axis=1)
         stop, rows = np.where(done, hit.argmax(axis=1), j.size - 1), np.arange(live.size)
         total[live] = sums[rows, stop]
@@ -385,7 +376,7 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray, rel_tol: floa
         live = live[~done]
         if not live.size:
             break
-    return np.where(err <= max(rel_tol, 1e-12) * np.maximum(np.abs(total), _TINY), total, np.nan)
+    return np.where(err <= 1e-12 * np.maximum(np.abs(total), _TINY), total, np.nan)
 
 
 def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
@@ -403,9 +394,9 @@ def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
 
     def image(z, t):  # t = 1: the nodes z are the points p
         za = z**alpha
-        # z**(alpha nu - mu) / (x + z**alpha)**nu in log space: |nu| can be
-        # large (kernel series evaluate nu = beta*r) and would overflow a
-        # direct power
+        # z**(alpha nu - mu) / (x + z**alpha)**nu in log space: the public
+        # evaluators accept any nu, and a large one would overflow a direct
+        # power
         w = nu * np.log(za / (x + za)) - mu * np.log(z)
         if np.any(w.real > 5.0):
             # a genuine image of this family stays bounded on the contour;
@@ -417,11 +408,11 @@ def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     return talbot_sum(image, 1.0)
 
 
-def _check_handoff(series, contour, x, alpha, mu, nu, rel: float) -> None:
+def _check_handoff(series, contour, x, alpha, mu, nu) -> None:
     """Raise StrategyDisagreement where series and contour differ by more than
-    max(10 rel, 1e-8): the contour's own floor is ~1e-9 near coefficient poles."""
+    1e-8 relative: the contour's own floor is ~1e-9 near coefficient poles."""
     scale = np.maximum(np.maximum(np.abs(series), np.abs(contour)), _TINY)
-    for i in np.flatnonzero(np.abs(series - contour) > max(10.0 * rel, 1e-8) * scale)[:1]:
+    for i in np.flatnonzero(np.abs(series - contour) > 1e-8 * scale)[:1]:
         raise StrategyDisagreement(
             f"series={series[i]:.12g} vs contour={contour[i]:.12g} at x={x[i]} "
             f"(alpha={alpha}, mu={mu}, nu={nu})"
@@ -435,22 +426,22 @@ def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: Eval
     a 1-element array, so it equals its grid element by construction).  AUTO
     routes by ``u = x**(1/alpha)``: x = 0 is 1/Gamma(mu); alpha = 1 with mu > 0
     takes Kummer while its terms alternate mildly; the series for
-    ``u <= crossover_magnitude``, cross-checked against the contour in the
-    handoff band ``u >= 0.9 crossover_magnitude``; the expansion from
+    ``u <= _CROSSOVER_U`` (5), cross-checked against the contour in the
+    handoff band ``u >= 0.9 _CROSSOVER_U``; the expansion from
     ``u >= 50``.  The rest takes the contour for mu >= 0.  mu < 0 has no
     Laplace image: there the series serves while u <= 25 and its cancellation
     is <= 1e4, and the remaining points take the recurrence
     E[a, mu; nu] = a nu E[a, mu+1; nu+1] - (a nu - mu) E[a, mu+1; nu]
     (Kilbas, Saigo & Saxena 2004) up to mu >= 0.
     """
-    kind, rel, cap = strategy.kind, strategy.rel_tolerance, strategy.series_max_terms
+    kind = strategy.kind
     if kind == HYPERGEOMETRIC_REDUCTION:
         order = RationalOrder.from_float(alpha)
-        return np.array([prabhakar_rational(order, mu, nu, v, strategy) for v in x.tolist()])
+        return np.array([prabhakar_rational(order, mu, nu, v) for v in x.tolist()])
     if kind == ASYMPTOTIC_SERIES:
         if not np.all(x > 0.0):
             raise NonConvergent("asymptotic expansion needs x > 0")
-        out = _asymptotic(alpha, mu, nu, x, rel)
+        out = _asymptotic(alpha, mu, nu, x)
         for i in np.flatnonzero(np.isnan(out))[:1]:
             raise NonConvergent(f"asymptotic expansion misses its tolerance at x={x[i]} (alpha={alpha})")
         return out
@@ -472,41 +463,40 @@ def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: Eval
         out[todo] = _contour(alpha, mu, nu, x[todo])
         return out
     if kind == POWER_SERIES:
-        out[todo], cancel = _series(alpha, mu, nu, x[todo], rel, cap)
+        out[todo], cancel = _series(alpha, mu, nu, x[todo])
         if np.any(cancel > 1e13):
             raise NonConvergent(f"series cancellation {cancel.max():.2g} leaves no significant digits")
         return out
     u = x ** (1.0 / alpha)
-    cross = strategy.crossover_magnitude
-    series = todo & (u <= cross)
+    series = todo & (u <= _CROSSOVER_U)
     if mu >= 0.0 and nu > 20.0:
-        # predictably cancellation-dominated at large nu: straight to the image
+        # a caller's large nu makes the series predictably cancel: straight to the image
         series &= nu * x <= 10.0
     band = np.zeros_like(todo)
     if series.any():
-        out[series], cancel = _series(alpha, mu, nu, x[series], rel, cap)
+        out[series], cancel = _series(alpha, mu, nu, x[series])
         if mu >= 0.0:
             # large |nu| can wreck the series even at small argument; the image
             # has no such cancellation.  In the handoff band the two are compared.
             todo[series] = cancel > 1e8
-            band[series] = (u[series] >= 0.9 * cross) & (cancel < 1e8)
+            band[series] = (u[series] >= 0.9 * _CROSSOVER_U) & (cancel < 1e8)
         else:
             todo[series] = False
-    asym = todo & (u > cross) & (u >= _ASYM_SAFE_U)
+    asym = todo & (u > _CROSSOVER_U) & (u >= _ASYM_SAFE_U)
     if asym.any():
-        out[asym] = value = _asymptotic(alpha, mu, nu, x[asym], rel)
+        out[asym] = value = _asymptotic(alpha, mu, nu, x[asym])
         todo[asym] = np.isnan(value)
     if mu >= 0.0:
         contour = todo | band
         if contour.any():
             value = _contour(alpha, mu, nu, x[contour])
             if band.any():
-                _check_handoff(out[band], value[band[contour]], x[band], alpha, mu, nu, rel)
+                _check_handoff(out[band], value[band[contour]], x[band], alpha, mu, nu)
             out[todo] = value[todo[contour]]
         return out
     mid = todo & (u <= _SERIES_MAX_U)
     if mid.any():
-        out[mid], cancel = _series(alpha, mu, nu, x[mid], rel, cap)
+        out[mid], cancel = _series(alpha, mu, nu, x[mid])
         todo[mid] = cancel > 1e4
     if todo.any():
         up, same = (_eval_grid(alpha, mu + 1.0, n, x[todo], strategy) for n in (nu + 1.0, nu))
@@ -522,11 +512,11 @@ def prabhakar(
     """E[alpha, mu; nu](-x) for x >= 0 (the only case the relaxation models need).
 
     ``strategy.kind`` selects the evaluation path; the default AutoSwitch
-    dispatches on ``u = x**(1/alpha)``: power series for
-    ``u <= crossover_magnitude``, contour inversion in the midrange, the
-    algebraic expansion beyond ``u >= 50``.  Near the series/contour handoff
-    the two are cross-checked and a :class:`StrategyDisagreement` is raised
-    when they differ by more than ten times the working tolerance.
+    dispatches on ``u = x**(1/alpha)``: power series for ``u <= 5``, contour
+    inversion in the midrange, the algebraic expansion beyond ``u >= 50``.
+    Near the series/contour handoff the two are cross-checked and a
+    :class:`StrategyDisagreement` is raised when they differ by more than
+    1e-8 relative.
     """
     return prabhakar_eval(params.alpha, params.mu, params.nu, x, strategy)
 
@@ -557,13 +547,7 @@ def prabhakar_eval(
     return float(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
-def prabhakar_rational(
-    order: RationalOrder,
-    mu: float,
-    nu: float,
-    x: float,
-    strategy: EvalStrategy = DEFAULT_STRATEGY,
-) -> float:
+def prabhakar_rational(order: RationalOrder, mu: float, nu: float, x: float) -> float:
     """E[l/k, mu; nu](-x) as a finite sum of k generalized hypergeometric terms.
 
     The j-th summand is
@@ -596,13 +580,13 @@ def prabhakar_rational(
         nums, dens = _delta_list(k, nu + j), _delta_list(k, 1.0 + j)
         # term r: coeff * prod (nums)_r / prod (dens)_r * arg**r / Gamma(c + l r)
         weight, part, small = coeff, 0.0, 0
-        for r in range(strategy.series_max_terms):
+        for r in range(_MAX_TERMS):
             term = weight * float(rgamma(c + l * r))
             part += term
             if abs(term) > 1e200:
                 raise NonConvergent(f"rational-order terms grew past safeguard at r={r}")
             # terms at the poles of Gamma are 0 and do not count towards the stop
-            if c + l * r > 0.0 and abs(term) < strategy.rel_tolerance * max(abs(part), _TINY):
+            if c + l * r > 0.0 and abs(term) < _REL_TOL * max(abs(part), _TINY):
                 small += 1
                 if small >= 3:
                     break
@@ -616,9 +600,7 @@ def prabhakar_rational(
             if weight == 0.0:
                 break  # a numerator parameter (or x = 0) terminated the series
         else:
-            raise NonConvergent(
-                f"rational-order sum did not converge within {strategy.series_max_terms} terms"
-            )
+            raise NonConvergent(f"rational-order sum did not converge within {_MAX_TERMS} terms")
         total += part
     return total
 

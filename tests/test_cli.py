@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from relaxkit import verify
 from relaxkit.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, GridSpec, main
 from relaxkit.exceptions import DomainError
 
@@ -152,6 +153,14 @@ def test_verify_sonine_passes(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "suite,check,max_error,tolerance,passed"
     assert all(line.endswith("True") for line in lines[1:])
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_every_verify_suite_passes(suite):
+    # the suites CI's `verify all` step runs, each row under its own tolerance
+    rows = verify.run_suite(suite)
+    assert rows and all(row.suite == suite for row in rows)
+    assert [row.name for row in rows if not row.passed] == []
 
 
 def test_verify_tolerance_override_can_fail(capsys):

@@ -189,6 +189,21 @@ def test_jws_k_at_small_t_matches_mpmath_without_warnings():
     assert_rel_close(values, refs, rtol=1e-10)
 
 
+@pytest.mark.parametrize("kind, alpha, beta", [
+    ("jws", 0.6, 0.5), ("jws", 0.9, 0.7), ("jws", 0.3, 0.9), ("mcd", 1.0, 0.5), ("mcd", 1.0, 0.8),
+])
+def test_jws_and_mcd_k_at_huge_t_follow_their_leading_term(kind, alpha, beta):
+    # k ~ B x**-(a b) / Gamma(1 - a b), next term smaller by x**-(a b) <= 1e-16 here; the
+    # image's g(w)/w falls below beta eps on these t, so (g(w)/w - b) + b cannot stand for it
+    cfg = KernelConfig(ModelSpec(kind, alpha=alpha, beta=beta))
+    x = 10.0 ** np.arange(60.0, 301.0, 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = memory_time_with_bound(cfg, x, "k")[0]
+    ab = alpha * beta
+    assert_rel_close(values, x**-ab / math.gamma(1.0 - ab), rtol=1e-9)
+
+
 @pytest.mark.parametrize("kind, alpha, beta, t", [("cd", 1.0, 0.4, 100.0), ("hn", 0.75, 1 / 3, 200.0)])
 def test_series_past_the_float_range_now_matches_mpmath(capsys, kind, alpha, beta, t):
     # the renewal series needed (t/tau)**(alpha beta r) past the float range here

@@ -4,6 +4,7 @@ import cmath
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,15 +144,25 @@ def test_permittivity_debye_value():
     assert permittivity(ModelSpec("debye"), SCALE, 1.0) == pytest.approx((6.0, 4.0), abs=1e-13)
 
 
-def test_permittivity_routes_agree():
-    # explicit trigonometric split vs eps_inf + strength * phi_hat
-    for spec in (HN_HALF, JWS_HALF, ModelSpec("hn", alpha=0.75, beta=1 / 3),
-                 ModelSpec("jws", alpha=0.3, beta=0.9)):
-        for w in np.logspace(-3, 3, 30):
-            re, im = permittivity(spec, SCALE, float(w))
-            eps = SCALE.eps_inf + SCALE.strength * spectral(spec, float(w))
-            assert re == pytest.approx(eps.real, abs=1e-12 * SCALE.eps_static)
-            assert im == pytest.approx(-eps.imag, abs=1e-12 * SCALE.eps_static)
+@pytest.mark.parametrize("spec", [
+    ModelSpec("hn", alpha=0.6, beta=0.5), ModelSpec("hn", alpha=0.3, beta=0.95),
+    ModelSpec("hn", alpha=0.5, beta=2.0), ModelSpec("jws", alpha=0.6, beta=0.5),
+    ModelSpec("jws", alpha=0.9, beta=0.7), ModelSpec("jws", alpha=0.3, beta=0.9),
+    ModelSpec("jws", alpha=0.8, beta=1.25), ModelSpec("cc", alpha=0.7), ModelSpec("cc", alpha=0.2),
+    ModelSpec("cd", beta=0.4), ModelSpec("mcd", beta=0.6), ModelSpec("mcd", beta=0.25),
+], ids=lambda spec: f"{spec.kind}-{spec.alpha:g}-{spec.beta:.3g}")
+def test_permittivity_matches_40_digit_mpmath(spec):
+    # eps* = eps_inf + strength phi_hat over 24 decades of omega tau, both wings included
+    w = np.logspace(-12.0, 12.0, 97)
+    eps_re, eps_im = permittivity(spec, SCALE, w)
+    a, b = spec.alpha, spec.beta
+    with mp.workdps(40):
+        for v, re, im in zip(w.tolist(), eps_re, eps_im):
+            iw = mp.mpc(0, v)
+            phi = 1 - (1 + iw ** -a) ** -b if spec.kind in ("jws", "mcd") else (1 + iw**a) ** -b
+            eps = SCALE.eps_inf + SCALE.strength * phi
+            assert abs(re - eps.real) <= 1e-15 * SCALE.eps_static, v
+            assert abs(im + eps.imag) <= 1e-14 * abs(eps.imag), v
 
 
 @pytest.mark.parametrize("kind", ["hn", "jws"])

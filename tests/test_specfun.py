@@ -158,10 +158,6 @@ def test_prabhakar_params_validation():
 def test_strategy_validation():
     with pytest.raises(DomainError):
         EvalStrategy(kind="secret")
-    with pytest.raises(DomainError):
-        EvalStrategy(rel_tolerance=2.0)
-    with pytest.raises(DomainError):
-        EvalStrategy(series_max_terms=0)
 
 
 def test_strategy_agreement_overlap_windows():
@@ -335,7 +331,7 @@ def test_series_in_its_cancellation_band_matches_mpmath(alpha):
     x = u**alpha
     for beta in (0.25, 0.5, 0.95):
         for mu in (1.0 + alpha * beta, alpha * beta, 1.0, 0.0):
-            values, _ = specfun._series(alpha, mu, beta, x, 1e-13, 2000)
+            values, _ = specfun._series(alpha, mu, beta, x)
             exact = [float(v) for v in mp_prabhakar(alpha, mu, beta, x.tolist(), 50)]
             np.testing.assert_allclose(values, exact, rtol=5e-11, atol=0.0)
 
