@@ -10,18 +10,24 @@ parameter space that enforces the feasible box by construction:
 * frequency fits add ``eps_inf`` (free) and ``delta_eps = exp(u5)``.
 
 Residuals are evaluated per grid: one array call of ``models.permittivity``
-(frequency) or ``models.relaxation`` (time) per parameter vector.  Both
-sigmoids are floored at 1e-12, so a saturated transform still maps to a
-valid model.
+(frequency) or ``models.relaxation`` (time) per parameter vector, except
+that a cc, hn or jws decay takes the points the exp-sinh rule serves as the
+row sums of ``E g w``, E = exp(-outer(t/tau, xi)) on the rule's nodes, the
+values ``relaxation`` gives there.  Both sigmoids are floored at 1e-12, so a
+saturated transform still maps to a valid model.
 
 The Jacobian is exact, one array pass per iteration, one column per free
 parameter: ``models._partials`` (d phi_hat / d(alpha, beta, log tau)) at
-``p = i omega tau`` for spectra, and for decays ``-partials / p``, the
-derivatives of the relaxation image ``(1 - phi_hat) / p`` on factored nodes
-p = z / x, inverted in one stacked ``inversion.talbot_sum`` call (kww, and
-Debye as kww at alpha = 1, by the closed form).  The chain rule of the
-transforms follows: the alpha column carries the ``beta = sigmoid(u2) /
-alpha`` coupling, and a sigmoid at its floor has slope 0.
+``p = i omega tau`` for spectra.  For the rule's points of a decay it is
+``E @ [dg/dalpha w, dg/dbeta w, xi g w]`` (the log tau column times t/tau),
+with the last residual's E (the loop forms its Jacobian at the last trial it
+evaluated) and dg/dtheta from ``models._partials`` on the cut.  Every other
+decay point takes ``-partials / p``, the derivatives of the relaxation image
+``(1 - phi_hat) / p`` on factored nodes p = z / x, inverted in one stacked
+``inversion.talbot_sum`` call (kww, and Debye as kww at alpha = 1, by the
+closed form).  The chain rule of the transforms follows: the alpha column
+carries the ``beta = sigmoid(u2) / alpha`` coupling, and a sigmoid at its
+floor has slope 0.
 
 Accepted steps never increase the residual norm, and a trial step whose
 residuals raise a ``RelaxkitError`` counts as rejected.  The loop converges
@@ -51,16 +57,22 @@ import numpy as np
 from .exceptions import DegenerateJacobian, DomainError, EmptyDataset, ParseError, RelaxkitError
 from .inversion import talbot_sum
 from .models import (
+    _EXP_SINH,
     _KINDS,
+    _RULE_LAWS,
     _SPECTRAL_KINDS,
     KINDS,
     ModelSpec,
     PermittivityScale,
+    _density,
+    _exp_rows,
     _partials,
+    _rule,
     _spectral,
     permittivity,
     relaxation,
 )
+from .specfun import DEFAULT_STRATEGY
 
 __all__ = [
     "SpectrumDataset",
@@ -298,6 +310,8 @@ class _Problem:
         self.w = w / np.max(w)
         self.names = self._names()
         self.u0 = self._initial_vector(init, init_scale)
+        # (spec, E, g w) of the last residual the rule served: the Jacobian is formed there
+        self._last = None
 
     def _names(self) -> list[str]:
         names = []
@@ -416,7 +430,31 @@ class _Problem:
             out[0::2] = self.w * (re - self.dataset.eps_re)
             out[1::2] = self.w * (im - self.dataset.eps_im)
             return out
-        return self.w * (relaxation(spec, self.dataset.t) - self.dataset.n)
+        return self.w * (self._relaxation(spec) - self.dataset.n)
+
+    def _relaxation(self, spec: ModelSpec) -> np.ndarray:
+        """n at the dataset's times.  Where the exp-sinh rule serves spec (``models._rule``)
+        it is the row sums of ``E g w``, E = exp(-outer(t/tau, xi)) the one matrix a
+        parameter vector builds, exactly as ``relaxation`` sums them; E and g w are kept
+        for the Jacobian at spec.  The other rows are ``relaxation``'s."""
+        t = self.dataset.t
+        if self.kind not in _RULE_LAWS:  # no other kind reduces to a law the rule serves
+            return relaxation(spec, t)
+        x = t / spec.tau
+        level, inside = _rule(spec, x, DEFAULT_STRATEGY)
+        count = np.count_nonzero(inside)
+        if not count:
+            return relaxation(spec, t)
+        xi, w = _EXP_SINH[level]
+        self._last = None  # one matrix at a time: the old one goes before the new one is built
+        E = _exp_rows(x[inside], xi, np.empty((count, xi.size)))
+        gw = _density(spec, xi) * w
+        self._last = (spec, E, gw)
+        n = np.empty_like(t)
+        n[inside] = (E * gw).sum(axis=1)
+        if count < t.size:
+            n[~inside] = relaxation(spec, t[~inside])
+        return n
 
     def model_partials(self, spec: ModelSpec, scale) -> np.ndarray:
         """d residuals / d(alpha, beta, log tau[, eps_inf, log delta_eps]), one column per
@@ -430,19 +468,42 @@ class _Problem:
             rows[0::2] = d.real  # eps' = Re eps*, eps'' = -Im eps*
             rows[1::2] = -d.imag
             return np.repeat(self.w, 2)[:, None] * rows
-        positive = self.dataset.t > 0.0  # n(0) = 1 for every parameter vector: zero rows
-        x = self.dataset.t[positive] / spec.tau
-        d = np.zeros((positive.size, len(self.names)))
+        x = self.dataset.t / spec.tau
+        d = np.zeros((x.size, len(self.names)))  # n(0) = 1 for every parameter vector: zero rows
         if self.kind in ("kww", "debye"):  # n = exp(-x**alpha); kww at alpha = 1 is Debye
-            xa = x**spec.alpha
+            positive = x > 0.0
+            xa = x[positive] ** spec.alpha
             n = np.exp(-xa)
             if self.free_alpha:
-                d[positive, 0] = -xa * np.log(x) * n
+                d[positive, 0] = -xa * np.log(x[positive]) * n
             d[positive, -1] = spec.alpha * xa * n
-        elif x.size:
+            return self.w[:, None] * d
+        contour = x > 0.0
+        if self.kind in _RULE_LAWS:
+            level, inside = _rule(spec, x, DEFAULT_STRATEGY)
+            if inside.any():
+                d[inside] = self._rule_partials(spec, x[inside], level, free)
+                contour &= ~inside
+        if contour.any():
             # n_hat = (1 - phi_hat) / p, so d n / d theta inverts -(d phi_hat / d theta) / p
-            d[positive] = talbot_sum(lambda z, x: _partials(spec, z, x, free, -x / z), x)
+            d[contour] = talbot_sum(lambda z, x: _partials(spec, z, x, free, -x / z), x[contour])
         return self.w[:, None] * d
+
+    def _rule_partials(self, spec: ModelSpec, x: np.ndarray, level: int, free) -> np.ndarray:
+        """d n / d(alpha, beta, log tau) at the points x the rule serves: ``E @ [dg/dalpha w,
+        dg/dbeta w, xi g w]``, the last column times x.  On the cut p = xi e**(i pi)
+        ``g = -Im phi_hat(p) / (pi xi)``, so dg/dtheta comes from ``models._partials`` at the
+        rule's nodes alone; E and g w are the last residual's when it was at spec."""
+        xi, w = _EXP_SINH[level]
+        if self._last is not None and self._last[0] == spec:
+            E, gw = self._last[1:]
+        else:
+            E, gw = _exp_rows(x, xi, np.empty((x.size, xi.size))), _density(spec, xi) * w
+        columns = _partials(spec, -1.0 + 0.0j, 1.0 / xi, free).imag * (-w / (math.pi * xi))[:, None]
+        columns[:, -1] = xi * gw  # in place of the unused dg/dlog tau: tau enters through x alone
+        d = E @ columns
+        d[:, -1] *= x
+        return d
 
 
 def _jacobian(problem: _Problem, u: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ digits to rounding):
   mass ``B tau delta(t)`` without cancellation;
 * jws/mcd k: its leading term ``B x**-alpha / (beta Gamma(1 - alpha))`` in
   closed form (mcd's is the point mass ``B tau / beta``), the rest on the
-  contour, bound ``1e-10 |k|``.
+  contour, bound ``1e-10 |k|``, ``1e-11 / (1 - alpha beta) |k|`` beyond
+  alpha beta = 0.9 (measured to t/tau = 1e300 for beta <= 1).
 
 The others are closed forms with bound 0: cd k as
 ``B Gamma(-beta, t/tau) / |Gamma(-beta)|``, cc in powers of t, Debye
@@ -143,16 +144,22 @@ def _binomials(b: float) -> np.ndarray:
 def _jws_k_image(spec: ModelSpec, z, x):
     """jws/mcd ``k_hat / (B tau)`` at p = z / x less its leading term, ``p**(a-1) (w / g(w) - 1/b)``
     with w = p**-a, as ``-h / (b q) x / (z w)`` with ``q = g(w)/w`` and ``h = q - b``.  q is kept
-    apart: at large t it falls below b eps, and h + b would lose its digits, down to 0.  At small
+    apart: at large t it falls below b eps, and h + b would lose its digits, down to 0.  Past
+    x**a = 1e10 w**(b-1) comes from real powers of x, as in ``models._ratio``: the log of
+    |1 + w| would carry its rounding, about |log w| eps, into every node's value.  At small
     |w|, where h cancels (subtracting 1/b from w / g(w) would lose 3-5 digits of mcd k at small t),
     h is its series ``sum_{j >= 2} C(b, j) w**(j-1)`` to j = 28, first dropped term below 0.25**27
     of it, and g is not evaluated there."""
     a, b = spec.alpha, spec.beta
-    w = z**-a * x**a
+    xa = x**a
+    w = z**-a * xa
     small = np.abs(w) < 0.25
     q = np.full_like(w, b)
     big = ~small
     q[big] = _pow1p_m1(w[big], b) / w[big]
+    if (far := xa > 1e10).any():  # q = w**(b-1) (1 + 1/w)**b - 1/w, w**(b-1) by real powers
+        wf = w[..., far]
+        q[..., far] = z ** (a - a * b) * xa[far] ** (b - 1.0) * (1.0 + _pow1p_m1(1.0 / wf, b)) - 1.0 / wf
     h = q - b
     if small.any():
         h[small] = w[small] * np.polyval(_binomials(b), w[small])
@@ -207,7 +214,9 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str):
     # point mass and its regular part is 0), the rest on the contour
     lead = x**-a * (1.0 / math.gamma(1.0 - a) if a < 1.0 else 0.0) / b
     value = B * (lead + talbot_sum(partial(_jws_k_image, spec), x))
-    return value, _CONTOUR_BOUND * abs(value)
+    # the tail amplitude 1 / Gamma(1 - a b) shrinks like 1 - a b; the contour's rounding does not
+    ab = a * b
+    return value, _CONTOUR_BOUND * (0.1 / (1.0 - ab) if 0.9 < ab < 1.0 else 1.0) * abs(value)
 
 
 def _hn_k_image(spec: ModelSpec, z, x):

@@ -192,14 +192,14 @@ def theta(alpha: float, y):
     ys = np.asarray(y, dtype=float)
     if not (ys > 0.0).all():
         raise DomainError(f"y must be positive, got {y}")
-    pa = math.pi * alpha
-    angle = np.arctan2(math.sin(pa), np.atleast_1d(ys) ** -alpha + math.cos(pa))
+    angle = _theta(alpha, np.atleast_1d(ys))
     return float(angle[0]) if ys.ndim == 0 else angle.reshape(ys.shape)
 
 
-def _iw_pow(w: np.ndarray, p: float) -> np.ndarray:
-    """(i w)**p for w > 0 with the principal branch (purely imaginary at p = 1 and -1)."""
-    return w**p * 1j**p
+def _theta(alpha: float, y: np.ndarray) -> np.ndarray:
+    """:func:`theta` on an array of y > 0, unchecked."""
+    pa = math.pi * alpha
+    return np.arctan2(math.sin(pa), y**-alpha + math.cos(pa))
 
 
 def _grid(x, name: str, positive: bool = False) -> tuple[np.ndarray, bool]:
@@ -259,10 +259,19 @@ def _spectral(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
     zero = w == 0.0
     w = np.where(zero, 1.0, w)
     a, b = spec.alpha, spec.beta
-    if _jws(spec):  # 1 - (1 + z)**-b, z = (i w)**-a
-        phi = -_pow1p_m1(_iw_pow(w, -a), -b)
+    if _jws(spec):  # 1 - (1 + z)**-b, z = (i w)**-a = r (cos - i sin)(pi a/2), r = w**-a
+        r = w**-a
+        cos, sin = math.sin(math.pi / 2.0 * (1.0 - a)), math.sin(math.pi / 2.0 * a)  # cos = 0 at a = 1
+        # log(1 + z) from |1 + z|**2 = 1 + r (2 cos + r) and its angle: real-array work
+        with np.errstate(over="ignore"):  # the square overflows past r ~ 1e154: hypot there
+            log_abs = 0.5 * np.log1p(r * (2.0 * cos + r))
+        if log_abs.max(initial=0.0) == math.inf:
+            log_abs = np.where(log_abs == math.inf, np.log(np.hypot(1.0 + r * cos, r * sin)), log_abs)
+        u = np.empty(w.shape, dtype=complex)
+        u.real, u.imag = -b * log_abs, -b * np.arctan2(-r * sin, 1.0 + r * cos)
+        phi = -np.expm1(u, out=u)
     else:
-        phi = (1.0 + _iw_pow(w, a)) ** -b
+        phi = (1.0 + w**a * 1j**a) ** -b  # (i w)**a on the principal branch
     return np.where(zero, 1.0 + 0.0j, phi)
 
 
@@ -389,13 +398,7 @@ def _derivative(spec: ModelSpec, x: np.ndarray, k: int, strategy: EvalStrategy) 
     """
     law, a, b, tau = _law(spec), spec.alpha, spec.beta, spec.tau
     if law in ("cc", "hn", "jws", "mcd"):
-        # the rule needs g >= 0 (beta <= 1/alpha); its step 2**-level resolves g's singularities
-        # at log xi = +-i pi (1 - a)/a, and stops at level 7 (1255 nodes, alpha ~ 0.977);
-        # g ~ xi**(p-1) at 0 leaves ~1e-300**p below the first node, so p >= 0.06
-        level = max(5, math.ceil(math.log2(a / (0.34 * (1.0 - a))))) if a < 1.0 else 8
-        p = a * b if law == "jws" else a
-        rule = strategy.kind == AUTO and a * b <= 1.0 and level <= 7 and p >= 0.06
-        inside = (x >= 3e-4) & (x <= 1e4) & rule
+        level, inside = _rule(spec, x, strategy)
         out = np.empty_like(x)
         if inside.any():
             # n'' weighs large xi more: at small x its peak, xi ~ 2/x, needs the finer step
@@ -434,21 +437,49 @@ def _exp_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
 _EXP_SINH = {level: _exp_sinh(level) for level in (5, 6, 7, 8)}
 
 
+_RULE_LAWS = ("cc", "hn", "jws")  # the laws whose n, n' and n'' the exp-sinh rule can serve
+
+
+def _rule(spec: ModelSpec, x: np.ndarray, strategy: EvalStrategy) -> tuple[int, np.ndarray]:
+    """The exp-sinh level at which the rule serves spec (0 if it does not) and the mask of
+    the points x = t/tau it serves: cc, hn and jws under AUTO at x in [3e-4, 1e4].
+
+    The rule needs g >= 0 (beta <= 1/alpha); its step 2**-level resolves g's singularities
+    at log xi = +-i pi (1 - a)/a, and stops at level 7 (1255 nodes, alpha ~ 0.977); g ~
+    xi**(p-1) at 0 leaves ~1e-300**p below the first node, so p (jws: alpha beta) >= 0.06."""
+    law, a, b = _law(spec), spec.alpha, spec.beta
+    if law in _RULE_LAWS and strategy.kind == AUTO and a * b <= 1.0:
+        level = max(5, math.ceil(math.log2(a / (0.34 * (1.0 - a)))))  # alpha < 1 here
+        if level <= 7 and (a * b if law == "jws" else a) >= 0.06:
+            return level, (x >= 3e-4) & (x <= 1e4)
+    return 0, np.zeros(x.shape, dtype=bool)
+
+
+# numpy's vector exp leaves its fast path below about -707.7 and is then several times
+# slower (12,560 lanes of -708 took 13x as long as of -700); a floored lane's term
+# exp(-700) g w xi**k stays far below the rounding of every sum the rule serves (n, n'
+# and n'' came out bit-identical to the floor at -708 on 300 random cc/hn/jws specs)
+_EXP_FLOOR = -700.0
+
+
+def _exp_rows(x: np.ndarray, xi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(max(-x_i xi_j, -700)) into ``out`` (len(x) x len(xi)), which it returns."""
+    np.multiply.outer(-x, xi, out=out)
+    np.maximum(out, _EXP_FLOOR, out=out)
+    return np.exp(out, out=out)
+
+
 def _cm_sum(spec: ModelSpec, x: np.ndarray, k: int, level: int) -> np.ndarray:
     """tau**k |d^k n / dt^k| = Sum_j xi_j**k exp(-x xi_j) g(xi_j) w_j for each x.
 
     Rows are summed one by one (``sum(axis=1)``: a matrix product's blocking would tie
-    a row's bits to its neighbours), so a number equals its grid element.  numpy's exp
-    is several times slower where it underflows: the exponent is floored at -708."""
+    a row's bits to its neighbours), so a number equals its grid element."""
     xi, w = _EXP_SINH[level]
-    gw = pdf_g(spec, xi) * w * xi**k
+    gw = _density(spec, xi) * w * xi**k
     out = np.empty_like(x)
     buf = np.empty((16, xi.size))
     for i in range(0, x.size, 16):
-        rows = buf[: min(16, x.size - i)]
-        np.multiply.outer(-x[i : i + 16], xi, out=rows)
-        np.maximum(rows, -708.0, out=rows)
-        np.exp(rows, out=rows)
+        rows = _exp_rows(x[i : i + 16], xi, buf[: min(16, x.size - i)])
         rows *= gw
         out[i : i + 16] = rows.sum(axis=1)
     return out
@@ -539,12 +570,18 @@ def pdf_g(spec: ModelSpec, xi):
         else:
             g[inside] = math.sin(math.pi * b) * v ** (b - 1.0) / (math.pi * (1.0 - v) ** b)
     else:
-        amp_b = np.sqrt(x ** (2.0 * a) + 2.0 * x**a * math.cos(math.pi * a) + 1.0) ** b
-        if law == "jws":
-            g = x ** (a * b - 1.0) * np.sin(b * theta(a, 1.0 / x)) / (math.pi * amp_b)
-        else:  # hn and cc
-            g = np.sin(b * theta(a, x)) / (math.pi * x * amp_b)
+        g = _density(spec, x)
     return float(g[0]) if xs.ndim == 0 else g.reshape(xs.shape)
+
+
+def _density(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """:func:`pdf_g` of cc, hn or jws (by ``_law``) on an array of xi > 0, unchecked: the
+    exp-sinh rule's nodes need no checks."""
+    a, b = spec.alpha, spec.beta
+    amp_b = np.sqrt(x ** (2.0 * a) + 2.0 * x**a * math.cos(math.pi * a) + 1.0) ** b
+    if _law(spec) == "jws":
+        return x ** (a * b - 1.0) * np.sin(b * _theta(a, 1.0 / x)) / (math.pi * amp_b)
+    return np.sin(b * _theta(a, x)) / (math.pi * x * amp_b)  # hn and cc
 
 
 def pdf_g_hypergeometric(spec: ModelSpec, xi: float) -> float:

@@ -761,7 +761,9 @@ def _levy_theta(alpha: float, x: np.ndarray) -> np.ndarray:
             log_a, shift = _levy_angles(alpha, levels)
             with np.errstate(over="ignore"):
                 expo = log_a - row_scale[rows, None] * shift
-            return np.where(expo > -745.0, np.exp(expo), 0.0)
+            # exp(-inf) = 0 takes numpy's fast path; the lanes below -745 would not
+            expo[~(expo > -745.0)] = -math.inf
+            return np.exp(expo, out=expo)
 
         value, _ = _integrate_rows(
             integrand, 0.0, math.pi, row_scale.size, 1e-12, 0.0, _LEVY_MAX_LEVEL

@@ -23,7 +23,7 @@ from relaxkit.fitio import (
     synthesize,
 )
 from relaxkit.inversion import talbot_sum
-from relaxkit.models import KINDS, ModelSpec, PermittivityScale, permittivity, relaxation
+from relaxkit.models import KINDS, ModelSpec, PermittivityScale, _partials, permittivity, relaxation
 
 SCALE = PermittivityScale(5.0, 2.0)
 GRID = np.logspace(-3, 3, 40)
@@ -406,6 +406,66 @@ def test_time_partials_match_the_stacked_all_column_inversion(kind, alpha, beta)
     got = problem.model_partials(spec, None)
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= 1e-12 * np.max(np.abs(expected), axis=0))
+
+
+# the kinds whose decays the exp-sinh rule serves; the second grid has a sample at 0
+# and rows below and above the rule's window t/tau in [3e-4, 1e4]
+RULE_SPECS = [("cc", 0.7, 1.0), ("hn", 0.6, 0.5), ("jws", 0.6, 0.5), ("hn", 0.3, 0.25)]
+RULE_GRIDS = [np.logspace(-3, 3, 40), np.concatenate([[0.0], np.logspace(-6, 6, 41)])]
+
+
+@pytest.mark.filterwarnings("ignore:first relaxation sample")
+@pytest.mark.parametrize("grid", RULE_GRIDS, ids=["inside", "outside"])
+@pytest.mark.parametrize("kind,alpha,beta", RULE_SPECS)
+def test_rule_residual_equals_the_relaxation_residual_bit_for_bit(kind, alpha, beta, grid):
+    ds = synthesize(ModelSpec(kind, alpha, beta, tau=0.8), None, grid, 0.01, seed=3, domain="time")
+    problem = _Problem(ds, kind, False, None, None)
+    for offset in (0.0, 0.3, -0.4):
+        u = problem.u0 + offset
+        spec, _ = problem.unpack(u)
+        expected = problem.w * (relaxation(spec, ds.t) - ds.n)
+        np.testing.assert_array_equal(problem.residuals(u), expected)
+
+
+def _talbot_partials(problem, spec):
+    """The time partials of every row by the stacked Talbot inversion alone."""
+    free = (problem.free_alpha, problem.free_beta)
+    x = problem.dataset.t / spec.tau
+    d = np.zeros((x.size, len(problem.names)))
+    positive = x > 0.0
+    d[positive] = talbot_sum(lambda z, x: _partials(spec, z, x, free, -x / z), x[positive])
+    return problem.w[:, None] * d
+
+
+@pytest.mark.parametrize("kind", ["cc", "hn", "jws"])
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(0.3, 0.95), beta=st.floats(0.25, 0.95), log_tau=st.floats(-1.0, 1.0))
+def test_rule_jacobian_matches_the_talbot_jacobian(kind, alpha, beta, log_tau):
+    spec = ModelSpec(kind, alpha, 1.0 if kind == "cc" else beta, tau=10.0**log_tau)
+    t = np.logspace(-3, 3, 40)
+    problem = _Problem(TimeDataset(t, np.ones(t.size)), kind, False, None, None)
+    expected = _talbot_partials(problem, spec)
+    got = problem.model_partials(spec, None)
+    assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("grid", RULE_GRIDS, ids=["inside", "outside"])
+@pytest.mark.parametrize("kind,alpha,beta", RULE_SPECS[:3])  # every trial step within the rule's reach
+def test_a_rule_fit_builds_one_exponential_matrix_per_residual(monkeypatch, kind, alpha, beta, grid):
+    ds = synthesize(ModelSpec(kind, alpha, beta), None, grid, 0.01, seed=5, domain="time")
+    events, _ = _record_evaluations(monkeypatch)
+    exp_rows = fitio._exp_rows
+
+    def counted_exp_rows(x, xi, out):
+        events.append("E")
+        return exp_rows(x, xi, out)
+
+    monkeypatch.setattr(fitio, "_exp_rows", counted_exp_rows)
+    res = fit(ds, kind)
+    assert res.iterations >= 3
+    # each residual builds its matrix, each Jacobian reuses the last residual's
+    assert "".join(events).replace("rE", "") == "J" * events.count("J")
+    assert events.count("E") == events.count("r")
 
 
 # ---------------------------------------------------------------------------

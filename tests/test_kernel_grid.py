@@ -204,6 +204,21 @@ def test_jws_and_mcd_k_at_huge_t_follow_their_leading_term(kind, alpha, beta):
     assert_rel_close(values, x**-ab / math.gamma(1.0 - ab), rtol=1e-9)
 
 
+@pytest.mark.parametrize("kind, alpha, beta", [
+    ("jws", 0.6, 0.5), ("jws", 0.9, 0.7), ("jws", 0.3, 0.9), ("jws", 0.95, 0.95),
+    ("mcd", 1.0, 0.5), ("mcd", 1.0, 0.8), ("mcd", 1.0, 0.95), ("mcd", 1.0, 0.999),
+])
+def test_jws_and_mcd_k_at_huge_t_stay_within_their_reported_bound(kind, alpha, beta):
+    # w**(b-1) from real powers of x: through log|1 + w| the contour sum had missed its
+    # 1e-10 bound here by up to 5.9x (mcd 0.8); near a b = 1 the tail amplitude
+    # 1 / Gamma(1 - a b) shrinks, and the bound widens as 1e-11 / (1 - a b)
+    cfg = KernelConfig(ModelSpec(kind, alpha=alpha, beta=beta))
+    x = np.logspace(60.0, 300.0, 25)
+    values, bounds = memory_time_with_bound(cfg, x, "k")
+    ab = alpha * beta
+    assert np.all(np.abs(values - x**-ab / math.gamma(1.0 - ab)) <= bounds)
+
+
 @pytest.mark.parametrize("kind, alpha, beta, t", [("cd", 1.0, 0.4, 100.0), ("hn", 0.75, 1 / 3, 200.0)])
 def test_series_past_the_float_range_now_matches_mpmath(capsys, kind, alpha, beta, t):
     # the renewal series needed (t/tau)**(alpha beta r) past the float range here
