@@ -16,7 +16,12 @@ class NonConvergent(RelaxkitError):
 
 
 class StrategyDisagreement(RelaxkitError):
-    """Independent evaluation strategies disagree beyond tolerance in an overlap window."""
+    """Independent evaluation strategies disagree beyond tolerance in an overlap window.
+
+    A public name that stays, for callers that catch it (the fit tests raise
+    it to simulate a failing trial step).  The default Prabhakar route no
+    longer raises it: it cross-checks no two strategies.
+    """
 
 
 class InversionDisagreement(RelaxkitError):

@@ -99,6 +99,13 @@ _FLOOR_TOL = 1e-13
 _FLOOR_RIDGE = 1e-12
 
 
+def _require_finite(**columns) -> None:
+    """Raise DomainError if a dataset column (None: absent) holds a NaN or an infinity."""
+    for name, column in columns.items():
+        if column is not None and not np.isfinite(column).all():
+            raise DomainError(f"{name} values must be finite")
+
+
 @dataclass(frozen=True)
 class SpectrumDataset:
     """Measured or synthetic (omega, eps', eps'') samples."""
@@ -119,6 +126,7 @@ class SpectrumDataset:
             raise DomainError("omega, eps_re and eps_im must have equal length")
         if self.weights is not None and self.weights.size != n:
             raise DomainError("weights must match the number of points")
+        _require_finite(omega=self.omega, eps_re=self.eps_re, eps_im=self.eps_im, weights=self.weights)
         if np.any(self.omega <= 0.0) or np.any(np.diff(self.omega) <= 0.0):
             raise DomainError("omega values must be positive and strictly increasing")
         if self.weights is not None and np.any(self.weights <= 0.0):
@@ -148,6 +156,7 @@ class TimeDataset:
             raise DomainError("t and n must have equal length")
         if self.weights is not None and self.weights.size != self.t.size:
             raise DomainError("weights must match the number of points")
+        _require_finite(t=self.t, n=self.n, weights=self.weights)
         if np.any(self.t < 0.0) or np.any(np.diff(self.t) <= 0.0):
             raise DomainError("t values must be nonnegative and strictly increasing")
         if self.weights is not None and np.any(self.weights <= 0.0):

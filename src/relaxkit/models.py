@@ -208,13 +208,13 @@ def _grid(x, name: str, positive: bool = False) -> tuple[np.ndarray, bool]:
     Scalars are evaluated as 1-element arrays, never as 0-d arrays or numpy
     scalars: numpy's scalar ``**`` can round differently from its array loop,
     and a scalar call must give exactly the element of a grid call.  Raises
-    DomainError for a negative value (or a zero one, with ``positive``).
+    DomainError for a negative or NaN value (or a zero one, with ``positive``).
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     low = arr.min(initial=np.inf)
-    if low < 0.0 or (positive and low == 0.0):
+    if not (low >= 0.0) or (positive and low == 0.0):
         raise DomainError(f"{name} must be {'positive' if positive else 'nonnegative'}, got {low}")
     return arr, scalar
 

@@ -254,7 +254,6 @@ def tanh_sinh(
     b: float,
     rel_tol: float = 1e-10,
     abs_tol: float = 0.0,
-    max_level: int = _MAX_LEVEL,
 ) -> tuple[float, float]:
     """Integrate ``f`` over the finite interval (a, b).
 
@@ -271,5 +270,5 @@ def tanh_sinh(
     value at an interior node of a level the run reaches.
     """
     g = array_fn(f)
-    value, err = _integrate_rows(lambda x, rows: g(x), a, b, 1, rel_tol, abs_tol, max_level)
+    value, err = _integrate_rows(lambda x, rows: g(x), a, b, 1, rel_tol, abs_tol, _MAX_LEVEL)
     return float(value[0]), float(err[0])

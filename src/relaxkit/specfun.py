@@ -1,8 +1,7 @@
 """Three-parameter Mittag-Leffler (Prabhakar) evaluation and related special functions.
 
 Everything the relaxation models need in the time domain reduces to
-``E[alpha, mu; nu](-x)`` for ``x >= 0``, evaluated here by four
-cross-validating strategies:
+``E[alpha, mu; nu](-x)`` for ``x >= 0``, evaluated here by four strategies:
 
 * power series, with log-gamma/sign bookkeeping and a cancellation monitor;
 * fixed-Talbot contour inversion of the Laplace image
@@ -10,6 +9,11 @@ cross-validating strategies:
 * large-argument algebraic expansion with optimal truncation;
 * for rational ``alpha = l/k``, the finite sum of k generalized
   hypergeometric functions (cross-validation path).
+
+The default route, AUTO, tries the series once, for ``u = x**(1/alpha)`` up
+to 5 (mu >= 0) or 25 (mu < 0), and keeps it where its own cancellation
+estimate is at most 1e4; other points try the expansion from u = 50, then the
+contour (mu >= 0) or a recurrence in mu.  No two strategies are cross-checked.
 
 ``alpha == 1`` is routed through the Kummer-transformed confluent series
 ``exp(-x) 1F1(mu - nu; mu; x) / Gamma(mu)``, whose terms are nonnegative for
@@ -47,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, NonConvergent, StrategyDisagreement
+from .exceptions import DomainError, NonConvergent
 from .inversion import talbot_sum
 from .quadrature import _BLOCK, _call_levels, _integrate_rows, _nodes
 
@@ -74,18 +78,19 @@ HYPERGEOMETRIC_REDUCTION = "hypergeometric-reduction"
 _KINDS = (AUTO, POWER_SERIES, ASYMPTOTIC_SERIES, CONTOUR_INVERSION, HYPERGEOMETRIC_REDUCTION)
 
 # switch points in u = x**(1/alpha), the t/tau-like variable: the series loses
-# about exp(u)*eps to cancellation, the asymptotic expansion gains exp(-u)
-_SERIES_MAX_U = 25.0
-_ASYM_SAFE_U = 50.0
-# AUTO's series/contour crossover in u, the series' relative stop tolerance and
-# its term cap
-_CROSSOVER_U = 5.0
+# about exp(u)*eps to cancellation, the asymptotic expansion gains exp(-u).
+# AUTO tries the series up to _CROSSOVER_U (mu >= 0) or _SERIES_MAX_U (mu < 0)
+_CROSSOVER_U, _SERIES_MAX_U, _ASYM_SAFE_U = 5.0, 25.0, 50.0
+# AUTO keeps the series where its cancellation, largest term over result, is at most this
+_SERIES_MAX_CANCEL = 1e4
+# the series' relative stop tolerance and its term cap
 _REL_TOL = 1e-13
 _MAX_TERMS = 2000
 _TINY = 1e-300
-# terms per block of the array series and expansion: the blocks bound their
-# memory, and a point drops out after the block in which it converges
-_SERIES_ROWS, _ASYM_ROWS = 64, 16
+# terms per block of the array series and expansion (the blocks bound their
+# memory, and a point drops out after the block in which it converges), and
+# the expansion's term cap
+_SERIES_ROWS, _ASYM_ROWS, _ASYM_TERMS = 64, 16, 160
 
 
 @functools.cache
@@ -338,7 +343,7 @@ def _kummer(mu: float, nu: float, x):
     return value if isinstance(x, np.ndarray) else float(value)
 
 
-def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray, jmax: int = 160):
+def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray):
     """Algebraic large-x expansion with optimal truncation.
 
     E[alpha, mu; nu](-x) ~ sum_j (-1)^j (nu)_j x**(-nu-j) / (j! Gamma(mu - alpha(nu+j))),
@@ -352,7 +357,7 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray, jmax: int = 1
     log_x = np.log(x)[:, None]
     total, err, last = np.zeros(x.size), np.full(x.size, np.inf), np.full(x.size, np.inf)
     live = np.arange(x.size)
-    for j, poch, sign, log_fact in _term_blocks(nu, jmax, _ASYM_ROWS):
+    for j, poch, sign, log_fact in _term_blocks(nu, _ASYM_TERMS, _ASYM_ROWS):
         s = mu - alpha * (nu + j)
         rg = _special().rgamma(s)
         keep = (rg != 0.0) & ~((s < 0.5) & (np.abs(s - np.round(s)) < 1e-9))
@@ -408,29 +413,18 @@ def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     return talbot_sum(image, 1.0)
 
 
-def _check_handoff(series, contour, x, alpha, mu, nu) -> None:
-    """Raise StrategyDisagreement where series and contour differ by more than
-    1e-8 relative: the contour's own floor is ~1e-9 near coefficient poles."""
-    scale = np.maximum(np.maximum(np.abs(series), np.abs(contour)), _TINY)
-    for i in np.flatnonzero(np.abs(series - contour) > 1e-8 * scale)[:1]:
-        raise StrategyDisagreement(
-            f"series={series[i]:.12g} vs contour={contour[i]:.12g} at x={x[i]} "
-            f"(alpha={alpha}, mu={mu}, nu={nu})"
-        )
-
-
 def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: EvalStrategy) -> np.ndarray:
     """E[alpha, mu; nu](-x) on a 1-D array of x >= 0: the one Prabhakar dispatcher.
 
     Every point takes its route, with one strategy call per route (a number is
     a 1-element array, so it equals its grid element by construction).  AUTO
     routes by ``u = x**(1/alpha)``: x = 0 is 1/Gamma(mu); alpha = 1 with mu > 0
-    takes Kummer while its terms alternate mildly; the series for
-    ``u <= _CROSSOVER_U`` (5), cross-checked against the contour in the
-    handoff band ``u >= 0.9 _CROSSOVER_U``; the expansion from
-    ``u >= 50``.  The rest takes the contour for mu >= 0.  mu < 0 has no
-    Laplace image: there the series serves while u <= 25 and its cancellation
-    is <= 1e4, and the remaining points take the recurrence
+    takes Kummer while its terms alternate mildly.  The series is tried once,
+    for ``u <= _CROSSOVER_U`` (5) when mu >= 0 and ``u <= _SERIES_MAX_U`` (25)
+    when mu < 0, and kept wherever its own cancellation estimate is at most
+    ``_SERIES_MAX_CANCEL`` (1e4).  Every other point with ``u >= 50`` tries the
+    expansion, and what is left takes the contour for mu >= 0; mu < 0 has no
+    Laplace image, so there it takes the recurrence
     E[a, mu; nu] = a nu E[a, mu+1; nu+1] - (a nu - mu) E[a, mu+1; nu]
     (Kilbas, Saigo & Saxena 2004) up to mu >= 0.
     """
@@ -468,37 +462,22 @@ def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: Eval
             raise NonConvergent(f"series cancellation {cancel.max():.2g} leaves no significant digits")
         return out
     u = x ** (1.0 / alpha)
-    series = todo & (u <= _CROSSOVER_U)
+    series = todo & (u <= (_CROSSOVER_U if mu >= 0.0 else _SERIES_MAX_U))
     if mu >= 0.0 and nu > 20.0:
         # a caller's large nu makes the series predictably cancel: straight to the image
         series &= nu * x <= 10.0
-    band = np.zeros_like(todo)
     if series.any():
         out[series], cancel = _series(alpha, mu, nu, x[series])
-        if mu >= 0.0:
-            # large |nu| can wreck the series even at small argument; the image
-            # has no such cancellation.  In the handoff band the two are compared.
-            todo[series] = cancel > 1e8
-            band[series] = (u[series] >= 0.9 * _CROSSOVER_U) & (cancel < 1e8)
-        else:
-            todo[series] = False
-    asym = todo & (u > _CROSSOVER_U) & (u >= _ASYM_SAFE_U)
+        todo[series] = cancel > _SERIES_MAX_CANCEL
+    asym = todo & (u >= _ASYM_SAFE_U)
     if asym.any():
         out[asym] = value = _asymptotic(alpha, mu, nu, x[asym])
         todo[asym] = np.isnan(value)
-    if mu >= 0.0:
-        contour = todo | band
-        if contour.any():
-            value = _contour(alpha, mu, nu, x[contour])
-            if band.any():
-                _check_handoff(out[band], value[band[contour]], x[band], alpha, mu, nu)
-            out[todo] = value[todo[contour]]
+    if not todo.any():
         return out
-    mid = todo & (u <= _SERIES_MAX_U)
-    if mid.any():
-        out[mid], cancel = _series(alpha, mu, nu, x[mid])
-        todo[mid] = cancel > 1e4
-    if todo.any():
+    if mu >= 0.0:
+        out[todo] = _contour(alpha, mu, nu, x[todo])
+    else:
         up, same = (_eval_grid(alpha, mu + 1.0, n, x[todo], strategy) for n in (nu + 1.0, nu))
         out[todo] = alpha * nu * up - (alpha * nu - mu) * same
     return out
@@ -511,12 +490,11 @@ def prabhakar(
 ) -> float:
     """E[alpha, mu; nu](-x) for x >= 0 (the only case the relaxation models need).
 
-    ``strategy.kind`` selects the evaluation path; the default AutoSwitch
-    dispatches on ``u = x**(1/alpha)``: power series for ``u <= 5``, contour
-    inversion in the midrange, the algebraic expansion beyond ``u >= 50``.
-    Near the series/contour handoff the two are cross-checked and a
-    :class:`StrategyDisagreement` is raised when they differ by more than
-    1e-8 relative.
+    ``strategy.kind`` selects the evaluation path; the default AUTO
+    dispatches on ``u = x**(1/alpha)``: the power series where it cancels by
+    at most 1e4 at ``u <= 5`` (``u <= 25`` for mu < 0), the algebraic
+    expansion from ``u >= 50``, and contour inversion (mu >= 0) or the
+    recurrence in mu (mu < 0) for every other point; see :func:`_eval_grid`.
     """
     return prabhakar_eval(params.alpha, params.mu, params.nu, x, strategy)
 
@@ -531,16 +509,19 @@ def prabhakar_eval(
     """Low-level Prabhakar evaluation accepting any real ``mu`` and ``nu``.
 
     A negative ``nu`` is evaluated as well; second derivatives of the
-    relaxation functions need ``mu < 0``.  Same contract as
-    :func:`prabhakar` otherwise.  ``x`` is a number (a float result) or an
-    array (an array of its shape); both go through :func:`_eval_grid`, a
-    number as a 1-element array, so it gives exactly the element of a grid call.
+    relaxation functions need ``mu < 0``.  Same contract and the same AUTO
+    route as :func:`prabhakar` otherwise: the series where its cancellation
+    is at most 1e4, else the expansion, the contour or the recurrence in mu.
+    ``x`` is a number (a float result) or an array (an array of its shape); both
+    go through :func:`_eval_grid`, a number as a 1-element array, so it gives
+    exactly the element of a grid call.  A negative or NaN ``x`` raises
+    :class:`DomainError`.
     """
     if not (alpha > 0.0):
         raise DomainError(f"alpha must be positive, got {alpha}")
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
-    if np.any(flat < 0.0):
+    if not np.all(flat >= 0.0):
         raise DomainError(f"x must be nonnegative, got {flat.min()}")
     with np.errstate(over="ignore", invalid="ignore"):
         values = _eval_grid(alpha, mu, nu, flat, strategy)

@@ -69,7 +69,7 @@ def _mixture_integral(spec: models.ModelSpec, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def suite_sonine(tol: float = 1e-14) -> list[CheckResult]:
+def suite_sonine() -> list[CheckResult]:
     """s * M_hat * k_hat = 1 for all kernel-bearing models across s in [1e-3, 1e3]."""
     out = []
     specs = [
@@ -86,11 +86,11 @@ def suite_sonine(tol: float = 1e-14) -> list[CheckResult]:
         for s in np.logspace(-3, 3, 25):
             prod = s * kernels.memory_M_hat(cfg, float(s)) * kernels.memory_k_hat(cfg, float(s))
             worst = max(worst, abs(prod - 1.0))
-        out.append(CheckResult("sonine", f"sonine-{spec.kind}", worst, tol))
+        out.append(CheckResult("sonine", f"sonine-{spec.kind}", worst, 1e-14))
     return out
 
 
-def suite_duality(tol_spectral: float = 1e-12, tol_relax: float = 1e-6) -> list[CheckResult]:
+def suite_duality() -> list[CheckResult]:
     """Spectral and relaxation duality between the JWS and mirrored HN patterns."""
     out = []
     worst = 0.0
@@ -100,7 +100,7 @@ def suite_duality(tol_spectral: float = 1e-12, tol_relax: float = 1e-6) -> list[
             lhs = models.spectral(spec, float(w))
             mirrored = (1.0 + (1j * w) ** -a) ** -b
             worst = max(worst, abs(lhs + mirrored - 1.0))
-    out.append(CheckResult("duality", "spectral-sum", worst, tol_spectral))
+    out.append(CheckResult("duality", "spectral-sum", worst, 1e-12))
 
     # n_jws(t) = 1 - Int_0^t phi_jws_regular(u) du (the mirrored-order route)
     worst = 0.0
@@ -109,11 +109,11 @@ def suite_duality(tol_spectral: float = 1e-12, tol_relax: float = 1e-6) -> list[
         tr = models.time_response(spec)
         integral, _ = tanh_sinh(tr.regular, 0.0, t, rel_tol=1e-10)
         worst = max(worst, abs((1.0 - integral) - models.relaxation(spec, t)))
-    out.append(CheckResult("duality", "relaxation-sum", worst, tol_relax))
+    out.append(CheckResult("duality", "relaxation-sum", worst, 1e-6))
     return out
 
 
-def suite_pdf(tol_norm: float = 1e-6, tol_agree: float = 1e-9) -> list[CheckResult]:
+def suite_pdf() -> list[CheckResult]:
     """Nonnegativity, normalization, supports and form agreement of g(xi)."""
     out = []
     cases = [
@@ -130,7 +130,7 @@ def suite_pdf(tol_norm: float = 1e-6, tol_agree: float = 1e-9) -> list[CheckResu
         worst_neg = max(worst_neg, -float(models.pdf_g(spec, np.logspace(-3, 3, 60)).min()))
         worst_norm = max(worst_norm, abs(_mixture_integral(spec, 0.0) - 1.0))
     out.append(CheckResult("pdf", "nonnegative-valid-regime", worst_neg, 0.0))
-    out.append(CheckResult("pdf", "normalization", worst_norm, tol_norm))
+    out.append(CheckResult("pdf", "normalization", worst_norm, 1e-6))
 
     support = max(
         max(models.pdf_g(_spec("cd", 1.0, 0.5), xi) for xi in (0.2, 0.7, 1.0)),
@@ -155,7 +155,7 @@ def suite_pdf(tol_norm: float = 1e-6, tol_agree: float = 1e-9) -> list[CheckResu
                 worst,
                 abs(models.pdf_g(spec, xi) - models.pdf_g_hypergeometric(spec, xi)),
             )
-    out.append(CheckResult("pdf", "trig-vs-hypergeometric", worst, tol_agree))
+    out.append(CheckResult("pdf", "trig-vs-hypergeometric", worst, 1e-9))
 
     out.append(_negative_lobe("pdf", "negative-lobe-beyond-regime"))
     return out
@@ -169,7 +169,7 @@ def _negative_lobe(suite: str, name: str) -> CheckResult:
     return CheckResult(suite, name, 0.0 if lobe < 0 else 1.0, 0.5)
 
 
-def suite_subordination(tol: float = 1e-5) -> list[CheckResult]:
+def suite_subordination() -> list[CheckResult]:
     """Direct n(t) against the Debye-parent and Levy-parent compositions."""
     out = []
     for kind, parent in (("hn", "cd"), ("jws", "mcd")):
@@ -197,8 +197,8 @@ def suite_subordination(tol: float = 1e-5) -> list[CheckResult]:
             )
             worst_debye = max(worst_debye, abs(via_debye - direct))
             worst_levy = max(worst_levy, abs(via_levy - direct))
-        out.append(CheckResult("subordination", f"{kind}-debye-parent", worst_debye, tol))
-        out.append(CheckResult("subordination", f"{kind}-{parent}-parent", worst_levy, tol))
+        out.append(CheckResult("subordination", f"{kind}-debye-parent", worst_debye, 1e-5))
+        out.append(CheckResult("subordination", f"{kind}-{parent}-parent", worst_levy, 1e-5))
 
     worst = 0.0
     for (a, t) in ((0.3, 0.1), (0.5, 1.0), (0.8, 10.0)):
@@ -210,7 +210,7 @@ def suite_subordination(tol: float = 1e-5) -> list[CheckResult]:
     return out
 
 
-def suite_cm(tol: float = 0.0) -> list[CheckResult]:
+def suite_cm() -> list[CheckResult]:
     """Sign pattern (+, -, +) of (n, n', n'') and the Fig-1-type shape checks."""
     out = []
     cases = [
@@ -227,7 +227,7 @@ def suite_cm(tol: float = 0.0) -> list[CheckResult]:
     for spec in cases:
         n, d1, d2 = models.relaxation_derivatives(spec, np.logspace(-2, 1, 50))
         worst = max(worst, float(np.max(-n)), float(np.max(d1)), float(np.max(-d2)))
-    out.append(CheckResult("cm", "sign-pattern", worst, tol))
+    out.append(CheckResult("cm", "sign-pattern", worst, 0.0))
     return out + _response_shapes("cm")
 
 
@@ -246,7 +246,7 @@ def _response_shapes(suite: str) -> list[CheckResult]:
     ]
 
 
-def suite_asymptotics(tol_short: float = 0.01, tol_long: float = 0.02) -> list[CheckResult]:
+def suite_asymptotics() -> list[CheckResult]:
     """Exact/leading ratios at t/tau = 1e-4 and 1e4 for the HN and JWS pairs."""
     out = []
     for kind in ("hn", "jws"):
@@ -264,8 +264,8 @@ def suite_asymptotics(tol_short: float = 0.01, tol_long: float = 0.02) -> list[C
                 exact_l = exact_fn(spec, 1e4)
                 lead_l = models.asymptotic(spec, which, "long", 1e4)
                 worst_l = max(worst_l, abs(exact_l / lead_l - 1.0))
-        out.append(CheckResult("asymptotics", f"{kind}-short", worst_s, tol_short))
-        out.append(CheckResult("asymptotics", f"{kind}-long", worst_l, tol_long))
+        out.append(CheckResult("asymptotics", f"{kind}-short", worst_s, 0.01))
+        out.append(CheckResult("asymptotics", f"{kind}-long", worst_l, 0.02))
     return out
 
 
@@ -274,7 +274,7 @@ def suite_figures() -> list[CheckResult]:
     return _response_shapes("figures") + [_negative_lobe("figures", "pdf-negative-lobe")]
 
 
-def suite_mixture(tol: float = 1e-5) -> list[CheckResult]:
+def suite_mixture() -> list[CheckResult]:
     """Mixture representation: Int exp(-t xi/tau) g(xi) dxi = n(t), n from the contour
     (under AUTO, cc, hn and jws evaluate n as this integral on a fixed rule)."""
     contour = EvalStrategy(CONTOUR_INVERSION)
@@ -291,10 +291,10 @@ def suite_mixture(tol: float = 1e-5) -> list[CheckResult]:
             worst = max(
                 worst, abs(_mixture_integral(spec, t) - models.relaxation(spec, t, contour))
             )
-    return [CheckResult("mixture", "laplace-mixture", worst, tol)]
+    return [CheckResult("mixture", "laplace-mixture", worst, 1e-5)]
 
 
-def suite_evolution(tol: float = 1e-4) -> list[CheckResult]:
+def suite_evolution() -> list[CheckResult]:
     """Evolution-equation residuals and the Caputo/RL operator identity."""
     out = []
     ts = np.linspace(0.1, 5.0, 6)
@@ -302,7 +302,7 @@ def suite_evolution(tol: float = 1e-4) -> list[CheckResult]:
         cfg = kernels.KernelConfig(spec)
         out.append(
             CheckResult(
-                "evolution", f"{spec.kind}-residual", kernels.evolution_residual(cfg, ts), tol
+                "evolution", f"{spec.kind}-residual", kernels.evolution_residual(cfg, ts), 1e-4
             )
         )
         out.append(
@@ -310,7 +310,7 @@ def suite_evolution(tol: float = 1e-4) -> list[CheckResult]:
                 "evolution",
                 f"{spec.kind}-caputo-rl-identity",
                 kernels.caputo_rl_identity_residual(cfg, [0.3, 1.0, 3.0]),
-                tol,
+                1e-4,
             )
         )
     return out

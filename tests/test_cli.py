@@ -147,6 +147,24 @@ def test_fit_malformed_csv_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "domain, text, column",
+    [
+        # a NaN omega once reached np.polyfit and crashed with a raw LinAlgError
+        ("frequency", "omega,eps_re,eps_im\n0.1,4.9,0.5\nnan,3.5,1.5\n10,2.1,0.5\n", "omega"),
+        # a NaN sample once "fitted" to a NaN residual norm
+        ("time", "t,n\n0,1\n0.5,nan\n1,0.37\n2,0.14\n", "n"),
+    ],
+    ids=["frequency", "time"],
+)
+def test_fit_non_finite_sample_exit_2(tmp_path, capsys, domain, text, column):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code, _, err = run(capsys, "fit", str(bad), "--domain", domain, "--model", "debye")
+    assert code == EXIT_USAGE
+    assert f"{column} values must be finite" in err
+
+
 def test_verify_sonine_passes(capsys):
     code, out, _ = run(capsys, "verify", "sonine")
     assert code == EXIT_OK

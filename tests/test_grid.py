@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relaxkit import specfun
-from relaxkit.exceptions import DomainError, RelaxkitError, StrategyDisagreement
+from relaxkit.exceptions import DomainError, RelaxkitError
 from relaxkit.kernels import KernelConfig, memory_time_with_bound
 from relaxkit.models import ModelSpec, relaxation, response
 from relaxkit.specfun import EvalStrategy, prabhakar_eval
@@ -151,7 +151,7 @@ def test_grid_matches_scalar_where_rounding_is_magnified(kind, alpha, beta):
 @pytest.mark.parametrize(
     "alpha, mu, nu",
     [
-        (0.6, 1.0, 0.5),  # series, handoff band, contour, asymptotic
+        (0.6, 1.0, 0.5),  # series, contour, asymptotic
         (0.4, 0.4, 3.0),  # series cancellation up to ~1e4 below the handoff
         (0.5, 0.25, 0.5),  # mu = alpha nu on rational alpha: pole collision
         (0.7, -1.0, 0.8),  # mu < 0: series up to u = 25, then the expansion
@@ -163,18 +163,21 @@ def test_grid_matches_scalar_where_rounding_is_magnified(kind, alpha, beta):
     ],
 )
 def test_grid_prabhakar_matches_scalar_calls_on_every_route(alpha, mu, nu):
-    # u = x**(1/alpha) switches route at 4.5 and 5 (handoff band), 25, 50, and
-    # x = 500 ends the pole-collision exclusion: sample densely around each
+    # u = x**(1/alpha) switches route at 5, 25 and 50, and x = 500 ends the
+    # pole-collision exclusion: sample densely around each
     u = np.concatenate([np.linspace(4.3, 5.2, 19), np.linspace(24, 26, 5), np.linspace(48, 52, 5)])
     x = np.concatenate([[0.0], np.logspace(-3, 3.5, 53), u**alpha, np.linspace(490, 510, 5)])
     assert_grid_matches_points(lambda v: prabhakar_eval(alpha, mu, nu, v), x)
 
 
-def test_grid_raises_strategy_disagreement_at_the_handoff():
-    with pytest.raises(StrategyDisagreement):
-        prabhakar_eval(0.6, 5.1, 8.5, 2.5735)
-    with pytest.raises(StrategyDisagreement):
-        prabhakar_eval(0.6, 5.1, 8.5, np.array([0.1, 1.0, 2.5735, 10.0]))
+def test_auto_meets_the_50_digit_value_where_series_and_contour_once_disagreed():
+    # the series cancels by 2.7e6 here and read 3.17147934705e-05, 1.1e-8
+    # relative off; AUTO raised StrategyDisagreement against the contour, which
+    # has the 50-digit value
+    exact = 3.1714793117e-05
+    assert prabhakar_eval(0.6, 5.1, 8.5, 2.5735) == pytest.approx(exact, rel=1e-10, abs=0.0)
+    grid = prabhakar_eval(0.6, 5.1, 8.5, np.array([0.1, 1.0, 2.5735, 10.0]))
+    assert grid[2] == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_grid_shapes_and_non_auto_strategies():

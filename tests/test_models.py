@@ -38,7 +38,7 @@ from relaxkit.models import (
     theta,
     time_response,
 )
-from relaxkit.specfun import PrabhakarParams, RationalOrder, prabhakar, prabhakar_rational
+from relaxkit.specfun import PrabhakarParams, RationalOrder, prabhakar, prabhakar_eval, prabhakar_rational
 
 SCALE = PermittivityScale(10.0, 2.0)
 
@@ -643,6 +643,26 @@ def test_an_argument_outside_zero_to_infinity_raises_domain_error(entry, arg):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             ARGUMENT_ENTRY_POINTS[entry](arg)
+
+
+# entry points whose domain includes 0: a NaN argument passed their sign check
+# and came back as the value at 0 (1.0 for all of these)
+NAN_ENTRY_POINTS = {
+    "prabhakar_eval": lambda x: prabhakar_eval(0.5, 1.0, 1.0, x),
+    "prabhakar_eval-array": lambda x: prabhakar_eval(0.5, 1.0, 1.0, np.array([0.5, x])),
+    "relaxation-jws": lambda t: relaxation(ModelSpec("jws", alpha=0.6, beta=0.5), t),
+    "relaxation-cc": lambda t: relaxation(ModelSpec("cc", alpha=0.6), t),
+    "relaxation-mcd": lambda t: relaxation(ModelSpec("mcd", beta=0.5), t),
+    "memory_M_time-debye": lambda t: memory_M_time(KernelConfig(ModelSpec("debye")), t),
+}
+
+
+@pytest.mark.parametrize("entry", NAN_ENTRY_POINTS)
+def test_a_nan_argument_raises_domain_error(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            NAN_ENTRY_POINTS[entry](math.nan)
 
 
 def pdf_g_point(spec, xi):

@@ -336,6 +336,25 @@ def test_series_in_its_cancellation_band_matches_mpmath(alpha):
             np.testing.assert_allclose(values, exact, rtol=5e-11, atol=0.0)
 
 
+# seeded draws of (alpha, mu, nu, u = x**(1/alpha)) over AUTO's series range,
+# u in [0.3, 5], where the series cancels by up to ~1e12 at large nu
+SERIES_RANGE_DRAWS = np.random.default_rng(2015).uniform(
+    (0.3, -2.5, 0.1, 0.3), (1.0, 6.0, 10.0, 5.0), (60, 4)
+).tolist()
+
+
+@pytest.mark.parametrize(
+    "draw", SERIES_RANGE_DRAWS, ids=lambda d: "a%.3f-mu%.3f-nu%.3f-u%.3f" % tuple(d)
+)
+def test_auto_matches_the_80_digit_defining_series_on_seeded_draws(draw):
+    # AUTO once kept a series that cancels by up to 1e8 (mu >= 0) or by any
+    # amount (mu < 0) here, and raised StrategyDisagreement at the handoff
+    alpha, mu, nu, u = draw
+    x = u**alpha
+    exact = float(mp_prabhakar(alpha, mu, nu, [x], 80)[0])
+    assert prabhakar_eval(alpha, mu, nu, x) == pytest.approx(exact, rel=2e-8, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "alpha, beta, x",
     [
