@@ -19,7 +19,6 @@ from .exceptions import (
     ParseError,
     QuadratureFailure,
     RelaxkitError,
-    StrategyDisagreement,
 )
 from .fitio import (
     FitResult,
@@ -70,8 +69,6 @@ from .models import (
     time_response,
 )
 from .specfun import (
-    DEFAULT_STRATEGY,
-    EvalStrategy,
     PrabhakarParams,
     RationalOrder,
     hyper_pfq,

@@ -15,15 +15,6 @@ class NonConvergent(RelaxkitError):
     """A series or iteration failed to converge to the requested tolerance."""
 
 
-class StrategyDisagreement(RelaxkitError):
-    """Independent evaluation strategies disagree beyond tolerance in an overlap window.
-
-    A public name that stays, for callers that catch it (the fit tests raise
-    it to simulate a failing trial step).  The default Prabhakar route no
-    longer raises it: it cross-checks no two strategies.
-    """
-
-
 class InversionDisagreement(RelaxkitError):
     """Talbot and Gaver-Stehfest inversions disagree beyond tolerance."""
 

@@ -72,7 +72,6 @@ from .models import (
     permittivity,
     relaxation,
 )
-from .specfun import DEFAULT_STRATEGY
 
 __all__ = [
     "SpectrumDataset",
@@ -229,13 +228,30 @@ def parse_csv(source, domain: str):
 
     data = np.array([vals for _, vals in rows], dtype=float)
     has_weight = len(header) == len(_HEADERS[domain][1])
-    weights = data[:, -1] if has_weight else None
-    try:
+
+    def dataset(d: np.ndarray):
+        weights = d[:, -1] if has_weight else None
         if domain == "frequency":
-            return SpectrumDataset(data[:, 0], data[:, 1], data[:, 2], weights=weights)
-        return TimeDataset(data[:, 0], data[:, 1], weights=weights)
+            return SpectrumDataset(d[:, 0], d[:, 1], d[:, 2], weights=weights)
+        return TimeDataset(d[:, 0], d[:, 1], weights=weights)
+
+    try:
+        return dataset(data)
     except DomainError as exc:
-        raise ParseError(rows[-1][0], str(exc)) from None
+        error = exc
+    # every check fails on each prefix that holds the first offending row: bisect for it
+    good, bad = 0, len(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                dataset(data[:mid])
+            except DomainError as exc:
+                bad, error = mid, exc
+            else:
+                good = mid
+    raise ParseError(rows[bad - 1][0], str(error))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +466,7 @@ class _Problem:
         if self.kind not in _RULE_LAWS:  # no other kind reduces to a law the rule serves
             return relaxation(spec, t)
         x = t / spec.tau
-        level, inside = _rule(spec, x, DEFAULT_STRATEGY)
+        level, inside = _rule(spec, x)
         count = np.count_nonzero(inside)
         if not count:
             return relaxation(spec, t)
@@ -489,7 +505,7 @@ class _Problem:
             return self.w[:, None] * d
         contour = x > 0.0
         if self.kind in _RULE_LAWS:
-            level, inside = _rule(spec, x, DEFAULT_STRATEGY)
+            level, inside = _rule(spec, x)
             if inside.any():
                 d[inside] = self._rule_partials(spec, x[inside], level, free)
                 contour &= ~inside

@@ -44,16 +44,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .laplace import LaplaceImage
-from .specfun import (
-    AUTO,
-    DEFAULT_STRATEGY,
-    EvalStrategy,
-    RationalOrder,
-    _special,
-    hyper_pfq,
-    levy_stable_density,
-    prabhakar_eval,
-)
+from .specfun import RationalOrder, _special, hyper_pfq, levy_stable_density, prabhakar_eval
 
 __all__ = [
     "KINDS",
@@ -385,7 +376,7 @@ def permittivity(spec: ModelSpec, scale: PermittivityScale, omega):
     return eps_re, eps_im
 
 
-def _derivative(spec: ModelSpec, x: np.ndarray, k: int, strategy: EvalStrategy) -> np.ndarray:
+def _derivative(spec: ModelSpec, x: np.ndarray, k: int) -> np.ndarray:
     """d^k n / dt^k (k = 0, 1, 2) at x = t/tau, an array.
 
     debye, cd and kww are closed forms.  cc, hn and jws take :func:`_cm_sum` at
@@ -398,7 +389,7 @@ def _derivative(spec: ModelSpec, x: np.ndarray, k: int, strategy: EvalStrategy) 
     """
     law, a, b, tau = _law(spec), spec.alpha, spec.beta, spec.tau
     if law in ("cc", "hn", "jws", "mcd"):
-        level, inside = _rule(spec, x, strategy)
+        level, inside = _rule(spec, x)
         out = np.empty_like(x)
         if inside.any():
             # n'' weighs large xi more: at small x its peak, xi ~ 2/x, needs the finer step
@@ -407,9 +398,9 @@ def _derivative(spec: ModelSpec, x: np.ndarray, k: int, strategy: EvalStrategy) 
         if rest.any():
             xr = x[rest]
             if law in ("jws", "mcd") or (law == "cc" and k == 0):
-                out[rest] = prabhakar_eval(a, 1.0 - k, b, xr**a, strategy) / (xr**k * tau**k)
+                out[rest] = prabhakar_eval(a, 1.0 - k, b, xr**a) / (xr**k * tau**k)
             else:
-                e = prabhakar_eval(a, a * b + (1 - k), b, xr**a, strategy)
+                e = prabhakar_eval(a, a * b + (1 - k), b, xr**a)
                 out[rest] = ((1.0 if k == 0 else 0.0) - xr ** (a * b - k) * e) / tau**k
         return out
     if k == 0:
@@ -440,15 +431,15 @@ _EXP_SINH = {level: _exp_sinh(level) for level in (5, 6, 7, 8)}
 _RULE_LAWS = ("cc", "hn", "jws")  # the laws whose n, n' and n'' the exp-sinh rule can serve
 
 
-def _rule(spec: ModelSpec, x: np.ndarray, strategy: EvalStrategy) -> tuple[int, np.ndarray]:
+def _rule(spec: ModelSpec, x: np.ndarray) -> tuple[int, np.ndarray]:
     """The exp-sinh level at which the rule serves spec (0 if it does not) and the mask of
-    the points x = t/tau it serves: cc, hn and jws under AUTO at x in [3e-4, 1e4].
+    the points x = t/tau it serves: cc, hn and jws at x in [3e-4, 1e4].
 
     The rule needs g >= 0 (beta <= 1/alpha); its step 2**-level resolves g's singularities
     at log xi = +-i pi (1 - a)/a, and stops at level 7 (1255 nodes, alpha ~ 0.977); g ~
     xi**(p-1) at 0 leaves ~1e-300**p below the first node, so p (jws: alpha beta) >= 0.06."""
     law, a, b = _law(spec), spec.alpha, spec.beta
-    if law in _RULE_LAWS and strategy.kind == AUTO and a * b <= 1.0:
+    if law in _RULE_LAWS and a * b <= 1.0:
         level = max(5, math.ceil(math.log2(a / (0.34 * (1.0 - a)))))  # alpha < 1 here
         if level <= 7 and (a * b if law == "jws" else a) >= 0.06:
             return level, (x >= 3e-4) & (x <= 1e4)
@@ -485,55 +476,55 @@ def _cm_sum(spec: ModelSpec, x: np.ndarray, k: int, level: int) -> np.ndarray:
     return out
 
 
-def _time_function(spec: ModelSpec, t, k: int, strategy: EvalStrategy):
+def _time_function(spec: ModelSpec, t, k: int):
     """d^k n / dt^k at t, a number (a float) or an array (an array of its shape)."""
     x, scalar = _grid(t, "t", positive=k > 0)
-    value = _derivative(spec, x / spec.tau, k, strategy)
+    value = _derivative(spec, x / spec.tau, k)
     return float(value[0]) if scalar else value
 
 
-def response(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
+def response(spec: ModelSpec, t):
     """Regular (pointwise) part of the response function phi(t) = -dn/dt at t > 0.
 
     ``t`` is a number (a float) or an array (an array of its shape, one grid call); a
     number is a 1-element grid, so it gives exactly the element of a grid call.  Routes
     and tolerances: :func:`relaxation_derivatives`.
     """
-    return -_time_function(spec, t, 1, strategy)
+    return -_time_function(spec, t, 1)
 
 
-def time_response(spec: ModelSpec, strategy: EvalStrategy = DEFAULT_STRATEGY) -> TimeResponse:
+def time_response(spec: ModelSpec) -> TimeResponse:
     """Response function as a TimeResponse (formal delta flag plus regular density)."""
     weight = 1.0 if _jws(spec) else 0.0
-    return TimeResponse(singular_weight=weight, regular=lambda t: response(spec, t, strategy))
+    return TimeResponse(singular_weight=weight, regular=lambda t: response(spec, t))
 
 
-def relaxation(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY):
+def relaxation(spec: ModelSpec, t):
     """Relaxation function n(t) with n(0) = 1 exactly, monotone to 0 at infinity.
 
     ``t`` is a number (a float) or an array (an array of its shape, one grid call); a
     number is a 1-element grid, so it gives exactly the element of a grid call.  Routes
     and tolerances: :func:`relaxation_derivatives`.
     """
-    return _time_function(spec, t, 0, strategy)
+    return _time_function(spec, t, 0)
 
 
-def relaxation_derivatives(spec: ModelSpec, t, strategy: EvalStrategy = DEFAULT_STRATEGY) -> tuple:
+def relaxation_derivatives(spec: ModelSpec, t) -> tuple:
     """(n, n', n'') at t > 0, derivatives in closed form, not differences.
 
     ``t`` is a number (three floats) or an array (three arrays of its shape,
     one grid call each); a number gives exactly the elements of a grid call.
     Complete monotonicity shows up as the sign pattern (+, -, +).
 
-    Under AUTO, cc, hn and jws with beta <= 1/alpha at t/tau in [3e-4, 1e4] are
+    cc, hn and jws with beta <= 1/alpha at t/tau in [3e-4, 1e4] are
     ``(-1)**k tau**-k Sum_j xi_j**k exp(-t xi_j/tau) g(xi_j) w_j``, positive terms
     over the rate density g on a fixed exp-sinh rule: n and n' within 1e-11 relative,
     n'' within 1e-12 (not for alpha above ~0.977 or alpha, for jws alpha beta, below
     0.06).  The rest lowers mu by one per derivative of
     ``t**(mu-1) E[alpha, mu; nu](-(t/tau)**alpha)``: Prabhakar evaluations.
     """
-    d2 = _time_function(spec, t, 2, strategy)
-    return relaxation(spec, t, strategy), -response(spec, t, strategy), d2
+    d2 = _time_function(spec, t, 2)
+    return relaxation(spec, t), -response(spec, t), d2
 
 
 def pdf_g(spec: ModelSpec, xi):

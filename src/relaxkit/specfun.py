@@ -10,21 +10,22 @@ Everything the relaxation models need in the time domain reduces to
 * for rational ``alpha = l/k``, the finite sum of k generalized
   hypergeometric functions (cross-validation path).
 
-The default route, AUTO, tries the series once, for ``u = x**(1/alpha)`` up
-to 5 (mu >= 0) or 25 (mu < 0), and keeps it where its own cancellation
-estimate is at most 1e4; other points try the expansion from u = 50, then the
-contour (mu >= 0) or a recurrence in mu.  No two strategies are cross-checked.
+There is one route, chosen per point by a fixed rule: the series is tried
+once, for ``u = x**(1/alpha)`` up to 5 (mu >= 0) or 25 (mu < 0), and kept
+where its own cancellation estimate is at most 1e4; other points try the
+expansion from u = 50, then the contour (mu >= 0) or a recurrence in mu.  No
+caller picks a strategy, and no two are cross-checked.
 
 ``alpha == 1`` is routed through the Kummer-transformed confluent series
 ``exp(-x) 1F1(mu - nu; mu; x) / Gamma(mu)``, whose terms are nonnegative for
 ``mu >= nu``, so the Debye/Cole-Davidson reductions hold to full double
 precision at any argument.
 
-One dispatcher, ``_eval_grid``, routes a 1-D array of arguments, every
-strategy and ``mu < 0`` included, with one call per route; a number is a
-1-element array.  The strategies are array bodies built from numpy's own
-``exp``, ``log`` and ``**``, whose value for an element does not depend on the
-array around it, so a number gives exactly the element of a grid call.
+One dispatcher, ``_eval_grid``, routes a 1-D array of arguments, ``mu < 0``
+included, with one call per strategy; a number is a 1-element array.  The
+strategies are array bodies built from numpy's own ``exp``, ``log`` and
+``**``, whose value for an element does not depend on the array around it, so
+a number gives exactly the element of a grid call.
 
 The public dataclass ``PrabhakarParams`` enforces ``nu > 0`` (the regime the
 relaxation models and the complete-monotonicity statements live in); the
@@ -57,9 +58,7 @@ from .quadrature import _BLOCK, _call_levels, _integrate_rows, _nodes
 
 __all__ = [
     "PrabhakarParams",
-    "EvalStrategy",
     "RationalOrder",
-    "DEFAULT_STRATEGY",
     "pochhammer",
     "hyper_pfq",
     "prabhakar",
@@ -69,19 +68,11 @@ __all__ = [
     "levy_stable_density",
 ]
 
-AUTO = "auto"
-POWER_SERIES = "power-series"
-ASYMPTOTIC_SERIES = "asymptotic-series"
-CONTOUR_INVERSION = "contour-inversion"
-HYPERGEOMETRIC_REDUCTION = "hypergeometric-reduction"
-
-_KINDS = (AUTO, POWER_SERIES, ASYMPTOTIC_SERIES, CONTOUR_INVERSION, HYPERGEOMETRIC_REDUCTION)
-
 # switch points in u = x**(1/alpha), the t/tau-like variable: the series loses
 # about exp(u)*eps to cancellation, the asymptotic expansion gains exp(-u).
-# AUTO tries the series up to _CROSSOVER_U (mu >= 0) or _SERIES_MAX_U (mu < 0)
+# The series is tried up to _CROSSOVER_U (mu >= 0) or _SERIES_MAX_U (mu < 0)
 _CROSSOVER_U, _SERIES_MAX_U, _ASYM_SAFE_U = 5.0, 25.0, 50.0
-# AUTO keeps the series where its cancellation, largest term over result, is at most this
+# the series is kept where its cancellation, largest term over result, is at most this
 _SERIES_MAX_CANCEL = 1e4
 # the series' relative stop tolerance and its term cap
 _REL_TOL = 1e-13
@@ -136,20 +127,6 @@ class PrabhakarParams:
         quoted flipped inequality is refuted numerically by the tests.
         """
         return 0.0 < self.alpha <= 1.0 and self.alpha * self.nu <= self.mu <= 1.0
-
-
-@dataclass(frozen=True)
-class EvalStrategy:
-    """Evaluation policy for the series/contour/asymptotic machinery: which route ``kind`` takes."""
-
-    kind: str = AUTO
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown strategy kind {self.kind!r}")
-
-
-DEFAULT_STRATEGY = EvalStrategy()
 
 
 @dataclass(frozen=True)
@@ -413,13 +390,13 @@ def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     return talbot_sum(image, 1.0)
 
 
-def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: EvalStrategy) -> np.ndarray:
+def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     """E[alpha, mu; nu](-x) on a 1-D array of x >= 0: the one Prabhakar dispatcher.
 
     Every point takes its route, with one strategy call per route (a number is
-    a 1-element array, so it equals its grid element by construction).  AUTO
-    routes by ``u = x**(1/alpha)``: x = 0 is 1/Gamma(mu); alpha = 1 with mu > 0
-    takes Kummer while its terms alternate mildly.  The series is tried once,
+    a 1-element array, so it equals its grid element by construction), by
+    ``u = x**(1/alpha)``: x = 0 is 1/Gamma(mu); alpha = 1 with mu > 0 takes
+    Kummer while its terms alternate mildly.  The series is tried once,
     for ``u <= _CROSSOVER_U`` (5) when mu >= 0 and ``u <= _SERIES_MAX_U`` (25)
     when mu < 0, and kept wherever its own cancellation estimate is at most
     ``_SERIES_MAX_CANCEL`` (1e4).  Every other point with ``u >= 50`` tries the
@@ -428,38 +405,17 @@ def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: Eval
     E[a, mu; nu] = a nu E[a, mu+1; nu+1] - (a nu - mu) E[a, mu+1; nu]
     (Kilbas, Saigo & Saxena 2004) up to mu >= 0.
     """
-    kind = strategy.kind
-    if kind == HYPERGEOMETRIC_REDUCTION:
-        order = RationalOrder.from_float(alpha)
-        return np.array([prabhakar_rational(order, mu, nu, v) for v in x.tolist()])
-    if kind == ASYMPTOTIC_SERIES:
-        if not np.all(x > 0.0):
-            raise NonConvergent("asymptotic expansion needs x > 0")
-        out = _asymptotic(alpha, mu, nu, x)
-        for i in np.flatnonzero(np.isnan(out))[:1]:
-            raise NonConvergent(f"asymptotic expansion misses its tolerance at x={x[i]} (alpha={alpha})")
-        return out
     out = np.full(x.shape, float(_special().rgamma(mu)))
     todo = x > 0.0
-    if alpha == 1.0 and mu > 0.0 and kind != CONTOUR_INVERSION:
-        kummer = todo & (x <= 690.0)
-        if kind == AUTO:
-            # Kummer terms are nonnegative for mu >= nu; for mu < nu they
-            # alternate with peak ~exp(2 sqrt((nu-mu) x)), so only mild
-            # alternation is allowed before the contour takes over
-            kummer &= (mu >= nu) | ((nu - mu) * x <= 36.0)
+    if alpha == 1.0 and mu > 0.0:
+        # Kummer terms are nonnegative for mu >= nu; for mu < nu they alternate
+        # with peak ~exp(2 sqrt((nu-mu) x)), so only mild alternation is allowed
+        # before the contour takes over
+        kummer = todo & (x <= 690.0) & ((mu >= nu) | ((nu - mu) * x <= 36.0))
         if kummer.any():
             out[kummer] = _kummer(mu, nu, x[kummer])
             todo &= ~kummer
     if not todo.any():
-        return out
-    if kind == CONTOUR_INVERSION:
-        out[todo] = _contour(alpha, mu, nu, x[todo])
-        return out
-    if kind == POWER_SERIES:
-        out[todo], cancel = _series(alpha, mu, nu, x[todo])
-        if np.any(cancel > 1e13):
-            raise NonConvergent(f"series cancellation {cancel.max():.2g} leaves no significant digits")
         return out
     u = x ** (1.0 / alpha)
     series = todo & (u <= (_CROSSOVER_U if mu >= 0.0 else _SERIES_MAX_U))
@@ -478,40 +434,30 @@ def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray, strategy: Eval
     if mu >= 0.0:
         out[todo] = _contour(alpha, mu, nu, x[todo])
     else:
-        up, same = (_eval_grid(alpha, mu + 1.0, n, x[todo], strategy) for n in (nu + 1.0, nu))
+        up, same = (_eval_grid(alpha, mu + 1.0, n, x[todo]) for n in (nu + 1.0, nu))
         out[todo] = alpha * nu * up - (alpha * nu - mu) * same
     return out
 
 
-def prabhakar(
-    params: PrabhakarParams,
-    x: float,
-    strategy: EvalStrategy = DEFAULT_STRATEGY,
-) -> float:
+def prabhakar(params: PrabhakarParams, x: float) -> float:
     """E[alpha, mu; nu](-x) for x >= 0 (the only case the relaxation models need).
 
-    ``strategy.kind`` selects the evaluation path; the default AUTO
-    dispatches on ``u = x**(1/alpha)``: the power series where it cancels by
-    at most 1e4 at ``u <= 5`` (``u <= 25`` for mu < 0), the algebraic
-    expansion from ``u >= 50``, and contour inversion (mu >= 0) or the
-    recurrence in mu (mu < 0) for every other point; see :func:`_eval_grid`.
+    Each point takes its route by ``u = x**(1/alpha)``: the power series
+    where it cancels by at most 1e4 at ``u <= 5`` (``u <= 25`` for mu < 0),
+    the algebraic expansion from ``u >= 50``, and contour inversion (mu >= 0)
+    or the recurrence in mu (mu < 0) for every other point; see
+    :func:`_eval_grid`.
     """
-    return prabhakar_eval(params.alpha, params.mu, params.nu, x, strategy)
+    return prabhakar_eval(params.alpha, params.mu, params.nu, x)
 
 
-def prabhakar_eval(
-    alpha: float,
-    mu: float,
-    nu: float,
-    x,
-    strategy: EvalStrategy = DEFAULT_STRATEGY,
-):
+def prabhakar_eval(alpha: float, mu: float, nu: float, x):
     """Low-level Prabhakar evaluation accepting any real ``mu`` and ``nu``.
 
     A negative ``nu`` is evaluated as well; second derivatives of the
-    relaxation functions need ``mu < 0``.  Same contract and the same AUTO
-    route as :func:`prabhakar` otherwise: the series where its cancellation
-    is at most 1e4, else the expansion, the contour or the recurrence in mu.
+    relaxation functions need ``mu < 0``.  Same contract and the same route
+    as :func:`prabhakar` otherwise: the series where its cancellation is at
+    most 1e4, else the expansion, the contour or the recurrence in mu.
     ``x`` is a number (a float result) or an array (an array of its shape); both
     go through :func:`_eval_grid`, a number as a 1-element array, so it gives
     exactly the element of a grid call.  A negative or NaN ``x`` raises
@@ -524,7 +470,7 @@ def prabhakar_eval(
     if not np.all(flat >= 0.0):
         raise DomainError(f"x must be nonnegative, got {flat.min()}")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _eval_grid(alpha, mu, nu, flat, strategy)
+        values = _eval_grid(alpha, mu, nu, flat)
     return float(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
@@ -538,11 +484,12 @@ def prabhakar_rational(order: RationalOrder, mu: float, nu: float, x: float) -> 
     into the terms: by Gauss's multiplication formula ``Gamma(c) prod_i
     ((c+i)/l)_r = Gamma(c + l r) / l**(l r)``, so term r carries
     ``1/Gamma(c + l r)``, which stays finite where ``Gamma(c)`` has a pole
-    (mu <= 0).  This is a cross-validation path, not the default: like the
+    (mu <= 0).  This is a cross-validation path, not on the route: like the
     power series its accuracy degrades as exp(x**(k/l)), so arguments beyond
-    the convergence safeguard are rejected.
+    the convergence safeguard are rejected, and a negative or NaN ``x`` raises
+    :class:`DomainError`.
     """
-    if x < 0.0:
+    if not (x >= 0.0):
         raise DomainError(f"x must be nonnegative, got {x}")
     l, k = order.l, order.k
     if x > 0.0 and x ** (k / l) > _SERIES_MAX_U:
@@ -586,12 +533,7 @@ def prabhakar_rational(order: RationalOrder, mu: float, nu: float, x: float) -> 
     return total
 
 
-def prabhakar_derivative(
-    params: PrabhakarParams,
-    scale: float,
-    x: float,
-    strategy: EvalStrategy = DEFAULT_STRATEGY,
-) -> float:
+def prabhakar_derivative(params: PrabhakarParams, scale: float, x: float) -> float:
     """d/dx of ``x**(mu-1) E[alpha, mu; nu](scale * x**alpha)`` via the index shift mu -> mu - 1.
 
     Differentiation lowers the second index:
@@ -604,7 +546,7 @@ def prabhakar_derivative(
     if scale > 0.0:
         raise DomainError("only nonpositive scale is supported (negative-argument evaluation)")
     arg = -scale * x**params.alpha
-    value = prabhakar_eval(params.alpha, params.mu - 1.0, params.nu, arg, strategy)
+    value = prabhakar_eval(params.alpha, params.mu - 1.0, params.nu, arg)
     return x ** (params.mu - 2.0) * value
 
 

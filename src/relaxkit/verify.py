@@ -15,7 +15,6 @@ import numpy as np
 from . import kernels, laplace, models
 from .exceptions import DomainError
 from .quadrature import tanh_sinh
-from .specfun import CONTOUR_INVERSION, EvalStrategy
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_all"]
 
@@ -275,9 +274,9 @@ def suite_figures() -> list[CheckResult]:
 
 
 def suite_mixture() -> list[CheckResult]:
-    """Mixture representation: Int exp(-t xi/tau) g(xi) dxi = n(t), n from the contour
-    (under AUTO, cc, hn and jws evaluate n as this integral on a fixed rule)."""
-    contour = EvalStrategy(CONTOUR_INVERSION)
+    """Mixture representation: Int exp(-t xi/tau) g(xi) dxi = n(t), n by Talbot inversion
+    of its image (1 - phi_hat(z)) / z (``relaxation`` itself evaluates cc, hn and jws as
+    this integral on a fixed rule, so it is no independent oracle)."""
     cases = [
         _spec("hn", 0.5, 0.5),
         _spec("jws", 0.5, 0.5),
@@ -287,10 +286,10 @@ def suite_mixture() -> list[CheckResult]:
     ]
     worst = 0.0
     for spec in cases:
+        phi_hat = models.laplace_image(spec).evaluator
+        n_hat = laplace.LaplaceImage(lambda z: (1.0 - phi_hat(z)) / z)
         for t in (0.1, 1.0, 10.0):
-            worst = max(
-                worst, abs(_mixture_integral(spec, t) - models.relaxation(spec, t, contour))
-            )
+            worst = max(worst, abs(_mixture_integral(spec, t) - laplace.inverse_laplace(n_hat, t)))
     return [CheckResult("mixture", "laplace-mixture", worst, 1e-5)]
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaxkit import fitio
-from relaxkit.exceptions import DomainError, EmptyDataset, ParseError, StrategyDisagreement
+from relaxkit.exceptions import DomainError, EmptyDataset, NonConvergent, ParseError
 from relaxkit.fitio import (
     SpectrumDataset,
     TimeDataset,
@@ -79,6 +79,34 @@ def test_parse_non_monotone_omega():
     text = "omega,eps_re,eps_im\n1.0,4.9,0.2\n0.5,3.5,1.2\n"
     with pytest.raises(ParseError):
         parse_csv(io.StringIO(text), "frequency")
+
+
+@pytest.mark.parametrize(
+    "domain, text, line, reason",
+    [
+        ("time", "t,n\n0.0,1.0\n1.0,nan\n2.0,0.3\n3.0,0.2\n4.0,0.1\n", 3, "n values must be finite"),
+        (
+            "frequency",
+            "omega,eps_re,eps_im\n0.1,4.9,0.2\n1.0,3.5,1.2\n0.5,3.0,1.0\n10.0,2.1,0.3\n20.0,2.0,0.1\n",
+            4,
+            "omega values must be positive and strictly increasing",
+        ),
+        ("time", "t,n,weight\n0.0,1.0,1.0\n1.0,0.5,1.0\n2.0,0.3,0.0\n3.0,0.2,1.0\n", 4,
+         "weights must be positive"),
+        # the first offending row's reason, not the one the whole dataset fails on first
+        (
+            "time",
+            "t,n\n0.0,1.0\n2.0,0.5\n1.0,0.3\n3.0,0.2\n4.0,nan\n",
+            4,
+            "t values must be nonnegative and strictly increasing",
+        ),
+    ],
+    ids=["time", "frequency", "weight", "two-faults"],
+)
+def test_parse_reports_the_line_of_the_first_offending_row(domain, text, line, reason):
+    with pytest.raises(ParseError) as err:
+        parse_csv(io.StringIO(text), domain)
+    assert (err.value.line, err.value.reason) == (line, reason)
 
 
 def test_parse_bad_header():
@@ -505,7 +533,7 @@ def test_a_trial_step_that_raises_is_rejected(monkeypatch):
     def residuals(self, u):
         calls.append(u)
         if len(calls) == 2:  # the first call is the starting point, the second the first trial
-            raise StrategyDisagreement("trial step outside the evaluator's reach")
+            raise NonConvergent("trial step outside the evaluator's reach")
         return original(self, u)
 
     monkeypatch.setattr(_Problem, "residuals", residuals)
@@ -520,15 +548,15 @@ def test_compare_ranks_a_failing_candidate_last(monkeypatch):
 
     def residuals(self, u):
         if self.kind == "cc":
-            raise StrategyDisagreement("cc cannot be evaluated here")
+            raise NonConvergent("cc cannot be evaluated here")
         return original(self, u)
 
     monkeypatch.setattr(_Problem, "residuals", residuals)
     ranked = compare(ds, ("cc", "debye", "hn"))
     assert [kind for kind, _, _ in ranked] == ["hn", "debye", "cc"]
-    assert ranked[-1][1] == math.inf and isinstance(ranked[-1][2], StrategyDisagreement)
+    assert ranked[-1][1] == math.inf and isinstance(ranked[-1][2], NonConvergent)
     assert fit(ds, "auto").spec.kind == "hn"
-    with pytest.raises(StrategyDisagreement):
+    with pytest.raises(NonConvergent):
         compare(ds, ("cc",))
 
 
@@ -553,7 +581,7 @@ def test_a_fit_whose_every_trial_raises_ends_unconverged(monkeypatch):
     def residuals(self, u):
         calls.append(u)
         if len(calls) > 1:  # every call after the starting point is a trial
-            raise StrategyDisagreement("trial step outside the evaluator's reach")
+            raise NonConvergent("trial step outside the evaluator's reach")
         return original(self, u)
 
     monkeypatch.setattr(_Problem, "residuals", residuals)

@@ -9,7 +9,6 @@ import pytest
 
 from relaxkit import models
 from relaxkit.models import ModelSpec, relaxation, relaxation_derivatives, response
-from relaxkit.specfun import CONTOUR_INVERSION, POWER_SERIES, EvalStrategy
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cm_reference.csv")
 
@@ -76,9 +75,9 @@ def _prabhakar_calls(monkeypatch):
     calls = []
     real = models.prabhakar_eval
 
-    def counted(a, mu, nu, x, strategy):
+    def counted(a, mu, nu, x):
         calls.append(np.size(x))
-        return real(a, mu, nu, x, strategy)
+        return real(a, mu, nu, x)
 
     monkeypatch.setattr(models, "prabhakar_eval", counted)
     return calls
@@ -94,21 +93,19 @@ def test_the_rule_serves_its_window_and_the_prabhakar_route_the_rest(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "spec, strategy",
+    "spec",
     [
-        (ModelSpec("hn", alpha=0.6, beta=2.0, allow_unphysical=True), EvalStrategy()),
-        (ModelSpec("jws", alpha=0.5, beta=2.5, allow_unphysical=True), EvalStrategy()),
-        (ModelSpec("hn", alpha=0.98, beta=0.5), EvalStrategy()),
-        (ModelSpec("jws", alpha=0.3, beta=0.1), EvalStrategy()),
-        (ModelSpec("hn", alpha=0.6, beta=0.5), EvalStrategy(CONTOUR_INVERSION)),
-        (ModelSpec("cc", alpha=0.6), EvalStrategy(POWER_SERIES)),
+        ModelSpec("hn", alpha=0.6, beta=2.0, allow_unphysical=True),
+        ModelSpec("jws", alpha=0.5, beta=2.5, allow_unphysical=True),
+        ModelSpec("hn", alpha=0.98, beta=0.5),
+        ModelSpec("jws", alpha=0.3, beta=0.1),
     ],
 )
-def test_beyond_the_rule_every_point_takes_the_prabhakar_route(monkeypatch, spec, strategy):
+def test_beyond_the_rule_every_point_takes_the_prabhakar_route(monkeypatch, spec):
     # beyond the regime g has a negative lobe; near alpha = 1 the step would be
     # finer than 2**-7; for small alpha beta the mass below xi = 1e-300 shows
     calls = _prabhakar_calls(monkeypatch)
     t = np.array([0.01, 0.5, 2.0])
     for k, fn in enumerate((relaxation, response)):
-        fn(spec, t, strategy)
+        fn(spec, t)
         assert calls[k:] == [3]

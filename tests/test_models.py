@@ -650,6 +650,8 @@ def test_an_argument_outside_zero_to_infinity_raises_domain_error(entry, arg):
 NAN_ENTRY_POINTS = {
     "prabhakar_eval": lambda x: prabhakar_eval(0.5, 1.0, 1.0, x),
     "prabhakar_eval-array": lambda x: prabhakar_eval(0.5, 1.0, 1.0, np.array([0.5, x])),
+    # summed 2000 terms before raising NonConvergent
+    "prabhakar_rational": lambda x: prabhakar_rational(RationalOrder(1, 2), 1.0, 1.0, x),
     "relaxation-jws": lambda t: relaxation(ModelSpec("jws", alpha=0.6, beta=0.5), t),
     "relaxation-cc": lambda t: relaxation(ModelSpec("cc", alpha=0.6), t),
     "relaxation-mcd": lambda t: relaxation(ModelSpec("mcd", beta=0.5), t),
