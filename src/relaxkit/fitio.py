@@ -98,6 +98,9 @@ _FLOOR_TOL = 1e-13
 _FLOOR_RIDGE = 1e-12
 
 
+# Dataset checks are row-wise: each fails on every prefix of the rows that holds
+# the first offending row. parse_csv bisects on this to report that row's line,
+# so a check over the whole dataset (a minimum row count, say) would misreport it.
 def _require_finite(**columns) -> None:
     """Raise DomainError if a dataset column (None: absent) holds a NaN or an infinity."""
     for name, column in columns.items():
@@ -239,7 +242,7 @@ def parse_csv(source, domain: str):
         return dataset(data)
     except DomainError as exc:
         error = exc
-    # every check fails on each prefix that holds the first offending row: bisect for it
+    # the dataset checks are row-wise (see _require_finite): bisect for the first bad row
     good, bad = 0, len(rows)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

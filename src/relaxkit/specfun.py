@@ -409,9 +409,9 @@ def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     todo = x > 0.0
     if alpha == 1.0 and mu > 0.0:
         # Kummer terms are nonnegative for mu >= nu; for mu < nu they alternate
-        # with peak ~exp(2 sqrt((nu-mu) x)), so only mild alternation is allowed
-        # before the contour takes over
-        kummer = todo & (x <= 690.0) & ((mu >= nu) | ((nu - mu) * x <= 36.0))
+        # with peak ~exp(2 sqrt((nu-mu) x)) / mu, so only mild alternation is
+        # allowed, and none that overflows for a subnormal mu
+        kummer = todo & (x <= 690.0) & ((mu >= nu) | ((nu - mu) * x <= min(36.0, 1e300 * mu)))
         if kummer.any():
             out[kummer] = _kummer(mu, nu, x[kummer])
             todo &= ~kummer
