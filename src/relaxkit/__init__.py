@@ -14,7 +14,6 @@ from .exceptions import (
     DegenerateJacobian,
     DomainError,
     EmptyDataset,
-    InversionDisagreement,
     NonConvergent,
     ParseError,
     QuadratureFailure,
@@ -41,9 +40,6 @@ from .kernels import (
     memory_k_time,
 )
 from .laplace import (
-    GAVER_STEHFEST,
-    TALBOT,
-    InversionConfig,
     LaplaceImage,
     efros_compose,
     forward_laplace,

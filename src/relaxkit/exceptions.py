@@ -15,22 +15,6 @@ class NonConvergent(RelaxkitError):
     """A series or iteration failed to converge to the requested tolerance."""
 
 
-class InversionDisagreement(RelaxkitError):
-    """Talbot and Gaver-Stehfest inversions disagree beyond tolerance."""
-
-    def __init__(self, talbot_value: float, stehfest_value: float, rel_diff: float):
-        self.talbot_value = talbot_value
-        self.stehfest_value = stehfest_value
-        self.rel_diff = rel_diff
-        super().__init__(
-            f"inverse Laplace methods disagree: talbot={talbot_value:.9g} "
-            f"gaver-stehfest={stehfest_value:.9g} (rel diff {rel_diff:.3g})"
-        )
-
-    def __reduce__(self):  # args holds the message, not the constructor's arguments
-        return type(self), (self.talbot_value, self.stehfest_value, self.rel_diff), vars(self)
-
-
 class ContourOverflow(RelaxkitError):
     """Image evaluation on the inversion contour overflowed or returned non-finite values."""
 

@@ -1,12 +1,14 @@
-"""Fixed-Talbot and Gaver-Stehfest inverse Laplace transform cores.
+"""Fixed-Talbot inverse Laplace transform, and the Gaver-Stehfest reference.
 
 :func:`talbot_sum` is the one fixed-Talbot engine (Abate & Valko 2004): the
 kernels, the Prabhakar midrange, the subordination density, the fit's time
-Jacobian and :func:`talbot` each hand it an image of the nodes z and the times
-t that forms its powers of p = z / t as z**e t**-e.  It owns the contour, the
+Jacobian and :func:`talbot` (``laplace.inverse_laplace``'s 32-node inversion
+of one scalar image) each hand it an image of the nodes z and the times t that
+forms its powers of p = z / t as z**e t**-e.  It owns the contour, the
 non-finite check and the sum over the nodes in ascending order (cumsum), so a
-point's value does not depend on the points that share its call.  Gaver-Stehfest
-(Stehfest 1970, Salzer weights) samples the real axis only: the tests' reference.
+point's value does not depend on the points that share its call.
+:func:`gaver_stehfest` (Stehfest 1970, Salzer weights) samples the real axis
+only; no library route calls it, the tests compare Talbot against it.
 """
 
 from __future__ import annotations
@@ -55,12 +57,15 @@ def talbot_sum(image: Callable[..., np.ndarray], t, nodes: int = 24) -> np.ndarr
     return np.cumsum(terms, axis=0)[-1] * 2.0 / (5.0 * t).reshape((-1,) + lift)
 
 
-def talbot(F: Callable[[complex], complex], t: float, nodes: int = 32) -> float:
-    """Fixed-Talbot inversion of a scalar image ``F`` at one time ``t``, node by node."""
+def talbot(F: Callable[[complex], complex], t: float) -> float:
+    """Fixed-Talbot inversion of a scalar image ``F`` at one time ``t``.
+
+    On 32 nodes, calling ``F`` once per node; ``laplace.inverse_laplace`` is this inversion.
+    """
     if not (0.0 < t < math.inf):
         raise DomainError(f"t must be positive and finite, got {t}")
     return float(
-        talbot_sum(lambda z, t: np.array([[F(s)] for s in (z / t)[:, 0].tolist()]), t, int(nodes))[0]
+        talbot_sum(lambda z, t: np.array([[F(s)] for s in (z / t)[:, 0].tolist()]), t, 32)[0]
     )
 
 
@@ -90,8 +95,8 @@ def gaver_stehfest(F: Callable[[float], float], t: float, nodes: int = 16) -> fl
 
     Samples the image on the real axis only; accurate for smooth,
     non-oscillatory originals (completely monotone images are ideal) and
-    known to fail for oscillatory ones, which is exactly the property the
-    cross-check against Talbot exploits.
+    known to fail for oscillatory ones, which Talbot's complex contour
+    resolves.  It is the tests' real-axis reference for :func:`talbot`.
     """
     if not (0.0 < t < math.inf):
         raise DomainError(f"t must be positive and finite, got {t}")

@@ -254,7 +254,7 @@ def _convolution(cfg: KernelConfig, which: str, t: float, f, rel_tol: float) -> 
         u, lag = np.where(first, s, t - s), np.where(first, t - s, s)
         return _kernel(cfg, lag.reshape(-1), which)[0].reshape(lag.shape) * f(u)
 
-    parts, _ = _integrate_rows(halves, 0.0, t / 2.0, 2, rel_tol, 0.0, _MAX_LEVEL)
+    parts, _ = _integrate_rows(halves, 0.0, t / 2.0, 2, rel_tol, _MAX_LEVEL)
     return float(parts[0] + parts[1])
 
 

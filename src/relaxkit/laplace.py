@@ -1,12 +1,10 @@
 """Numerical forward/inverse Laplace transforms and the Efros composition operator.
 
-``inverse_laplace`` inverts one image at one t, by fixed Talbot
+``inverse_laplace`` inverts one image at one t by fixed Talbot on 32 nodes
 (``inversion.talbot``, a wrapper of the one contour engine
-``inversion.talbot_sum``) or by Gaver-Stehfest, the real-axis reference that
-the tests compare Talbot against; with ``cross_check`` a disagreement
-between them is a raised diagnostic rather than a silent average.  Point
-masses at t = 0 are carried structurally as ``singular_weight`` (a constant
-term of the image) and are never folded into a pointwise inversion value.
+``inversion.talbot_sum``).  Point masses at t = 0 are carried structurally as
+``singular_weight`` (a constant term of the image) and are never folded into
+a pointwise inversion value.
 
 All operations are pure and take whole arrays where the Efros composition
 needs them: its lower and upper halves are the two rows of one tanh-sinh run,
@@ -26,24 +24,18 @@ from typing import Callable
 import numpy as np
 
 from . import inversion
-from .exceptions import DomainError, InversionDisagreement, QuadratureFailure
+from .exceptions import DomainError, QuadratureFailure
 from .quadrature import _MAX_LEVEL, _integrate_rows, array_fn, tanh_sinh
 from .specfun import _levy_series, _levy_theta, levy_stable_density
 
 __all__ = [
     "LaplaceImage",
-    "InversionConfig",
-    "TALBOT",
-    "GAVER_STEHFEST",
     "inverse_laplace",
     "forward_laplace",
     "efros_compose",
     "subordination_kernel",
     "subordination_pdf",
 ]
-
-TALBOT = "talbot"
-GAVER_STEHFEST = "gaver-stehfest"
 
 
 @dataclass(frozen=True)
@@ -60,61 +52,16 @@ class LaplaceImage:
     singular_weight: float = 0.0
 
     def __post_init__(self):
-        if self.singular_weight < 0.0:
-            raise DomainError("singular_weight must be nonnegative")
+        if not (0.0 <= self.singular_weight < math.inf):
+            raise DomainError(f"singular_weight must be finite and >= 0, got {self.singular_weight}")
 
     def regular(self, z: complex) -> complex:
         return self.evaluator(z) - self.singular_weight
 
 
-@dataclass(frozen=True)
-class InversionConfig:
-    method: str = TALBOT
-    nodes: int = 32
-    cross_check: bool = False
-
-    def __post_init__(self):
-        if self.method not in (TALBOT, GAVER_STEHFEST):
-            raise DomainError(f"unknown inversion method {self.method!r}")
-        if self.method == GAVER_STEHFEST and (self.nodes < 8 or self.nodes % 2 != 0):
-            raise DomainError("Gaver-Stehfest needs an even node count >= 8")
-        if self.method == TALBOT and self.nodes < 16:
-            raise DomainError("Talbot needs at least 16 nodes")
-
-
-DEFAULT_INVERSION = InversionConfig()
-_CROSS_CHECK_REL_TOL = 1e-6  # the Talbot/Gaver-Stehfest agreement a cross-check demands
-# best double-precision Gaver-Stehfest order: the Salzer weights grow like
-# 10**(0.3 n) and amplify image rounding, so higher orders lose to roundoff
-_GS_DEFAULT_NODES = 14
-
-
-def inverse_laplace(image: LaplaceImage, t: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
-    """Regular part of the original f(t) at a single t > 0.
-
-    With ``cfg.cross_check`` the value is computed by both methods and an
-    :class:`InversionDisagreement` is raised when they differ by more than
-    1e-6 relative to the larger magnitude (the classic
-    smoke alarm for oscillatory or otherwise Gaver-hostile originals).
-    """
-    if cfg.method == TALBOT:
-        value = inversion.talbot(image.regular, t, nodes=cfg.nodes)
-        if cfg.cross_check:
-            other = inversion.gaver_stehfest(image.regular, t, nodes=_GS_DEFAULT_NODES)
-            _check_agreement(value, other)
-        return value
-    value = inversion.gaver_stehfest(image.regular, t, nodes=cfg.nodes)
-    if cfg.cross_check:
-        other = inversion.talbot(image.regular, t, nodes=max(cfg.nodes, 24))
-        _check_agreement(other, value)
-    return value
-
-
-def _check_agreement(talbot_value: float, stehfest_value: float) -> None:
-    scale = max(abs(talbot_value), abs(stehfest_value), 1e-30)
-    rel = abs(talbot_value - stehfest_value) / scale
-    if rel > _CROSS_CHECK_REL_TOL:
-        raise InversionDisagreement(talbot_value, stehfest_value, rel)
+def inverse_laplace(image: LaplaceImage, t: float) -> float:
+    """Regular part of the original f(t) at a single t > 0, by fixed Talbot on 32 nodes."""
+    return inversion.talbot(image.regular, t)
 
 
 def forward_laplace(
@@ -131,10 +78,12 @@ def forward_laplace(
     supplied power law ``f ~ C t**tail_exponent`` with C read off at T; with
     the exponential weight the remainder is
     ``C exp(-zT) T**p / z * (1 + p/(zT) + p(p-1)/(zT)**2 + ...)``,
-    valid for any real tail exponent.
+    valid for any finite tail exponent.
     """
     if not (0.0 < z < math.inf):
         raise DomainError(f"z must be positive and finite, got {z}")
+    if not math.isfinite(tail_exponent):
+        raise DomainError(f"tail_exponent must be finite, got {tail_exponent}")
     T = 45.0 / z
 
     def weighted(t):
@@ -190,7 +139,7 @@ def efros_compose(
         g = (h_arr(u) * kernel(u)).reshape(rows.size, s.size)
         return g * np.where(lower, c, u.reshape(g.shape) / s)
 
-    parts, _ = _integrate_rows(halves, 0.0, 1.0, 2, rel_tol, 0.0, _MAX_LEVEL)
+    parts, _ = _integrate_rows(halves, 0.0, 1.0, 2, rel_tol, _MAX_LEVEL)
     value = float(parts[0] + parts[1])
     if not math.isfinite(value):
         raise QuadratureFailure("Efros composition produced a non-finite value")

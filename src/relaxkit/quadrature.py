@@ -4,9 +4,13 @@ The tanh-sinh rule maps a finite interval onto the real line through
 ``x = tanh((pi/2) sinh(u))`` and applies the trapezoid rule in ``u``.  Node
 weights decay double-exponentially towards the endpoints, so integrable
 endpoint singularities (``x**p`` with ``p > -1``, log factors, Heaviside-type
-supports) need no special treatment.  Offsets from the endpoints are computed
-in a cancellation-free form so integrands may be sampled arbitrarily close to
-a singular endpoint.
+supports) are sampled as they are, but not all the way: the rule stops at
+``u = _MAX_U``, whose node sits 6.6e-46 h from its endpoint on an interval of
+half-length h.  The mass below it, ``(6.6e-46 h)**(p+1) / (p+1)`` for ``x**p``,
+is dropped, and the level-to-level error estimate cannot see it: with h = 1
+that is 3e-4 at p = -0.9 and 0.1 at p = -0.95.  Offsets from the endpoints
+are computed in a cancellation-free form so integrands may be sampled that
+close to a singular endpoint.
 
 Levels 0-3 are always summed before the first stop test, so integrands get
 the abscissae of all four in one 1-D array.  Each later call holds the new
@@ -148,19 +152,18 @@ def array_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return call
 
 
-def _predicted_levels(estimate: np.ndarray, err: np.ndarray, rel_tol: float,
-                      abs_tol: float) -> int:
+def _predicted_levels(estimate: np.ndarray, err: np.ndarray, rel_tol: float) -> int:
     """Further levels the slowest of these rows is predicted to need, 1 to ``_LOOKAHEAD``.
 
     Tanh-sinh roughly doubles its correct digits per level (Takahasi & Mori
     1974; Bailey, Jeyabalan & Li 2005), so a row whose relative error
-    ``err / |I|`` must fall to ``max(rel_tol |I|, abs_tol) / |I|`` needs about
-    ``log2(log(target) / log(err / |I|))`` more levels.  A row whose error is
+    ``err / |I|`` must fall to ``rel_tol`` needs about
+    ``log2(log(rel_tol) / log(err / |I|))`` more levels.  A row whose error is
     not below its value, or whose target is 0, gets the most.
     """
     scale = np.abs(estimate)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(np.maximum(rel_tol * scale, abs_tol) / scale) / np.log(err / scale)
+        ratio = np.log(rel_tol) / np.log(err / scale)
     need = np.where(ratio > 0.0, ratio, math.inf).max()
     return _LOOKAHEAD if need > 2.0**_LOOKAHEAD else max(1, math.ceil(math.log2(need)))
 
@@ -183,7 +186,7 @@ def _level_sums(f, x: np.ndarray, weights: tuple, rows: np.ndarray) -> np.ndarra
     return sums
 
 
-def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol: float,
+def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float,
                     max_level: int) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``n_rows`` integrands over (a, b) at once; (values, error estimates).
 
@@ -201,8 +204,8 @@ def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol:
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"tanh-sinh needs finite endpoints, got ({a}, {b})")
-    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_tol < math.inf):
-        raise DomainError(f"tolerances must be finite and nonnegative, got {rel_tol}, {abs_tol}")
+    if not (0.0 <= rel_tol < math.inf):
+        raise DomainError(f"rel_tol must be finite and nonnegative, got {rel_tol}")
     if not (b > a):
         raise QuadratureFailure(f"empty or inverted interval ({a}, {b})")
     half = 0.5 * (b - a)
@@ -229,7 +232,7 @@ def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol:
             estimate[active] = 0.5 * prev + new * h * half if level else new * h * half
             err[active] = np.abs(estimate[active] - prev) if level else math.inf
             if level >= _FIRST_TEST:
-                running = err[active] > np.maximum(rel_tol * np.abs(estimate[active]), abs_tol)
+                running = err[active] > rel_tol * np.abs(estimate[active])
                 active, cols = active[running], cols[running]
                 if not active.size:
                     return estimate, err
@@ -237,10 +240,10 @@ def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float, abs_tol:
             break
         first = last + 1
         if speculate:
-            last += _predicted_levels(estimate[active], err[active], rel_tol, abs_tol) - 1
+            last += _predicted_levels(estimate[active], err[active], rel_tol) - 1
         last = min(last + 1, max_level)
     # rows left at the cap pass if converged short of tolerance (err says so)
-    short = err[active] > np.maximum(math.sqrt(rel_tol) * np.abs(estimate[active]), abs_tol)
+    short = err[active] > math.sqrt(rel_tol) * np.abs(estimate[active])
     if short.any():
         i = active[short][0]
         raise QuadratureFailure(f"tanh-sinh did not converge (level {max_level}, "
@@ -253,7 +256,6 @@ def tanh_sinh(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
 ) -> tuple[float, float]:
     """Integrate ``f`` over the finite interval (a, b).
 
@@ -262,13 +264,15 @@ def tanh_sinh(
     levels with their new ones, as many levels as the run's error predicts it
     needs (see :func:`_integrate_rows`); a float-only ``f`` is evaluated point
     by point instead (see :func:`array_fn`).  The integrand is never evaluated
-    at the endpoints; integrable endpoint singularities are fine.  Raises
+    at the endpoints, and no closer to one than 6.6e-46 half-lengths: the mass
+    of an endpoint singularity below that is dropped (see the module
+    docstring).  Raises
     :class:`DomainError` for a non-finite endpoint or a NaN, infinite or
-    negative tolerance, and :class:`QuadratureFailure` when the level cap is
+    negative ``rel_tol``, and :class:`QuadratureFailure` when the level cap is
     reached without the successive-refinement estimate meeting
-    ``max(rel_tol*|I|, abs_tol)``, or when the integrand returns a non-finite
+    ``rel_tol*|I|``, or when the integrand returns a non-finite
     value at an interior node of a level the run reaches.
     """
     g = array_fn(f)
-    value, err = _integrate_rows(lambda x, rows: g(x), a, b, 1, rel_tol, abs_tol, _MAX_LEVEL)
+    value, err = _integrate_rows(lambda x, rows: g(x), a, b, 1, rel_tol, _MAX_LEVEL)
     return float(value[0]), float(err[0])

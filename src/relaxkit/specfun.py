@@ -688,9 +688,7 @@ def _levy_theta(alpha: float, x: np.ndarray) -> np.ndarray:
             expo[~(expo > -745.0)] = -math.inf
             return np.exp(expo, out=expo)
 
-        value, _ = _integrate_rows(
-            integrand, 0.0, math.pi, row_scale.size, 1e-12, 0.0, _LEVY_MAX_LEVEL
-        )
+        value, _ = _integrate_rows(integrand, 0.0, math.pi, row_scale.size, 1e-12, _LEVY_MAX_LEVEL)
         out[body] = np.exp(log_prefactor[body] + np.log(value))
     return out
 
