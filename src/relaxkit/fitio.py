@@ -9,45 +9,51 @@ parameter space that enforces the feasible box by construction:
 * ``tau = exp(u3)``;
 * frequency fits add ``eps_inf`` (free) and ``delta_eps = exp(u5)``.
 
-Residuals are evaluated per grid: one array call of ``models.permittivity``
-(frequency) or ``models.relaxation`` (time) per parameter vector, except
-that a cc, hn or jws decay takes the points the exp-sinh rule serves as the
-row sums of ``E g w``, E = exp(-outer(t/tau, xi)) on the rule's nodes, the
-values ``relaxation`` gives there.  Both sigmoids are floored at 1e-12, so a
-saturated transform still maps to a valid model.
+Residuals are evaluated per grid: one array call of ``models._spectral``
+(frequency, the phi_hat of ``permittivity``) or ``models.relaxation`` (time)
+per parameter vector, except that a cc, hn or jws decay takes the points the
+exp-sinh rule serves as the row sums of ``E g w``, E = exp(-outer(t/tau, xi))
+on the rule's nodes, the values ``relaxation`` gives there.  Both sigmoids
+are floored at 1e-12, so a saturated transform still maps to a valid model,
+and a tau or strength whose exp overflows raises ``DomainError``.
 
 The Jacobian is exact, one array pass per iteration, one column per free
 parameter: ``models._partials`` (d phi_hat / d(alpha, beta, log tau)) at
-``p = i omega tau`` for spectra.  For the rule's points of a decay it is
-``E @ [dg/dalpha w, dg/dbeta w, xi g w]`` (the log tau column times t/tau),
-with the last residual's E (the loop forms its Jacobian at the last trial it
-evaluated) and dg/dtheta from ``models._partials`` on the cut.  Every other
-decay point takes ``-partials / p``, the derivatives of the relaxation image
+``p = i omega tau`` for spectra, with the last residual's phi_hat as the
+strength column (the loop forms its Jacobian at the last trial it evaluated).
+For the rule's points of a decay it is ``E @ [dg/dalpha w, dg/dbeta w,
+xi g w]`` (the log tau column times t/tau), with the last residual's E and
+dg/dtheta from ``models._partials`` on the cut.  Every other decay point
+takes ``-partials / p``, the derivatives of the relaxation image
 ``(1 - phi_hat) / p`` on factored nodes p = z / x, inverted in one stacked
 ``inversion.talbot_sum`` call (kww, and Debye as kww at alpha = 1, by the
 closed form).  The chain rule of the transforms follows: the alpha column
 carries the ``beta = sigmoid(u2) / alpha`` coupling, and a sigmoid at its
 floor has slope 0.
 
-Accepted steps never increase the residual norm, and a trial step whose
-residuals raise a ``RelaxkitError`` counts as rejected.  The loop converges
-on gradient max-norm < 1e-12, on step norm < 1e-12 relative, or at the
-rounding floor: when the undamped Gauss-Newton decrease ``g . A**-1 g``
-(``g = J.T r``, ``A = J.T J``) is at most 1e-13 of the cost, so that no step
-can lower the cost by more than rounding.  That test does not depend on the
-damping, so a fit whose every trial step raises still ends unconverged.
-After 200 iterations, or when no damping lowers the cost, it returns with
-``converged=False``.  The gradient bound sits below the rounding floor of
-``aicc_score``, so a noise-free fit of the generating kind reaches the floor
-and ties with the wider kinds that contain it (at 1e-10 a cd(0.4) spectrum
-fit stopped at 7.2e-11, above the 4.5e-11 floor, and hn won).  Everything
-is deterministic (fixed evaluation order, seeded noise).
+Each damped step is one Cholesky factorisation of the Marquardt-scaled normal
+matrix plus the ridge, in plain floats (at most 5 x 5).  Accepted steps never
+increase the residual norm, and a trial step whose residuals raise a
+``RelaxkitError``, or whose damped matrix has a pivot that is not positive,
+counts as rejected.  The loop converges on gradient max-norm < 1e-12, on step
+norm < 1e-12 relative, or at the rounding floor: when the undamped
+Gauss-Newton decrease ``g . A**-1 g`` (``g = J.T r``, ``A = J.T J``) is at
+most 1e-13 of the cost, so that no step can lower the cost by more than
+rounding.  That test does not depend on the damping, so a fit whose every
+trial step raises still ends unconverged.  After 200 iterations, or when no
+damping lowers the cost, it returns with ``converged=False``.  The gradient
+bound sits below the rounding floor of ``aicc_score``, so a noise-free fit of
+the generating kind reaches the floor and ties with the wider kinds that
+contain it (at 1e-10 a cd(0.4) spectrum fit stopped at 7.2e-11, above the
+4.5e-11 floor, and hn won).  Everything is deterministic (fixed evaluation
+order, seeded noise).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -96,6 +102,8 @@ _FLOOR_TOL = 1e-13
 # ridge of the floor test's solve, relative to the damping diagonal: it only
 # keeps flat directions from making the normal matrix singular
 _FLOOR_RIDGE = 1e-12
+# floor of the damping diagonal, for a column that is zero (a saturated sigmoid)
+_DAMPING_FLOOR = 1e-12
 
 
 # Dataset checks are row-wise: each fails on every prefix of the rows that holds
@@ -316,6 +324,14 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+def _exp_packed(u: float, name: str) -> float:
+    """exp(u) of a log-packed parameter; DomainError, so a rejected trial, where it overflows."""
+    try:
+        return math.exp(u)
+    except OverflowError:
+        raise DomainError(f"{name} = exp({u:.6g}) overflows") from None
+
+
 def _floored_slope(u: float) -> float:
     """d/du max(sigmoid(u), floor): 0 where the floor holds."""
     s = _sigmoid(u)
@@ -336,9 +352,12 @@ class _Problem:
         self.free_beta = "beta" in _KINDS[kind].free
         w = dataset.weights if dataset.weights is not None else np.ones(len(dataset))
         self.w = w / np.max(w)
+        if self.frequency:
+            self.w_rows = np.repeat(self.w, 2)[:, None]  # eps' and eps'' rows alternate
         self.names = self._names()
         self.u0 = self._initial_vector(init, init_scale)
-        # (spec, E, g w) of the last residual the rule served: the Jacobian is formed there
+        # what the Jacobian at the last residual's spec reuses: (spec, phi_hat) of a
+        # spectrum, (spec, E, g w) of a decay residual the rule served
         self._last = None
 
     def _names(self) -> list[str]:
@@ -417,7 +436,7 @@ class _Problem:
             if not self.strict:
                 beta /= alpha
             i += 1
-        tau = math.exp(u[i])
+        tau = _exp_packed(u[i], "tau")
         i += 1
         spec = ModelSpec(
             self.kind, alpha=alpha, beta=beta, tau=tau, strict_experimental=self.strict
@@ -425,7 +444,7 @@ class _Problem:
         scale = None
         if self.frequency:
             eps_inf = u[i]
-            strength = math.exp(u[i + 1])
+            strength = _exp_packed(u[i + 1], "the relaxation strength")
             scale = PermittivityScale(eps_inf + strength, eps_inf)
         return spec, scale
 
@@ -453,10 +472,14 @@ class _Problem:
     def residuals(self, u: np.ndarray) -> np.ndarray:
         spec, scale = self.unpack(u)
         if self.frequency:
-            re, im = permittivity(spec, scale, self.dataset.omega)
+            # permittivity's eps_inf + strength phi_hat (omega > 0 in every dataset),
+            # keeping phi_hat for the Jacobian at spec
+            phi = _spectral(spec, self.dataset.omega * spec.tau)
+            self._last = (spec, phi)
+            eps = scale.eps_inf + scale.strength * phi
             out = np.empty(2 * len(self.dataset))
-            out[0::2] = self.w * (re - self.dataset.eps_re)
-            out[1::2] = self.w * (im - self.dataset.eps_im)
+            out[0::2] = self.w * (eps.real - self.dataset.eps_re)
+            out[1::2] = self.w * (-eps.imag - self.dataset.eps_im)
             return out
         return self.w * (self._relaxation(spec) - self.dataset.n)
 
@@ -491,11 +514,15 @@ class _Problem:
         if self.frequency:
             w = self.dataset.omega * spec.tau
             shape = _partials(spec, 1j, 1.0 / w, free, scale.strength)  # p = i w
-            d = np.column_stack([shape, np.ones(w.size), scale.strength * _spectral(spec, w)])
+            if self._last is not None and self._last[0] == spec:
+                phi = self._last[1]
+            else:
+                phi = _spectral(spec, w)
+            d = np.column_stack([shape, np.ones(w.size), scale.strength * phi])
             rows = np.empty((2 * w.size, d.shape[1]))
             rows[0::2] = d.real  # eps' = Re eps*, eps'' = -Im eps*
             rows[1::2] = -d.imag
-            return np.repeat(self.w, 2)[:, None] * rows
+            return self.w_rows * rows
         x = self.dataset.t / spec.tau
         d = np.zeros((x.size, len(self.names)))  # n(0) = 1 for every parameter vector: zero rows
         if self.kind in ("kww", "debye"):  # n = exp(-x**alpha); kww at alpha = 1 is Debye
@@ -587,16 +614,23 @@ def fit(
 def _levenberg_marquardt(problem: _Problem) -> FitResult:
     """Damped Gauss-Newton (Levenberg-Marquardt) from ``problem.u0``.
 
-    Each iteration forms ``g = J.T r`` and ``A = J.T J`` once.  It ends the fit
-    converged when max |g| < ``_GRAD_TOL`` or when the Gauss-Newton decrease
-    ``g . solve(A + _FLOOR_RIDGE D, g)`` (``D`` the damping diagonal) is at
-    most ``_FLOOR_TOL`` of the cost: the rounding floor, where no step can
-    lower the cost by more than rounding.  Otherwise it tries damped steps,
-    raising lambda tenfold per rejected trial, until one does not raise the
-    cost; an accepted step below ``_STEP_TOL`` of ``|u|`` also converges.  A
-    fit out of iterations, or whose trials all fail up to lambda = 1e14, ends
-    with ``converged=False`` at its best point.  The last Jacobian is reused
-    for the standard errors when ``u`` has not moved since it was formed.
+    Each iteration forms ``g = J.T r`` and ``A = J.T J`` once, and their
+    Marquardt-scaled forms ``S = D**-1/2 A D**-1/2`` and ``c = D**-1/2 g``
+    (``D`` the damping diagonal, ``max(diag A, 1e-12)``), so S has a unit
+    diagonal and every ridge ``lam I`` sits above the rounding of ``J.T J``.
+    It ends the fit converged when max |g| < ``_GRAD_TOL`` or when the
+    Gauss-Newton decrease ``c . (S + _FLOOR_RIDGE I)**-1 c`` is at most
+    ``_FLOOR_TOL`` of the cost: the rounding floor, where no step can lower
+    the cost by more than rounding.  Otherwise it tries damped steps
+    ``delta = -D**-1/2 (S + lam I)**-1 c``, each one Cholesky factorisation in
+    plain floats, raising lambda tenfold per rejected trial, until one does
+    not raise the cost.  A trial whose factorisation meets a pivot that is not
+    positive is rejected, as is one the model cannot evaluate; such a pivot in
+    the floor test means the fit is not at the floor.  An accepted step below
+    ``_STEP_TOL`` of ``|u|`` also converges.  A fit out of iterations, or
+    whose trials all fail up to lambda = 1e14, ends with ``converged=False``
+    at its best point.  The last Jacobian is reused for the standard errors
+    when ``u`` has not moved since it was formed.
     """
     u = problem.u0.copy()
     r = problem.residuals(u)
@@ -607,31 +641,29 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
     J = None  # the Jacobian at u, while u has not moved since it was formed
     for iterations in range(1, _MAX_ITER + 1):
         J = _jacobian(problem, u)
-        g = J.T @ r
-        if float(np.max(np.abs(g))) < _GRAD_TOL:
+        g = (J.T @ r).tolist()
+        if max(map(abs, g)) < _GRAD_TOL:
             converged = True
             break
-        A = J.T @ J
-        diag = np.diag(np.maximum(np.diag(A), 1e-12))
-        try:
-            gauss_newton = float(g @ np.linalg.solve(A + _FLOOR_RIDGE * diag, g))
-        except np.linalg.LinAlgError:
-            raise DegenerateJacobian("normal equations are singular") from None
+        S, s = _marquardt_scaled(J.T @ J)
+        c = [gi * si for gi, si in zip(g, s)]
+        L = _cholesky(S, _FLOOR_RIDGE)
+        gauss_newton = math.inf if L is None else sum(map(operator.mul, c, _cholesky_solve(L, c)))
         if gauss_newton <= _FLOOR_TOL * cost:
             converged = True
             break
         step_taken = False
         for _ in range(60):
-            try:
-                delta = np.linalg.solve(A + lam * diag, -g)
-            except np.linalg.LinAlgError:
-                raise DegenerateJacobian("normal equations are singular") from None
-            trial = u + delta
-            try:
-                r_trial = problem.residuals(trial)
-                cost_trial = float(r_trial @ r_trial)
-            except RelaxkitError:
-                cost_trial = math.inf  # a trial the model cannot evaluate is rejected
+            delta = _damped_step(S, s, c, lam)
+            if delta is None:
+                cost_trial = math.inf  # a damped matrix that is not positive definite is rejected
+            else:
+                trial = u + delta
+                try:
+                    r_trial = problem.residuals(trial)
+                    cost_trial = float(r_trial @ r_trial)
+                except RelaxkitError:
+                    cost_trial = math.inf  # a trial the model cannot evaluate is rejected
             if math.isfinite(cost_trial) and cost_trial <= cost:
                 u, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-14)
@@ -643,7 +675,7 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
                 break
         if not step_taken:
             break
-        if float(np.linalg.norm(delta)) < _STEP_TOL * (float(np.linalg.norm(u)) + _STEP_TOL):
+        if math.hypot(*delta) < _STEP_TOL * (math.hypot(*u.tolist()) + _STEP_TOL):
             converged = True
             break
 
@@ -659,22 +691,84 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
     )
 
 
+def _marquardt_scaled(A: np.ndarray) -> tuple[list, list]:
+    """``S = D**-1/2 A D**-1/2`` as nested lists and the diagonal of ``D**-1/2`` as a list,
+    ``D = max(diag A, _DAMPING_FLOOR)``."""
+    s = 1.0 / np.sqrt(np.maximum(A.diagonal(), _DAMPING_FLOOR))
+    return (A * s * s[:, None]).tolist(), s.tolist()
+
+
+def _damped_step(S: list, s: list, c: list, lam: float) -> Optional[list]:
+    """``delta = -D**-1/2 (S + lam I)**-1 c``, which solves ``(A + lam D) delta = -g``, or None
+    when a pivot of ``S + lam I`` is not positive."""
+    L = _cholesky(S, lam)
+    if L is None:
+        return None
+    return [-xi * si for xi, si in zip(_cholesky_solve(L, c), s)]
+
+
+def _cholesky(S: list, lam: float) -> Optional[list]:
+    """The lower Cholesky factor of ``S + lam I`` (``S`` symmetric, nested lists, a few rows),
+    or None when a pivot is not positive."""
+    L = []
+    for i, S_i in enumerate(S):
+        L_i = []
+        for j in range(i):
+            L_j = L[j]
+            v = S_i[j]
+            for k in range(j):
+                v -= L_i[k] * L_j[k]
+            L_i.append(v / L_j[j])
+        v = S_i[i] + lam
+        for k in range(i):
+            v -= L_i[k] * L_i[k]
+        if not v > 0.0:  # NaN too
+            return None
+        L_i.append(math.sqrt(v))
+        L.append(L_i)
+    return L
+
+
+def _cholesky_solve(L: list, c: list) -> list:
+    """x with ``L L.T x = c``, by forward and back substitution."""
+    n = len(c)
+    x = []
+    for i, L_i in enumerate(L):
+        v = c[i]
+        for k in range(i):
+            v -= L_i[k] * x[k]
+        x.append(v / L_i[i])
+    for i in range(n - 1, -1, -1):
+        v = x[i]
+        for k in range(i + 1, n):
+            v -= L[k][i] * x[k]
+        x[i] = v / L[i][i]
+    return x
+
+
 def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray, J: Optional[np.ndarray]) -> dict:
     """Gauss-Newton covariance proxy mapped to the physical parameters.
 
     ``J`` is the Jacobian at ``u`` when the caller has it; if None it is formed here.
+    ``diag(A**-1)`` (``A = J.T J``) comes from the Cholesky factor of the scaled
+    ``S = D**-1/2 A D**-1/2``, as ``(S**-1)_ii / D_ii``; where a pivot is not
+    positive, or the Jacobian cannot be formed, every error is NaN.
     """
     m, p = r.size, u.size
     try:
         if J is None:
             J = _jacobian(problem, u)
-        A = J.T @ J
-        dof = max(m - p, 1)
-        sigma2 = float(r @ r) / dof
-        cov = sigma2 * np.linalg.inv(A + 1e-300 * np.eye(p))
-        du = np.sqrt(np.maximum(np.diag(cov), 0.0)) * problem.stderr_scale(u)
-    except (np.linalg.LinAlgError, RelaxkitError):
-        du = np.full(p, float("nan"))
+    except RelaxkitError:
+        return dict.fromkeys(problem.names, math.nan)
+    S, s = _marquardt_scaled(J.T @ J)
+    L = _cholesky(S, 0.0)
+    if L is None:
+        return dict.fromkeys(problem.names, math.nan)
+    sigma2 = float(r @ r) / max(m - p, 1)
+    # (A**-1)_ii = (S**-1)_ii s_i**2, the i-th entry of the solve against e_i
+    unit = np.eye(p).tolist()
+    inverse_diag = [_cholesky_solve(L, unit[i])[i] * s[i] ** 2 for i in range(p)]
+    du = np.sqrt(np.maximum(sigma2 * np.array(inverse_diag), 0.0)) * problem.stderr_scale(u)
     out = {}
     for name, val in zip(problem.names, du):
         if name == "eps_static":

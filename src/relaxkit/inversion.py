@@ -44,7 +44,10 @@ def talbot_sum(image: Callable[..., np.ndarray], t, nodes: int = 24) -> np.ndarr
     ``image(z, t)`` gets the read-only nodes z at t = 1 (nodes x 1) and the times as given,
     and returns nodes x points values at p = z / t, or nodes x points x columns, each column
     as if inverted alone.  A non-finite term raises :class:`ContourOverflow`.  Accuracy in
-    doubles saturates around 1e-11 relative to the image scale for 24..32 nodes.
+    doubles saturates around 1e-11 relative to the image scale for 24..32 nodes, for images
+    whose singularities lie on the negative real axis (the completely monotone laws).  An
+    image with singularities off that axis comes back wrong without an error: for sin(8t),
+    ``8 / (p**2 + 64)``, 32 nodes are off by 1.4e-5 at t = 2 and by 0.91 at t = 3.
     """
     z, weights = talbot_contour(nodes)
     t = np.asarray(t, dtype=float)

@@ -60,7 +60,13 @@ class LaplaceImage:
 
 
 def inverse_laplace(image: LaplaceImage, t: float) -> float:
-    """Regular part of the original f(t) at a single t > 0, by fixed Talbot on 32 nodes."""
+    """Regular part of the original f(t) at a single t > 0, by fixed Talbot on 32 nodes.
+
+    About 1e-11 of the image scale where the image's singularities lie on the negative real
+    axis (the completely monotone laws); an oscillatory original is not detected and comes
+    back wrong: sin(8t), image ``8 / (z**2 + 64)``, is off by 1.4e-5 at t = 2 and by 0.91 at
+    t = 3.
+    """
     return inversion.talbot(image.regular, t)
 
 

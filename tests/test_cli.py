@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from relaxkit import verify
-from relaxkit.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, GridSpec, main
+from relaxkit.cli import EXIT_NONCONVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, GridSpec, main
 from relaxkit.exceptions import DomainError
 
 
@@ -163,6 +163,19 @@ def test_fit_non_finite_sample_exit_2(tmp_path, capsys, domain, text, column):
     code, _, err = run(capsys, "fit", str(bad), "--domain", domain, "--model", "debye")
     assert code == EXIT_USAGE
     assert f"{column} values must be finite" in err
+
+
+@pytest.mark.filterwarnings("ignore:negative")
+@pytest.mark.parametrize("model", [["--model", "debye"], ["--auto"]])
+def test_fit_whose_trial_tau_overflows_exits_0_or_4(tmp_path, capsys, model):
+    # eps' = -1 everywhere: a trial step's tau = exp(log tau) once overflowed with a
+    # raw OverflowError (exit 1)
+    path = tmp_path / "negative.csv"
+    omega = [10.0 ** (-3 + 6 * i / 39) for i in range(40)]
+    path.write_text("omega,eps_re,eps_im\n" + "".join(f"{w!r},-1,1\n" for w in omega))
+    code, out, _ = run(capsys, "fit", str(path), *model)
+    assert code in (EXIT_OK, EXIT_NONCONVERGENCE)
+    assert "residual_norm" in json.loads(out)
 
 
 def test_verify_sonine_passes(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from relaxkit import fitio
 from relaxkit.exceptions import DomainError, EmptyDataset, NonConvergent, ParseError
 from relaxkit.fitio import (
+    FitResult,
     SpectrumDataset,
     TimeDataset,
     compare,
@@ -496,6 +497,39 @@ def test_a_rule_fit_builds_one_exponential_matrix_per_residual(monkeypatch, kind
     assert events.count("E") == events.count("r")
 
 
+@pytest.mark.parametrize("kind,alpha,beta", [("hn", 0.6, 0.5), ("jws", 0.7, 0.5), ("debye", 1.0, 1.0)])
+def test_a_spectrum_fit_forms_phi_hat_once_per_residual(monkeypatch, kind, alpha, beta):
+    ds = synthesize(ModelSpec(kind, alpha, beta), SCALE, GRID, 0.01, seed=5)
+    events, points = _record_evaluations(monkeypatch)
+    spectral, jacobian = fitio._spectral, fitio._jacobian
+    jacobians = []
+
+    def counted_spectral(spec, w):
+        events.append("S")
+        return spectral(spec, w)
+
+    def kept_jacobian(problem, u):
+        jacobians.append(jacobian(problem, u))
+        return jacobians[-1]
+
+    monkeypatch.setattr(fitio, "_spectral", counted_spectral)
+    monkeypatch.setattr(fitio, "_jacobian", kept_jacobian)
+    res = fit(ds, kind)
+    assert res.iterations >= 3
+    # each residual forms phi_hat, each Jacobian takes the last residual's
+    assert "".join(events).replace("rS", "") == "J" * events.count("J")
+    assert events.count("S") == events.count("r")
+    monkeypatch.undo()
+    fresh = _Problem(ds, kind, False, None, None)
+    assert np.array_equal(jacobians[-1], fitio._jacobian(fresh, points[-1]))
+    # and the residual is permittivity's, bit for bit
+    spec, scale = fresh.unpack(points[-1])
+    re, im = permittivity(spec, scale, ds.omega)
+    expected = np.empty(2 * len(ds))
+    expected[0::2], expected[1::2] = re - ds.eps_re, im - ds.eps_im
+    assert np.array_equal(fresh.residuals(points[-1]), expected)
+
+
 # ---------------------------------------------------------------------------
 # failure-tolerant fits
 # ---------------------------------------------------------------------------
@@ -540,6 +574,40 @@ def test_a_trial_step_that_raises_is_rejected(monkeypatch):
     res = fit(ds, "hn")
     assert len(calls) > 3 and res.converged
     assert res.spec.alpha == pytest.approx(0.75, rel=1e-6)
+
+
+def test_unpack_raises_a_domain_error_where_tau_or_the_strength_overflows():
+    problem = _Problem(synthesize(ModelSpec("debye"), SCALE, GRID, 0.0, seed=0), "debye", False, None, None)
+    for index in (0, 2):  # log tau, log strength
+        u = problem.u0.copy()
+        u[index] = 800.0
+        with pytest.raises(DomainError, match="overflows"):
+            problem.unpack(u)
+
+
+@pytest.mark.filterwarnings("ignore:negative")
+@pytest.mark.parametrize("kind", ["debye", "cc", "cd", "mcd", "hn", "jws", "auto"])
+def test_a_trial_step_whose_tau_overflows_is_rejected(kind):
+    # eps' < 0 everywhere pulls log tau past 709 in a trial step; its OverflowError
+    # once escaped the fit
+    ds = SpectrumDataset(GRID, -np.ones(GRID.size), np.ones(GRID.size))
+    assert isinstance(fit(ds, kind), FitResult)
+
+
+def test_a_rank_deficient_jacobian_still_fits(monkeypatch):
+    # two equal columns make A = J.T J singular; every damped S + lam I stays positive definite
+    # or has a pivot that is not positive, which rejects the trial
+    ds = synthesize(ModelSpec("hn", alpha=0.6, beta=0.5), SCALE, GRID, 0.01, seed=2)
+    jacobian = fitio._jacobian
+
+    def duplicated(problem, u):
+        J = jacobian(problem, u)
+        J[:, 1] = J[:, 0]
+        return J
+
+    monkeypatch.setattr(fitio, "_jacobian", duplicated)
+    res = fit(ds, "hn")
+    assert isinstance(res, FitResult) and math.isfinite(res.residual_norm)
 
 
 def test_compare_ranks_a_failing_candidate_last(monkeypatch):
@@ -650,3 +718,73 @@ def test_a_fit_that_ends_by_the_floor_test_forms_one_jacobian_per_iteration(monk
     g = fitio._jacobian(problem, points[-1]).T @ problem.residuals(points[-1])
     assert np.max(np.abs(g)) >= fitio._GRAD_TOL
     assert jacobians == res.iterations
+
+
+# ---------------------------------------------------------------------------
+# the damped step and the standard errors
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    log_lam=st.floats(-12.0, 14.0),
+    log_cond=st.floats(0.0, 4.0),
+    log_scales=st.lists(st.floats(-4.0, 4.0), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_damped_step_matches_a_dense_solve(n, log_lam, log_cond, log_scales, seed):
+    # A = D**1/2 C D**1/2 with unit-diagonal C (condition number up to 1e4) and column
+    # scales spanning up to 1e8, as tau's and eps's do: cond(A) reaches 1e8 and beyond.
+    # The reference solves the equilibrated system: np.linalg.solve on A + lam D itself is
+    # off by up to 4e-9 at lam ~ 1e6 there (against 50-digit mpmath; the step: 4e-16)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    C = (q * np.logspace(0.0, log_cond, n)) @ q.T
+    C = C / np.sqrt(np.outer(np.diag(C), np.diag(C)))
+    scales = 10.0 ** np.array(log_scales[:n])
+    A = C * np.outer(scales, scales)
+    g = rng.standard_normal(n) * scales
+    lam = 10.0**log_lam
+    S, s = fitio._marquardt_scaled(A)
+    delta = fitio._damped_step(S, s, (g * s).tolist(), lam)
+    root_d = np.sqrt(np.diag(A))
+    expected = np.linalg.solve(A / np.outer(root_d, root_d) + lam * np.eye(n), -g / root_d) / root_d
+    assert delta is not None
+    assert np.linalg.norm(np.array(delta) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_a_pivot_that_is_not_positive_gives_no_factor():
+    S = [[1.0, 1.0], [1.0, 1.0]]  # singular: the second pivot is 0
+    assert fitio._cholesky(S, 0.0) is None
+    assert fitio._cholesky([[math.nan]], 1.0) is None
+    assert fitio._cholesky(S, 1e-12) is not None
+
+
+STDERR_FITS = [(kind, domain, noise) for kind in ("debye", "cc", "cd", "mcd", "hn", "jws")
+               for domain in ("frequency", "time") for noise in (0.0, 0.01)]
+
+
+@pytest.mark.parametrize("kind,domain,noise", STDERR_FITS)
+def test_stderr_matches_the_inverse_normal_matrix(monkeypatch, kind, domain, noise):
+    spec = ModelSpec(kind, *SHAPES[kind], tau=1.5)
+    ds = synthesize(spec, SCALE if domain == "frequency" else None, GRID, noise, seed=6, domain=domain)
+    stderr, calls = fitio._stderr, []
+
+    def recorded(problem, u, r, J):
+        calls.append((problem, u, r, J))
+        return stderr(problem, u, r, J)
+
+    monkeypatch.setattr(fitio, "_stderr", recorded)
+    res = fit(ds, kind)
+    problem, u, r, J = calls[0]
+    if J is None:
+        J = _jacobian(problem, u)
+    sigma2 = float(r @ r) / (r.size - u.size)
+    du = np.sqrt(np.diag(sigma2 * np.linalg.inv(J.T @ J))) * problem.stderr_scale(u)
+    expected = dict(zip(problem.names, du))
+    if domain == "frequency":
+        expected["eps_static"] = math.hypot(expected["eps_static"], expected["eps_inf"])
+    assert res.param_stderr.keys() == expected.keys()
+    for name, value in expected.items():
+        assert res.param_stderr[name] == pytest.approx(value, rel=1e-10)
