@@ -47,6 +47,11 @@ the generating kind reaches the floor and ties with the wider kinds that
 contain it (at 1e-10 a cd(0.4) spectrum fit stopped at 7.2e-11, above the
 4.5e-11 floor, and hn won).  Everything is deterministic (fixed evaluation
 order, seeded noise).
+
+The standard errors are the delta method in the physical parameters, from the
+model's own partials at the final point (``_stderr``): eps_static's includes
+the eps_inf/strength covariance, a saturated sigmoid leaves them finite, and
+one that cannot be formed is NaN (``null`` in the JSON).
 """
 
 from __future__ import annotations
@@ -180,7 +185,12 @@ class TimeDataset:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Recovered model, residual norm and convergence diagnostics."""
+    """Recovered model, residual norm and convergence diagnostics.
+
+    ``param_stderr`` holds the delta-method standard errors of the reported parameters
+    (eps_static's with the eps_inf/strength covariance); NaN, ``null`` in the JSON,
+    where one cannot be formed.
+    """
 
     spec: ModelSpec
     scale: Optional[PermittivityScale]
@@ -338,6 +348,12 @@ def _floored_slope(u: float) -> float:
     return s * (1.0 - s) if s > _SIGMOID_FLOOR else 0.0
 
 
+def _parameter_names(kind: str, frequency: bool) -> list[str]:
+    """The reported parameters of a fit: the kind's free shape parameters, tau, and
+    eps_inf and eps_static in the frequency domain."""
+    return [*_KINDS[kind].free, "tau"] + (["eps_inf", "eps_static"] if frequency else [])
+
+
 class _Problem:
     """Residual assembly plus the transform between packed and physical parameters."""
 
@@ -348,28 +364,19 @@ class _Problem:
         self.dataset = dataset
         if self.frequency and kind == "kww":
             raise DomainError("kww fits time-domain data only")
-        self.free_alpha = "alpha" in _KINDS[kind].free
-        self.free_beta = "beta" in _KINDS[kind].free
+        self.names = _parameter_names(kind, self.frequency)
+        self.free_alpha = "alpha" in self.names
+        self.free_beta = "beta" in self.names
         w = dataset.weights if dataset.weights is not None else np.ones(len(dataset))
         self.w = w / np.max(w)
         if self.frequency:
             self.w_rows = np.repeat(self.w, 2)[:, None]  # eps' and eps'' rows alternate
-        self.names = self._names()
         self.u0 = self._initial_vector(init, init_scale)
         # what the Jacobian at the last residual's spec reuses: (spec, phi_hat) of a
         # spectrum, (spec, E, g w) of a decay residual the rule served
         self._last = None
-
-    def _names(self) -> list[str]:
-        names = []
-        if self.free_alpha:
-            names.append("alpha")
-        if self.free_beta:
-            names.append("beta")
-        names.append("tau")
-        if self.frequency:
-            names += ["eps_inf", "eps_static"]
-        return names
+        # (spec, scale, model_partials) of the last Jacobian, which the standard errors reuse
+        self._last_partials = None
 
     # -- heuristics ---------------------------------------------------------
 
@@ -448,27 +455,6 @@ class _Problem:
             scale = PermittivityScale(eps_inf + strength, eps_inf)
         return spec, scale
 
-    def stderr_scale(self, u: np.ndarray) -> np.ndarray:
-        """|d(physical)/d(packed)| for the Gauss-Newton covariance proxy."""
-        grads = []
-        i = 0
-        alpha = 1.0
-        if self.free_alpha:
-            s = _sigmoid(u[i])
-            alpha = max(s, _SIGMOID_FLOOR)
-            grads.append(s * (1.0 - s))
-            i += 1
-        if self.free_beta:
-            s = _sigmoid(u[i])
-            grads.append(s * (1.0 - s) if self.strict else s * (1.0 - s) / alpha)
-            i += 1
-        grads.append(math.exp(u[i]))
-        i += 1
-        if self.frequency:
-            grads.append(1.0)
-            grads.append(math.exp(u[i + 1]))
-        return np.array(grads)
-
     def residuals(self, u: np.ndarray) -> np.ndarray:
         spec, scale = self.unpack(u)
         if self.frequency:
@@ -506,6 +492,13 @@ class _Problem:
         if count < t.size:
             n[~inside] = relaxation(spec, t[~inside])
         return n
+
+    def partials(self, spec: ModelSpec, scale) -> np.ndarray:
+        """``model_partials`` at (spec, scale), kept for a second call at the same ones."""
+        kept = self._last_partials
+        if kept is None or kept[0] != spec or kept[1] != scale:
+            kept = self._last_partials = (spec, scale, self.model_partials(spec, scale))
+        return kept[2]
 
     def model_partials(self, spec: ModelSpec, scale) -> np.ndarray:
         """d residuals / d(alpha, beta, log tau[, eps_inf, log delta_eps]), one column per
@@ -564,7 +557,7 @@ class _Problem:
 def _jacobian(problem: _Problem, u: np.ndarray) -> np.ndarray:
     """d residuals / d u: the model's exact partials times the derivative of ``unpack``."""
     spec, scale = problem.unpack(u)
-    J = problem.model_partials(spec, scale)
+    J = problem.partials(spec, scale).copy()
     beta_col = int(problem.free_alpha)  # the index of the beta column, when beta is free
     if problem.free_alpha:
         if problem.free_beta and not problem.strict:
@@ -629,8 +622,8 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
     the floor test means the fit is not at the floor.  An accepted step below
     ``_STEP_TOL`` of ``|u|`` also converges.  A fit out of iterations, or
     whose trials all fail up to lambda = 1e14, ends with ``converged=False``
-    at its best point.  The last Jacobian is reused for the standard errors
-    when ``u`` has not moved since it was formed.
+    at its best point.  The standard errors reuse the last Jacobian's model
+    partials when ``u`` has not moved since it was formed.
     """
     u = problem.u0.copy()
     r = problem.residuals(u)
@@ -638,7 +631,6 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
     lam = 1e-3
     converged = False
     iterations = 0
-    J = None  # the Jacobian at u, while u has not moved since it was formed
     for iterations in range(1, _MAX_ITER + 1):
         J = _jacobian(problem, u)
         g = (J.T @ r).tolist()
@@ -668,7 +660,6 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
                 u, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-14)
                 step_taken = True
-                J = None
                 break
             lam *= 10.0
             if lam > 1e14:
@@ -680,14 +671,13 @@ def _levenberg_marquardt(problem: _Problem) -> FitResult:
             break
 
     spec, scale = problem.unpack(u)
-    stderr = _stderr(problem, u, r, J)
     return FitResult(
         spec=spec,
         scale=scale,
         residual_norm=math.sqrt(cost),
         iterations=iterations,
         converged=converged,
-        param_stderr=stderr,
+        param_stderr=_stderr(problem, u, r),
     )
 
 
@@ -729,15 +719,21 @@ def _cholesky(S: list, lam: float) -> Optional[list]:
     return L
 
 
-def _cholesky_solve(L: list, c: list) -> list:
-    """x with ``L L.T x = c``, by forward and back substitution."""
-    n = len(c)
-    x = []
+def _forward_substitute(L: list, c: list) -> list:
+    """y with ``L y = c``."""
+    y = []
     for i, L_i in enumerate(L):
         v = c[i]
         for k in range(i):
-            v -= L_i[k] * x[k]
-        x.append(v / L_i[i])
+            v -= L_i[k] * y[k]
+        y.append(v / L_i[i])
+    return y
+
+
+def _cholesky_solve(L: list, c: list) -> list:
+    """x with ``L L.T x = c``, by forward and back substitution."""
+    n = len(c)
+    x = _forward_substitute(L, c)
     for i in range(n - 1, -1, -1):
         v = x[i]
         for k in range(i + 1, n):
@@ -746,42 +742,37 @@ def _cholesky_solve(L: list, c: list) -> list:
     return x
 
 
-def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray, J: Optional[np.ndarray]) -> dict:
-    """Gauss-Newton covariance proxy mapped to the physical parameters.
+def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray) -> dict:
+    """Standard errors of the reported parameters: the delta method in the physical ones.
 
-    ``J`` is the Jacobian at ``u`` when the caller has it; if None it is formed here.
-    ``diag(A**-1)`` (``A = J.T J``) comes from the Cholesky factor of the scaled
-    ``S = D**-1/2 A D**-1/2``, as ``(S**-1)_ii / D_ii``; where a pivot is not
-    positive, or the Jacobian cannot be formed, every error is NaN.
+    P is the model's partials at ``u`` (columns alpha, beta, log tau, eps_inf, log
+    strength, as free; the last Jacobian's when it was formed there), and each variance
+    is ``sigma2 m . (P.T P)**-1 m = sigma2 |L**-1 D**-1/2 m|**2`` (``S = L L.T`` the scaled
+    ``P.T P``, as in the fit).  The row m is a unit row for alpha, beta and eps_inf, tau
+    on log tau, and ``[1, strength]`` on (eps_inf, log strength) for eps_static, so the
+    packing of u plays no part.  Where the partials raise, or a pivot of ``S`` is not
+    positive, no error can be formed and every one is NaN.
     """
-    m, p = r.size, u.size
+    names = problem.names
+    spec, scale = problem.unpack(u)
     try:
-        if J is None:
-            J = _jacobian(problem, u)
+        P = problem.partials(spec, scale)
     except RelaxkitError:
-        return dict.fromkeys(problem.names, math.nan)
-    S, s = _marquardt_scaled(J.T @ J)
+        return dict.fromkeys(names, math.nan)
+    S, s = _marquardt_scaled(P.T @ P)
     L = _cholesky(S, 0.0)
     if L is None:
-        return dict.fromkeys(problem.names, math.nan)
-    sigma2 = float(r @ r) / max(m - p, 1)
-    # (A**-1)_ii = (S**-1)_ii s_i**2, the i-th entry of the solve against e_i
-    unit = np.eye(p).tolist()
-    inverse_diag = [_cholesky_solve(L, unit[i])[i] * s[i] ** 2 for i in range(p)]
-    du = np.sqrt(np.maximum(sigma2 * np.array(inverse_diag), 0.0)) * problem.stderr_scale(u)
+        return dict.fromkeys(names, math.nan)
+    sigma2 = float(r @ r) / max(r.size - len(names), 1)
     out = {}
-    for name, val in zip(problem.names, du):
-        if name == "eps_static":
-            # eps_static = eps_inf + strength: combine both packed errors
-            out[name] = float(math.hypot(val, du[problem.names.index("eps_inf")]))
-        else:
-            out[name] = float(val)
+    for i, name in enumerate(names):
+        m = [0.0] * len(names)
+        m[i] = spec.tau if name == "tau" else 1.0
+        if name == "eps_static":  # eps_inf + strength
+            m[i - 1], m[i] = 1.0, scale.strength
+        y = _forward_substitute(L, [mi * si for mi, si in zip(m, s)])
+        out[name] = math.sqrt(sigma2 * sum(v * v for v in y))
     return out
-
-
-def _free_parameter_count(kind: str, frequency: bool) -> int:
-    # tau, the free shape parameters, and eps_inf and delta_eps in the frequency domain
-    return 1 + len(_KINDS[kind].free) + (2 if frequency else 0)
 
 
 def aicc_score(residual_norm: float, n_points: int, n_params: int, data_scale: float) -> float:
@@ -833,20 +824,20 @@ def compare(
         except RelaxkitError as exc:
             results.append((kind, math.inf, exc))
             continue
-        k = _free_parameter_count(kind, frequency)
-        score = aicc_score(res.residual_norm, n_points, k, data_scale)
+        score = aicc_score(res.residual_norm, n_points, len(_parameter_names(kind, frequency)), data_scale)
         results.append((kind, score, res))
     if not results:
         raise DomainError("no applicable candidate kinds for this dataset")
     results.sort(key=lambda item: (isinstance(item[2], RelaxkitError), item[1],
-                                   _free_parameter_count(item[0], frequency), item[0]))
+                                   len(_parameter_names(item[0], frequency)), item[0]))
     if isinstance(results[0][2], RelaxkitError):
         raise results[0][2]
     return results
 
 
 def fit_result_to_json(result: FitResult) -> str:
-    """Serialize a FitResult to the documented JSON schema."""
+    """Serialize a FitResult to the documented JSON schema: strict JSON, with ``null``
+    for a standard error that could not be formed."""
     scale = result.scale
     out = {
         "model": result.spec.kind,
@@ -858,6 +849,7 @@ def fit_result_to_json(result: FitResult) -> str:
         "residual_norm": result.residual_norm,
         "converged": result.converged,
         "iterations": result.iterations,
-        "stderr": dict(result.param_stderr),
+        "stderr": {name: value if math.isfinite(value) else None
+                   for name, value in result.param_stderr.items()},
     }
-    return json.dumps(out, indent=2, sort_keys=True)
+    return json.dumps(out, indent=2, sort_keys=True, allow_nan=False)

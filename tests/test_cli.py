@@ -269,3 +269,29 @@ def test_cached_parser_after_usage_error_matches_fresh_process(capsys):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
     )
     assert out == fresh.stdout
+
+
+def test_fit_writes_null_for_an_error_it_cannot_form(tmp_path, capsys, monkeypatch):
+    # two equal partial columns make P.T P singular: no standard error can be formed,
+    # and the output must stay strict JSON (no NaN)
+    from relaxkit.fitio import _Problem
+
+    model_partials = _Problem.model_partials
+
+    def duplicated(self, spec, scale):
+        P = model_partials(self, spec, scale)
+        P[:, 1] = P[:, 0]
+        return P
+
+    monkeypatch.setattr(_Problem, "model_partials", duplicated)
+    path = tmp_path / "hn.csv"
+    main(["synth", "--model", "hn", "--alpha", "0.6", "--beta", "0.5", "--grid", "0.001:1000:40",
+          "--noise", "0.01", "--seed", "2", "--output", str(path)])
+    code, out, _ = run(capsys, "fit", str(path), "--model", "hn")
+    assert code in (EXIT_OK, EXIT_NONCONVERGENCE)
+
+    def no_constant(name):
+        raise ValueError(f"{name} in the fit output")
+
+    doc = json.loads(out, parse_constant=no_constant)
+    assert doc["stderr"] == dict.fromkeys(("alpha", "beta", "tau", "eps_inf", "eps_static"))

@@ -271,7 +271,8 @@ def test_unpack_saturated_sigmoid_gives_valid_spec():
         u[index] = -800.0
         spec, scale = problem.unpack(u)
         assert 0.0 < spec.alpha <= 1.0 and 0.0 < spec.beta <= 1.0 / spec.alpha
-        assert scale is not None and np.all(np.isfinite(problem.stderr_scale(u)))
+        assert scale is not None
+        assert fitio._stderr(problem, u, problem.residuals(u)).keys() == set(problem.names)
 
 
 def test_auto_time_fit_survives_sigmoid_saturation():
@@ -761,30 +762,113 @@ def test_a_pivot_that_is_not_positive_gives_no_factor():
     assert fitio._cholesky(S, 1e-12) is not None
 
 
-STDERR_FITS = [(kind, domain, noise) for kind in ("debye", "cc", "cd", "mcd", "hn", "jws")
-               for domain in ("frequency", "time") for noise in (0.0, 0.01)]
-
-
-@pytest.mark.parametrize("kind,domain,noise", STDERR_FITS)
-def test_stderr_matches_the_inverse_normal_matrix(monkeypatch, kind, domain, noise):
-    spec = ModelSpec(kind, *SHAPES[kind], tau=1.5)
-    ds = synthesize(spec, SCALE if domain == "frequency" else None, GRID, noise, seed=6, domain=domain)
+def _recorded_stderr(monkeypatch):
+    """Log the (problem, u, r) of every standard-error evaluation."""
     stderr, calls = fitio._stderr, []
 
-    def recorded(problem, u, r, J):
-        calls.append((problem, u, r, J))
-        return stderr(problem, u, r, J)
+    def recorded(problem, u, r):
+        calls.append((problem, u, r))
+        return stderr(problem, u, r)
 
     monkeypatch.setattr(fitio, "_stderr", recorded)
-    res = fit(ds, kind)
-    problem, u, r, J = calls[0]
-    if J is None:
-        J = _jacobian(problem, u)
+    return calls
+
+
+def _packed_delta_method(problem, u, r):
+    """sqrt(diag(G sigma2 (J.T J)**-1 G.T)): the packed-space covariance mapped by G, the
+    derivative of (alpha, beta, tau, eps_inf, eps_static) with respect to u."""
+    G = np.zeros((u.size, u.size))
+    i, alpha = 0, 1.0
+    if problem.free_alpha:
+        alpha = 1.0 / (1.0 + math.exp(-u[0]))
+        G[0, 0] = alpha * (1.0 - alpha)
+        i = 1
+    if problem.free_beta:
+        b = 1.0 / (1.0 + math.exp(-u[i]))
+        if problem.strict:
+            G[i, i] = b * (1.0 - b)
+        else:  # beta = b / alpha
+            G[i, i] = b * (1.0 - b) / alpha
+            if problem.free_alpha:
+                G[i, 0] = -b / alpha**2 * G[0, 0]
+        i += 1
+    G[i, i] = math.exp(u[i])  # tau
+    if problem.frequency:
+        G[i + 1, i + 1] = 1.0  # eps_inf
+        G[i + 2, i + 1], G[i + 2, i + 2] = 1.0, math.exp(u[i + 2])  # eps_inf + strength
+    J = _jacobian(problem, u)
     sigma2 = float(r @ r) / (r.size - u.size)
-    du = np.sqrt(np.diag(sigma2 * np.linalg.inv(J.T @ J))) * problem.stderr_scale(u)
-    expected = dict(zip(problem.names, du))
-    if domain == "frequency":
-        expected["eps_static"] = math.hypot(expected["eps_static"], expected["eps_inf"])
+    covariance = G @ (sigma2 * np.linalg.inv(J.T @ J)) @ G.T
+    return dict(zip(problem.names, np.sqrt(np.diag(covariance))))
+
+
+STDERR_FITS = [pytest.param(kind, domain, noise, strict, id=f"{kind}-{domain}-{noise}" + strict * "-strict")
+               for kind in ("debye", "cc", "cd", "mcd", "hn", "jws")
+               for domain in ("frequency", "time") for noise in (0.0, 0.01)
+               for strict in (False, True) if not strict or kind in ("hn", "jws")]
+
+
+@pytest.mark.parametrize("kind,domain,noise,strict", STDERR_FITS)
+def test_stderr_matches_the_inverse_normal_matrix(monkeypatch, kind, domain, noise, strict):
+    # the reference works in the packed space the loop fits in: it checks the
+    # physical-space errors, beta's coupling to alpha and eps_static's covariance
+    spec = ModelSpec(kind, *SHAPES[kind], tau=1.5)
+    ds = synthesize(spec, SCALE if domain == "frequency" else None, GRID, noise, seed=6, domain=domain)
+    calls = _recorded_stderr(monkeypatch)
+    res = fit(ds, kind, strict_experimental=strict)
+    expected = _packed_delta_method(*calls[0])
     assert res.param_stderr.keys() == expected.keys()
     for name, value in expected.items():
         assert res.param_stderr[name] == pytest.approx(value, rel=1e-10)
+
+
+def _physical_delta_method(problem, u, r):
+    """sqrt(diag(M sigma2 (P.T P)**-1 M.T)) from a fresh problem's model partials P, M the
+    derivative of (alpha, beta, tau, eps_inf, eps_static) with respect to P's parameters."""
+    spec, scale = problem.unpack(u)
+    P = _Problem(problem.dataset, problem.kind, problem.strict, None, None).model_partials(spec, scale)
+    M = np.eye(u.size)
+    M[problem.names.index("tau")] *= spec.tau
+    if problem.frequency:
+        M[-1, -2:] = 1.0, scale.strength
+    sigma2 = float(r @ r) / (r.size - u.size)
+    covariance = M @ (sigma2 * np.linalg.inv(P.T @ P)) @ M.T
+    return dict(zip(problem.names, np.sqrt(np.diag(covariance))))
+
+
+# 0.1 %-noise Cole-Davidson data under the wider kind of its family: the fit ends at
+# alpha = 1.0, where alpha's sigmoid has slope 0 and the packed normal matrix is singular
+@pytest.mark.parametrize("data,kind,domain,seed", [
+    ("cd", "hn", "frequency", 2), ("cd", "hn", "time", 2),
+    ("mcd", "jws", "frequency", 0), ("mcd", "jws", "time", 1),
+])
+def test_stderr_is_finite_where_alpha_saturates(monkeypatch, data, kind, domain, seed):
+    spec = ModelSpec(data, beta=0.5, tau=0.1)
+    ds = synthesize(spec, SCALE if domain == "frequency" else None, GRID, 1e-3, seed=seed, domain=domain)
+    calls = _recorded_stderr(monkeypatch)
+    res = fit(ds, kind)
+    assert res.converged and res.spec.alpha == 1.0
+    expected = _physical_delta_method(*calls[0])
+    assert res.param_stderr.keys() == expected.keys()
+    for name, value in expected.items():
+        assert math.isfinite(res.param_stderr[name])
+        assert res.param_stderr[name] == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind,domain,alpha,beta,seed", FLOOR_FITS)
+def test_the_standard_errors_add_no_model_evaluation(monkeypatch, kind, domain, alpha, beta, seed):
+    spec = ModelSpec(kind, alpha=alpha, beta=beta)
+    ds = synthesize(spec, SCALE if domain == "frequency" else None, GRID, 0.01, seed=seed, domain=domain)
+    events, _ = _record_evaluations(monkeypatch)
+    model_partials = _Problem.model_partials
+
+    def counted(self, spec, scale):
+        events.append("P")
+        return model_partials(self, spec, scale)
+
+    monkeypatch.setattr(_Problem, "model_partials", counted)
+    res = fit(ds, kind)
+    # the fit ended on the gradient or floor test, right after its last Jacobian
+    assert res.converged and events[-2:] == ["J", "P"]
+    assert events.count("P") == events.count("J")
+    assert all(map(math.isfinite, res.param_stderr.values()))
