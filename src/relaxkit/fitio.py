@@ -730,16 +730,49 @@ def _forward_substitute(L: list, c: list) -> list:
     return y
 
 
-def _cholesky_solve(L: list, c: list) -> list:
-    """x with ``L L.T x = c``, by forward and back substitution."""
-    n = len(c)
-    x = _forward_substitute(L, c)
+def _back_substitute(L: list, y: list) -> list:
+    """x with ``L.T x = y``."""
+    n = len(y)
+    x = list(y)
     for i in range(n - 1, -1, -1):
         v = x[i]
         for k in range(i + 1, n):
             v -= L[k][i] * x[k]
         x[i] = v / L[i][i]
     return x
+
+
+def _cholesky_solve(L: list, c: list) -> list:
+    """x with ``L L.T x = c``, by forward and back substitution."""
+    return _back_substitute(L, _forward_substitute(L, c))
+
+
+def _skipping_cholesky(S: list) -> tuple[list, list, list]:
+    """The Cholesky factor of ``S`` (symmetric, nested lists) over the columns whose pivots
+    are positive, their indices, and a null direction of ``S`` for each column left out.
+
+    A column whose pivot is not positive lies (to rounding) in the span of the kept
+    columns before it, ``S[:, i] = S[:, K] y``; its null direction ``z`` has
+    ``z_i = 1``, ``z_K = -y`` with ``L L.T y = S[K, i]`` over those columns, and 0
+    elsewhere.
+    """
+    L, kept, null = [], [], []
+    for i, S_i in enumerate(S):
+        row = _forward_substitute(L, [S_i[j] for j in kept])
+        v = S_i[i]
+        for x in row:
+            v -= x * x
+        if v > 0.0:
+            row.append(math.sqrt(v))
+            L.append(row)
+            kept.append(i)
+            continue
+        z = [0.0] * len(S)
+        z[i] = 1.0
+        for j, y_j in zip(kept, _back_substitute(L, row)):
+            z[j] = -y_j
+        null.append(z)
+    return L, kept, null
 
 
 def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray) -> dict:
@@ -750,8 +783,10 @@ def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray) -> dict:
     is ``sigma2 m . (P.T P)**-1 m = sigma2 |L**-1 D**-1/2 m|**2`` (``S = L L.T`` the scaled
     ``P.T P``, as in the fit).  The row m is a unit row for alpha, beta and eps_inf, tau
     on log tau, and ``[1, strength]`` on (eps_inf, log strength) for eps_static, so the
-    packing of u plays no part.  Where the partials raise, or a pivot of ``S`` is not
-    positive, no error can be formed and every one is NaN.
+    packing of u plays no part.  Where a pivot of ``S`` is not positive, its column is
+    left out (:func:`_skipping_cholesky`): a parameter whose row has a component along
+    a null direction of ``S`` cannot be identified, and its error is NaN; the others
+    are formed over the kept columns.  Where the partials raise, every error is NaN.
     """
     names = problem.names
     spec, scale = problem.unpack(u)
@@ -760,9 +795,7 @@ def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray) -> dict:
     except RelaxkitError:
         return dict.fromkeys(names, math.nan)
     S, s = _marquardt_scaled(P.T @ P)
-    L = _cholesky(S, 0.0)
-    if L is None:
-        return dict.fromkeys(names, math.nan)
+    L, kept, null = _skipping_cholesky(S)
     sigma2 = float(r @ r) / max(r.size - len(names), 1)
     out = {}
     for i, name in enumerate(names):
@@ -770,7 +803,12 @@ def _stderr(problem: _Problem, u: np.ndarray, r: np.ndarray) -> dict:
         m[i] = spec.tau if name == "tau" else 1.0
         if name == "eps_static":  # eps_inf + strength
             m[i - 1], m[i] = 1.0, scale.strength
-        y = _forward_substitute(L, [mi * si for mi, si in zip(m, s)])
+        sm = [mi * si for mi, si in zip(m, s)]
+        size = math.hypot(*sm)
+        if any(abs(sum(map(operator.mul, sm, z))) > 1e-10 * size * math.hypot(*z) for z in null):
+            out[name] = math.nan  # the row has a component along a null direction
+            continue
+        y = _forward_substitute(L, [sm[j] for j in kept])
         out[name] = math.sqrt(sigma2 * sum(v * v for v in y))
     return out
 

@@ -58,7 +58,7 @@ from .models import (
     spectral_ratio_real,
 )
 from .quadrature import _MAX_LEVEL, _integrate_rows
-from .specfun import _special
+from .specfun import _gamma_upper, _rgamma
 
 __all__ = [
     "KernelConfig",
@@ -206,9 +206,10 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str):
         value = B * talbot_sum(partial(_hn_k_image, spec), x)
         return value, _CONTOUR_BOUND * max(1.0, 0.1 / (1.0 - a)) * abs(value)
     if law == "cd":
-        # B Gamma(-b, x) / |Gamma(-b)| with Gamma(-b, x) = (x**-b e**-x - Gamma(1-b, x)) / b
-        sc = _special()
-        return B * (x**-b * np.exp(-x) * float(sc.rgamma(1.0 - b)) - sc.gammaincc(1.0 - b, x)), zero
+        # B Gamma(-b, x) / |Gamma(-b)| = B b Gamma(-b, x) / Gamma(1 - b), with Gamma(-b, x)
+        # itself from x = 1.5 (no cancellation there): within 2e-14 relative from there,
+        # 3e-15 / b below
+        return B * b * _rgamma(1.0 - b) * _gamma_upper(-b, x), zero
     # jws / mcd: k_hat(s) = B tau p**(a-1) w / g(w) with p = s tau, w = p**-a; its
     # leading term p**(a-1) / b inverts in closed form (for mcd, a = 1, it is the
     # point mass and its regular part is 0), the rest on the contour

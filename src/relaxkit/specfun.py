@@ -16,15 +16,16 @@ where its own cancellation estimate is at most 1e4; other points try the
 expansion from u = 50, then the contour (mu >= 0) or a recurrence in mu.  No
 caller picks a strategy, and no two are cross-checked.
 
-``alpha == 1`` is routed through the Kummer-transformed confluent series
-``exp(-x) 1F1(mu - nu; mu; x) / Gamma(mu)``, whose terms are nonnegative for
-``mu >= nu``, so the Debye/Cole-Davidson reductions hold to full double
-precision at any argument.
+``alpha == 1`` (mu > 0) is routed through the Kummer-transformed confluent
+series ``exp(-x) 1F1(mu - nu; mu; x) / Gamma(mu)`` below x = 50, whose terms
+are nonnegative for ``mu >= nu``, and its expansion in 1/x beyond, so the
+Debye/Cole-Davidson reductions hold to 3e-14 relative or better at any
+argument.
 
 One dispatcher, ``_eval_grid``, routes a 1-D array of arguments, ``mu < 0``
 included, with one call per strategy; a number is a 1-element array.  The
-strategies are array bodies built from numpy's own ``exp``, ``log`` and
-``**``, whose value for an element does not depend on the array around it, so
+strategies are array bodies built from numpy's own ``exp``, ``log``, ``**``
+and ``einsum``, whose value for an element does not depend on the array around it, so
 a number gives exactly the element of a grid call.
 
 The public dataclass ``PrabhakarParams`` enforces ``nu > 0`` (the regime the
@@ -32,13 +33,11 @@ relaxation models and the complete-monotonicity statements live in); the
 module-level evaluators accept any real ``mu`` and ``nu``: second derivatives
 need ``mu < 0``, and a negative ``nu`` is evaluated as well.
 
-``scipy.special`` takes longer to import than numpy and relaxkit together, so
-it is imported on first use, through the cached accessor ``_special()``, which
-``models`` and ``kernels`` share: ``rgamma`` for every Prabhakar evaluation,
-``hyp1f1`` for the alpha = 1 Kummer route and ``gammaincc`` for the
-Cole-Davidson closed forms.  The Debye and KWW closed forms, spectra and
-permittivities, every M kernel, the hn, jws and mcd k kernels and the Levy
-density never load it.
+The gamma-type functions come from this module too, built on ``math`` and
+numpy alone: ``_rgamma`` (1/Gamma) for the coefficient rows of every
+Prabhakar strategy, ``_gammaincc`` and ``_gamma_upper`` (the incomplete gamma
+function) for the Cole-Davidson closed forms, and the alpha = 1 Kummer route
+in ``_kummer``.  Their tables are built on first use; nothing runs at import.
 """
 
 from __future__ import annotations
@@ -82,14 +81,6 @@ _TINY = 1e-300
 # memory, and a point drops out after the block in which it converges), and
 # the expansion's term cap
 _SERIES_ROWS, _ASYM_ROWS, _ASYM_TERMS = 64, 16, 160
-
-
-@functools.cache
-def _special():
-    """``scipy.special``, imported on the first call that needs one of its functions."""
-    from scipy import special
-
-    return special
 
 
 @dataclass(frozen=True)
@@ -239,6 +230,175 @@ def hyper_pfq(numerators: Sequence[float], denominators: Sequence[float], x: flo
 
 
 # ---------------------------------------------------------------------------
+# 1/Gamma and the incomplete gamma function, from math and numpy alone.
+# ---------------------------------------------------------------------------
+
+
+def _rgamma(s: float) -> float:
+    """1/Gamma(s) of a float, from ``math.gamma`` (a few ulps).
+
+    0 at the poles s = 0, -1, -2, ... and for s > 171.6, s itself for a subnormal s, +-inf
+    where Gamma underflows (s below about -184), NaN for a NaN s.
+    """
+    try:
+        return 1.0 / math.gamma(s)
+    except ValueError:  # a pole, or -inf
+        return 0.0
+    except OverflowError:  # s > 171.6, or |s| so small that Gamma(s) ~ 1/s overflows
+        return s if abs(s) < 1.0 else 0.0
+    except ZeroDivisionError:  # Gamma underflowed to a signed zero
+        return math.copysign(math.inf, math.gamma(s))
+
+
+def _rgamma_row(s: np.ndarray) -> np.ndarray:
+    """1/Gamma elementwise on a nonempty 1-D monotone row (the coefficient rows of the
+    strategies are arithmetic progressions), each element equal to :func:`_rgamma` of it.
+
+    A row whose ends lie in (-170, 171), where Gamma and its reciprocal are normal
+    floats, takes one ``math.gamma`` per element and one numpy division, with its
+    poles set to 0 afterwards; a subnormal element in it, or an end outside, sends
+    the row through :func:`_rgamma` element by element.
+    """
+    low, high = sorted((s[0], s[-1]))
+    if -170.0 < low and high < 171.0:
+        pole = (s <= 0.0) & (s == np.round(s)) if low <= 0.0 else None
+        safe = s if pole is None else np.where(pole, 0.5, s)
+        try:
+            out = 1.0 / np.fromiter(map(math.gamma, safe.tolist()), float, s.size)
+        except OverflowError:  # a subnormal element
+            return np.fromiter(map(_rgamma, s.tolist()), float, s.size)
+        if pole is not None:
+            out[pole] = 0.0
+        return out
+    return np.fromiter(map(_rgamma, s.tolist()), float, s.size)
+
+
+# Stirling's coefficients B_2k / (2k (2k - 1)), k = 1..5
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+
+
+def _lgamma1p(s: float) -> float:
+    """log Gamma(1 + s) for s >= 0, to a few ulps relative also where it nears 0 at small s.
+
+    ``math.lgamma(1 + s)`` loses the digits of s that 1 + s rounds away.  Here
+    ``log Gamma(1 + s) = D - sum_{m=1}^{20} log1p(s/m)`` with
+    ``D = log Gamma(21 + s) - log Gamma(21)`` from the difference of Stirling's
+    series at 21 (truncation below 1e-17 s), every part of it O(s).
+    """
+    t = math.log1p(s / 21.0)
+    d = 20.5 * t + s * (math.log(21.0 + s) - 1.0)
+    for k, c in enumerate(_STIRLING, 1):
+        d += c * 21.0 ** (1 - 2 * k) * math.expm1((1 - 2 * k) * t)
+    for m in range(1, 21):
+        d -= math.log1p(s / m)
+    return d
+
+
+# Gamma(s, x) takes the Gauss-Laguerre rule from x = _LAGUERRE_X and, below it, the
+# series of P = 1 - Q in 24 terms (x**24 / 24! < 1e-19 at x = 1.5); e**-x underflows
+# from _GAMMA_ZERO_X
+_LAGUERRE_X, _LAGUERRE_NODES, _GAMMA_ZERO_X = 1.5, 64, 746.0
+
+
+@functools.cache
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-point Gauss-Laguerre nodes and weights, largest node first, built on first use.
+
+    Golub & Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Laguerre recurrence and the weights the squared first components of its
+    eigenvectors; a rule sum of Gamma(s, x) is then within 1.3e-14 relative at
+    x = 1.5 and 1.2e-15 from x = 2, against 1.2e-14 with numpy's ``laggauss``.
+    Only the 34 nodes with weights of at least 1e-20 are kept: for an integrand
+    that does not grow, the other 30 add less than 1e-19 of the sum.
+    """
+    n = _LAGUERRE_NODES
+    jacobi = np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1)
+    u, vectors = np.linalg.eigh(jacobi)  # reads the lower triangle
+    w = vectors[0] ** 2
+    keep = w >= 1e-20
+    u, w = u[keep][::-1].copy(), w[keep][::-1].copy()
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+@functools.cache
+def _p_series_table() -> tuple[np.ndarray, np.ndarray]:
+    """n = 0..23 and (-1)**(n+1) / n! (0 at n = 0), for the series of P."""
+    n = np.arange(24.0)
+    base = np.array([0.0] + [(-1.0) ** (j + 1) / math.factorial(j) for j in range(1, 24)])
+    n.flags.writeable = base.flags.writeable = False
+    return n, base
+
+
+def _laguerre(s: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(s, x) for -1 < s <= 1 on a 1-D array x >= 1.5, within 2e-14 relative.
+
+    ``Gamma(s, x) = e**-x int_0^inf e**-u (x + u)**(s-1) du`` on the 64-point
+    Gauss-Laguerre rule; the integrand's branch point u = -x lies at least 1.5
+    from the rule's half-line.  Each point is a row of its own, contracted by
+    ``einsum``, so its value does not depend on the array around it.
+    """
+    u, w = _laguerre_rule()
+    f = np.log(np.add.outer(x, u))
+    f *= s - 1.0
+    return np.exp(-x) * np.einsum("ij,j->i", np.exp(f, out=f), w)
+
+
+def _q_series(s: float, x: np.ndarray) -> np.ndarray:
+    """Q(s, x) for 0 < s <= 1 on a 1-D array 0 < x < 1.5, within 1e-14 relative.
+
+    From ``gamma(s, x) = sum_n (-1)**n x**(s+n) / (n! (s+n))`` (DLMF 8.7.1):
+    ``Q = -expm1(E) + e**E s T`` with ``E = s log x - log Gamma(1+s)`` and
+    ``T = sum_{n>=1} (-1)**(n+1) x**n / (n! (s+n))``.  Both parts are O(s), so a
+    small s keeps its digits; below x = 1.5 they cancel by less than 15x.
+    """
+    n, base = _p_series_table()
+    st = np.einsum("ij,j->i", np.power.outer(x, n), base * (s / (s + n)))
+    e = np.log(x)
+    e *= s
+    e -= _lgamma1p(s)
+    em = np.expm1(e)
+    return st * np.exp(e) - em
+
+
+def _gammaincc(s: float, x: np.ndarray) -> np.ndarray:
+    """Regularized upper incomplete gamma function Q(s, x) = Gamma(s, x) / Gamma(s) for
+    0 < s <= 1 on a 1-D array x >= 0: within 2e-14 relative.
+
+    The series of :func:`_q_series` below x = 1.5 and the Gauss-Laguerre rule of
+    :func:`_laguerre` from there; Q(s, 0) = 1, and Q = 0 from x = 746, where
+    e**-x underflows.
+    """
+    out = np.where(x < _GAMMA_ZERO_X, 1.0, 0.0)
+    big = (x >= _LAGUERRE_X) & (x < _GAMMA_ZERO_X)
+    small = (x < _LAGUERRE_X) & (x > 0.0)
+    if np.count_nonzero(small):
+        out[small] = _q_series(s, x[small])
+    if np.count_nonzero(big):
+        out[big] = _laguerre(s, x[big]) * _rgamma(s)
+    return out
+
+
+def _gamma_upper(s: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(s, x) for -1 < s < 0 on a 1-D array x > 0: within 2e-14 relative from x = 1.5,
+    and 3e-15 / |s| below.
+
+    The Gauss-Laguerre rule of :func:`_laguerre` from x = 1.5, so no cancellation
+    at large x (0 from x = 746); below, ``(Gamma(s + 1, x) - x**s e**-x) / s``,
+    whose two parts cancel by up to about 1/|s| there.
+    """
+    out = np.zeros(x.shape)
+    small = x < _LAGUERRE_X
+    big = ~small & (x < _GAMMA_ZERO_X)
+    if np.count_nonzero(small):
+        xs = x[small]
+        out[small] = (_q_series(s + 1.0, xs) * math.gamma(s + 1.0) - xs**s * np.exp(-xs)) / s
+    if np.count_nonzero(big):
+        out[big] = _laguerre(s, x[big])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Prabhakar strategies.  All evaluate E[alpha, mu; nu](-x) on a 1-D array of x > 0.
 # ---------------------------------------------------------------------------
 
@@ -285,7 +445,7 @@ def _series(alpha: float, mu: float, nu: float, x: np.ndarray):
     small = np.zeros((x.size, 2), dtype=bool)
     live = np.arange(x.size)
     for r, poch, sign, log_fact in _term_blocks(nu, _MAX_TERMS, _SERIES_ROWS):
-        mag, rg = poch + r * log_x[live] - log_fact, _special().rgamma(alpha * r + mu)
+        mag, rg = poch + r * log_x[live] - log_fact, _rgamma_row(alpha * r + mu)
         term = sign * np.exp(np.minimum(mag, 709.0)) * rg
         size = np.abs(term)
         term[:, 0] += total[live]
@@ -307,17 +467,127 @@ def _series(alpha: float, mu: float, nu: float, x: np.ndarray):
     return total, peak / np.maximum(np.abs(total), _TINY)
 
 
-def _kummer(mu: float, nu: float, x):
-    """alpha = 1 case via Kummer's transformation, for a number or an array x.
+# alpha = 1 (Kummer): the series below _KUMMER_X in 144 terms (e**-x x**n / n! < 1e-26 at
+# n = 144, x = 50), and from there the expansion in 1/x in _KUMMER_ASYM terms or, where
+# that is not accurate, the series in _KUMMER_LONG terms (enough up to x = 690)
+_KUMMER_X, _KUMMER_ASYM, _KUMMER_LONG = 50.0, 24, 960
 
-    E[1, mu; nu](-x) = exp(-x) * 1F1(mu - nu; mu; x) / Gamma(mu). For
-    mu >= nu every term of the transformed series is nonnegative, so the
-    result is correct to relative rounding error at any x (this is what makes
-    the Debye and Cole-Davidson reductions exact to 1e-12 and better).
+
+def _expansion_serves(mu: float, nu: float) -> bool:
+    """True when the algebraic expansion of E[1, mu; nu](-x) is the whole value to 1e-16 at
+    every x >= 50.
+
+    For large x, ``E = x**-nu / Gamma(mu - nu) (1 + O(1/x)) + e**-x x**(nu - mu) /
+    Gamma(nu) (1 + O(1/x))``, and the expansion keeps only the first part.  It
+    does not serve where the second one exceeds e**-37 of the first at x = 50
+    (it shrinks with x from there), or where mu - nu lies within 1e-6 of a
+    nonpositive integer (the first part has (nearly) vanished).
     """
-    sc = _special()
-    value = np.exp(-x) * sc.hyp1f1(mu - nu, mu, x) * sc.rgamma(mu)
-    return value if isinstance(x, np.ndarray) else float(value)
+    a = mu - nu
+    if a < 0.5 and abs(a - round(a)) < 1e-6:
+        return False
+    if nu <= 0.0 and nu == round(nu):
+        return True  # 1/Gamma(nu) = 0: no second part
+    x, p = _KUMMER_X, 2.0 * nu - mu
+    return p < x and p * math.log(x) - x + math.lgamma(a) - math.lgamma(nu) < -37.0
+
+
+def _kummer_expansion(mu: float, nu: float, x: np.ndarray) -> np.ndarray:
+    """``E[1, mu; nu](-x) ~ x**-nu / Gamma(mu - nu) 2F0(nu, 1 - mu + nu;; 1/x)`` on a 1-D
+    array x >= 50 (:func:`_expansion_serves` must hold), in 24 terms; NaN where the last
+    of them is not below 1e-17 of the sum or the terms cancel by more than 4x.
+
+    Term j is ``(nu)_j (1 - mu + nu)_j / j! x**-j``.  For nu > 0 and mu - nu <= 1
+    every term is positive and shrinks with x, so one check at x = 50 serves all
+    points; a 2F0 whose terms reach 0 is exact.
+    """
+    a = mu - nu
+    k = np.arange(_KUMMER_ASYM - 1.0)
+    d = np.empty(_KUMMER_ASYM)
+    d[0] = _rgamma(a)
+    np.multiply((nu + k) * (1.0 - a + k), 1.0 / (k + 1.0), out=d[1:])
+    np.cumprod(d, out=d)
+    powers = np.power.outer(x, -np.arange(float(_KUMMER_ASYM)))
+    total = np.einsum("ij,j->i", powers, d)
+    if nu > 0.0 and a <= 1.0:
+        ok = abs(d[-1]) * _KUMMER_X ** (1 - _KUMMER_ASYM) <= 1e-17 * abs(d[0])
+    else:
+        size = np.einsum("ij,j->i", powers, np.abs(d))
+        ok = (np.abs(d[-1]) * powers[:, -1] <= 1e-17 * np.abs(total)) & (size <= 4.0 * np.abs(total))
+    return np.where(ok, x**-nu * total, np.nan)
+
+
+@functools.lru_cache(maxsize=8)
+def _kummer_table(b: float) -> tuple[np.ndarray, ...]:
+    """k = 0..142 and (b + k) (k + 1), the recurrence of the series' coefficients, and the
+    exponents 0..11 and 0, 12, ..., 132 of its blocks."""
+    k = np.arange(143.0)
+    table = (k, (b + k) * (k + 1.0), np.arange(12.0), np.arange(0.0, 144.0, 12.0))
+    for row in table:
+        row.flags.writeable = False
+    return table
+
+
+def _kummer_series(a: float, b: float, x: np.ndarray, scale: float) -> np.ndarray:
+    """``scale e**-x 1F1(a; b; x)`` on a 1-D array 0 <= x < 50 in its first 144 terms.
+
+    ``sum_n c_n x**n`` with ``c_n = (a)_n / ((b)_n n!)``, in 12 blocks of 12:
+    ``sum_k x**(12 k) P_k(x)``, ``P_k(x) = sum_{j<12} c_{12k+j} x**j``.  Two
+    tables of correctly rounded powers and one ``einsum`` contraction, whose
+    value at a point, unlike a BLAS product's, does not depend on the array
+    around it.
+    """
+    k, den, low, high = _kummer_table(b)
+    c = np.empty(144)
+    c[0] = scale
+    np.divide(a + k, den, out=c[1:])
+    blocks = np.einsum("ij,kj->ik", np.power.outer(x, low), np.cumprod(c, out=c).reshape(12, 12))
+    blocks *= np.power.outer(x, high)
+    return np.exp(-x) * blocks.sum(axis=1)
+
+
+def _kummer_long(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """``e**-x 1F1(a; b; x)`` on a 1-D array x <= 690 in 960 terms, each the last times
+    ``x (a + k - 1) / ((b + k - 1) k)``, starting from e**-x (so none overflows)."""
+    k = np.arange(_KUMMER_LONG - 1.0)
+    terms = np.empty((x.size, _KUMMER_LONG))
+    terms[:, 0] = np.exp(-x)
+    terms[:, 1:] = np.multiply.outer(x, (a + k) / ((b + k) * (k + 1.0)))
+    return np.cumprod(terms, axis=1, out=terms).sum(axis=1)
+
+
+def _kummer(mu: float, nu: float, x):
+    """alpha = 1 case via Kummer's transformation, for a number or an array x >= 0, mu > 0.
+
+    ``E[1, mu; nu](-x) = e**-x 1F1(mu - nu; mu; x) / Gamma(mu)``.  Below x = 50
+    the series in its first 144 terms (:func:`_kummer_series`); for mu >= nu
+    every term is nonnegative, and it is within 1e-14 relative (the Debye and
+    Cole-Davidson reductions to 1e-12 and better).  From x = 50 the expansion
+    in 1/x (:func:`_kummer_expansion`, within 3e-14 relative) where it serves
+    (:func:`_expansion_serves`) and meets its checks, and otherwise the series
+    in 960 terms (:func:`_kummer_long`) up to x = 690 and NaN beyond.  mu = nu
+    gives e**-x / Gamma(mu) at any x.  For mu < nu the terms alternate; the
+    route's ``(nu - mu) x <= 36`` bounds the cancellation.
+    """
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    a, rg = mu - nu, _rgamma(mu)
+    far = arr >= _KUMMER_X
+    if a == 0.0:
+        out = np.exp(-arr) * rg
+    elif not np.count_nonzero(far):
+        out = _kummer_series(a, mu, arr, rg)
+    else:
+        out = np.empty(arr.shape)
+        out[~far] = _kummer_series(a, mu, arr[~far], rg)
+        xf = arr[far]
+        value = np.full(xf.shape, np.nan)
+        if _expansion_serves(mu, nu):
+            value = _kummer_expansion(mu, nu, xf)
+        miss = np.isnan(value) & (xf <= 690.0)
+        if np.count_nonzero(miss):
+            value[miss] = _kummer_long(a, mu, xf[miss]) * rg
+        out[far] = value
+    return out.reshape(np.shape(x)) if isinstance(x, np.ndarray) else float(out[0])
 
 
 def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray):
@@ -336,7 +606,7 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray):
     live = np.arange(x.size)
     for j, poch, sign, log_fact in _term_blocks(nu, _ASYM_TERMS, _ASYM_ROWS):
         s = mu - alpha * (nu + j)
-        rg = _special().rgamma(s)
+        rg = _rgamma_row(s)
         keep = (rg != 0.0) & ~((s < 0.5) & (np.abs(s - np.round(s)) < 1e-9))
         if not keep.all():
             if not keep.any():
@@ -359,6 +629,28 @@ def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray):
         if not live.size:
             break
     return np.where(err <= 1e-12 * np.maximum(np.abs(total), _TINY), total, np.nan)
+
+
+_TAIL_TERMS = 24  # terms of the HN tail expansion
+
+
+def _hn_tail(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """``1 - x**(alpha beta) E[alpha, 1 + alpha beta; beta](-x**alpha)`` on a 1-D array x > 1,
+    in relative precision: NaN where its expansion does not serve.
+
+    That is the HN relaxation at x = t/tau.  The expansion of the Prabhakar
+    term starts with exactly 1, so the difference is the rest,
+    ``-sum_{j>=1} (-1)**j (beta)_j x**(-alpha j) / (j! Gamma(1 - alpha j))``,
+    with no cancellation against the 1.  Its first 24 terms are summed from the
+    small end, on a row of :func:`_rgamma_row`; a point is NaN where the last of
+    them is not below 1e-17 of the sum or the terms cancel by more than 2x.
+    """
+    j = np.arange(1.0, _TAIL_TERMS + 1.0)
+    coef = (np.cumprod(-(beta - 1.0 + j) / j) * _rgamma_row(1.0 - alpha * j))[::-1]
+    powers = np.power.outer(x, -alpha * j[::-1])  # the small end first
+    total, size = -np.einsum("ij,j->i", powers, coef), np.einsum("ij,j->i", powers, np.abs(coef))
+    ok = (powers[:, 0] * abs(coef[0]) <= 1e-17 * np.abs(total)) & (size <= 2.0 * np.abs(total))
+    return np.where(ok, total, np.nan)
 
 
 def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
@@ -396,25 +688,29 @@ def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     Every point takes its route, with one strategy call per route (a number is
     a 1-element array, so it equals its grid element by construction), by
     ``u = x**(1/alpha)``: x = 0 is 1/Gamma(mu); alpha = 1 with mu > 0 takes
-    Kummer while its terms alternate mildly.  The series is tried once,
-    for ``u <= _CROSSOVER_U`` (5) when mu >= 0 and ``u <= _SERIES_MAX_U`` (25)
-    when mu < 0, and kept wherever its own cancellation estimate is at most
+    Kummer while its terms alternate mildly, at any x where its expansion
+    serves from x = 50 (:func:`_expansion_serves`) and up to x = 690 where not;
+    its NaN points go on.  The series is tried once, for ``u <= _CROSSOVER_U`` (5) when mu >= 0 and
+    ``u <= _SERIES_MAX_U`` (25) when mu < 0, and kept wherever its own
+    cancellation estimate is at most
     ``_SERIES_MAX_CANCEL`` (1e4).  Every other point with ``u >= 50`` tries the
     expansion, and what is left takes the contour for mu >= 0; mu < 0 has no
     Laplace image, so there it takes the recurrence
     E[a, mu; nu] = a nu E[a, mu+1; nu+1] - (a nu - mu) E[a, mu+1; nu]
     (Kilbas, Saigo & Saxena 2004) up to mu >= 0.
     """
-    out = np.full(x.shape, float(_special().rgamma(mu)))
+    out = np.full(x.shape, _rgamma(mu))
     todo = x > 0.0
     if alpha == 1.0 and mu > 0.0:
         # Kummer terms are nonnegative for mu >= nu; for mu < nu they alternate
         # with peak ~exp(2 sqrt((nu-mu) x)) / mu, so only mild alternation is
         # allowed, and none that overflows for a subnormal mu
-        kummer = todo & (x <= 690.0) & ((mu >= nu) | ((nu - mu) * x <= min(36.0, 1e300 * mu)))
+        kummer = todo & ((mu >= nu) | ((nu - mu) * x <= min(36.0, 1e300 * mu)))
+        if not _expansion_serves(mu, nu):  # beyond x = 690 Kummer's series overflows
+            kummer &= x <= 690.0
         if kummer.any():
-            out[kummer] = _kummer(mu, nu, x[kummer])
-            todo &= ~kummer
+            out[kummer] = value = _kummer(mu, nu, x[kummer])
+            todo[kummer] = np.isnan(value)
     if not todo.any():
         return out
     u = x ** (1.0 / alpha)
@@ -499,7 +795,6 @@ def prabhakar_rational(order: RationalOrder, mu: float, nu: float, x: float) -> 
         )
     arg = (-1.0) ** k * x**k  # the l**l of the pFq argument cancels against Gauss's l**(l r)
     total = 0.0
-    rgamma = _special().rgamma
     for j in range(k):
         coeff = pochhammer(nu, j) * (-x) ** j / math.factorial(j)
         if coeff == 0.0:
@@ -509,7 +804,7 @@ def prabhakar_rational(order: RationalOrder, mu: float, nu: float, x: float) -> 
         # term r: coeff * prod (nums)_r / prod (dens)_r * arg**r / Gamma(c + l r)
         weight, part, small = coeff, 0.0, 0
         for r in range(_MAX_TERMS):
-            term = weight * float(rgamma(c + l * r))
+            term = weight * _rgamma(c + l * r)
             part += term
             if abs(term) > 1e200:
                 raise NonConvergent(f"rational-order terms grew past safeguard at r={r}")

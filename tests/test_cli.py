@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, output schemas."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -272,8 +273,9 @@ def test_cached_parser_after_usage_error_matches_fresh_process(capsys):
 
 
 def test_fit_writes_null_for_an_error_it_cannot_form(tmp_path, capsys, monkeypatch):
-    # two equal partial columns make P.T P singular: no standard error can be formed,
-    # and the output must stay strict JSON (no NaN)
+    # two equal partial columns (alpha's and beta's) make P.T P singular: those two
+    # errors cannot be formed and are null, the other three are, and the output stays
+    # strict JSON (no NaN)
     from relaxkit.fitio import _Problem
 
     model_partials = _Problem.model_partials
@@ -293,5 +295,8 @@ def test_fit_writes_null_for_an_error_it_cannot_form(tmp_path, capsys, monkeypat
     def no_constant(name):
         raise ValueError(f"{name} in the fit output")
 
-    doc = json.loads(out, parse_constant=no_constant)
-    assert doc["stderr"] == dict.fromkeys(("alpha", "beta", "tau", "eps_inf", "eps_static"))
+    errors = json.loads(out, parse_constant=no_constant)["stderr"]
+    assert sorted(errors) == ["alpha", "beta", "eps_inf", "eps_static", "tau"]
+    assert errors["alpha"] is None and errors["beta"] is None
+    assert all(isinstance(errors[name], float) and 0.0 < errors[name] < math.inf
+               for name in ("tau", "eps_inf", "eps_static"))

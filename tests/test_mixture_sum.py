@@ -89,7 +89,7 @@ def test_the_rule_serves_its_window_and_the_prabhakar_route_the_rest(monkeypatch
     relaxation_derivatives(spec, np.logspace(np.log10(3e-4), 4, 40))
     assert calls == []
     relaxation(spec, np.array([0.0, 1e-4, 1.0, 2e4]))
-    assert calls == [3]
+    assert calls == [2]  # 2e4 takes the tail expansion of n beyond x = 1, not the HN form
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 from scipy.integrate import quad
@@ -820,3 +820,28 @@ def test_inverse_of_spectral_image_matches_response():
         image = laplace_image(spec)
         for t in (0.3, 1.0, 3.0):
             assert inverse_laplace(image, t) == pytest.approx(response(spec, t), rel=1e-7)
+
+
+def hn_tail_reference(alpha, beta, x):
+    """The HN relaxation's tail -sum_{j>=1} (-1)**j (beta)_j x**(-alpha j) / (j! Gamma(1 - alpha j))
+    summed to 40 digits."""
+    with mp.workdps(40):
+        a, b, y = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x) ** -mp.mpf(alpha)
+        terms = (-((-1) ** j) * mp.rf(b, j) * y**j / mp.factorial(j) * mp.rgamma(1 - a * j)
+                 for j in range(1, 80))
+        return float(mp.fsum(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.3, 0.95),
+    beta=st.floats(0.25, 0.95),
+    log_t=st.floats(4.0, 6.0, exclude_min=True),
+)
+@example(alpha=0.95, beta=0.25, log_t=math.log10(1.74e5))
+@example(alpha=0.9, beta=0.9, log_t=6.0)
+def test_hn_relaxation_tail_in_relative_precision(alpha, beta, log_t):
+    # beyond the rule's window, 1 - x**(ab) E[a, 1+ab; b](-x**a) would cancel to about eps / n
+    t = 10.0**log_t
+    got = relaxation(ModelSpec("hn", alpha=alpha, beta=beta), t)
+    assert got == pytest.approx(hn_tail_reference(alpha, beta, t), rel=1e-13, abs=0.0)
