@@ -700,23 +700,8 @@ def _damped_step(S: list, s: list, c: list, lam: float) -> Optional[list]:
 def _cholesky(S: list, lam: float) -> Optional[list]:
     """The lower Cholesky factor of ``S + lam I`` (``S`` symmetric, nested lists, a few rows),
     or None when a pivot is not positive."""
-    L = []
-    for i, S_i in enumerate(S):
-        L_i = []
-        for j in range(i):
-            L_j = L[j]
-            v = S_i[j]
-            for k in range(j):
-                v -= L_i[k] * L_j[k]
-            L_i.append(v / L_j[j])
-        v = S_i[i] + lam
-        for k in range(i):
-            v -= L_i[k] * L_i[k]
-        if not v > 0.0:  # NaN too
-            return None
-        L_i.append(math.sqrt(v))
-        L.append(L_i)
-    return L
+    L, _, null = _skipping_cholesky(S, lam)
+    return None if null else L
 
 
 def _forward_substitute(L: list, c: list) -> list:
@@ -747,19 +732,24 @@ def _cholesky_solve(L: list, c: list) -> list:
     return _back_substitute(L, _forward_substitute(L, c))
 
 
-def _skipping_cholesky(S: list) -> tuple[list, list, list]:
-    """The Cholesky factor of ``S`` (symmetric, nested lists) over the columns whose pivots
-    are positive, their indices, and a null direction of ``S`` for each column left out.
+def _skipping_cholesky(S: list, lam: float = 0.0) -> tuple[list, list, list]:
+    """The Cholesky factor of ``S + lam I`` (``S`` symmetric, nested lists) over the columns
+    whose pivots are positive, their indices, and a null direction for each column left out.
 
-    A column whose pivot is not positive lies (to rounding) in the span of the kept
-    columns before it, ``S[:, i] = S[:, K] y``; its null direction ``z`` has
+    A column whose pivot is not positive (NaN too) lies, to rounding, in the span of
+    the kept columns before it, ``S[:, i] = S[:, K] y``; its null direction ``z`` has
     ``z_i = 1``, ``z_K = -y`` with ``L L.T y = S[K, i]`` over those columns, and 0
     elsewhere.
     """
     L, kept, null = [], [], []
     for i, S_i in enumerate(S):
-        row = _forward_substitute(L, [S_i[j] for j in kept])
-        v = S_i[i]
+        row = []  # forward substitution of S[K, i]
+        for L_j, j in zip(L, kept):
+            v = S_i[j]
+            for k, x in enumerate(row):
+                v -= x * L_j[k]
+            row.append(v / L_j[-1])
+        v = S_i[i] + lam
         for x in row:
             v -= x * x
         if v > 0.0:

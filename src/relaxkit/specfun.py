@@ -251,25 +251,8 @@ def _rgamma(s: float) -> float:
 
 
 def _rgamma_row(s: np.ndarray) -> np.ndarray:
-    """1/Gamma elementwise on a nonempty 1-D monotone row (the coefficient rows of the
-    strategies are arithmetic progressions), each element equal to :func:`_rgamma` of it.
-
-    A row whose ends lie in (-170, 171), where Gamma and its reciprocal are normal
-    floats, takes one ``math.gamma`` per element and one numpy division, with its
-    poles set to 0 afterwards; a subnormal element in it, or an end outside, sends
-    the row through :func:`_rgamma` element by element.
-    """
-    low, high = sorted((s[0], s[-1]))
-    if -170.0 < low and high < 171.0:
-        pole = (s <= 0.0) & (s == np.round(s)) if low <= 0.0 else None
-        safe = s if pole is None else np.where(pole, 0.5, s)
-        try:
-            out = 1.0 / np.fromiter(map(math.gamma, safe.tolist()), float, s.size)
-        except OverflowError:  # a subnormal element
-            return np.fromiter(map(_rgamma, s.tolist()), float, s.size)
-        if pole is not None:
-            out[pole] = 0.0
-        return out
+    """1/Gamma elementwise on a 1-D row (the coefficient rows of the strategies), each
+    element :func:`_rgamma` of it."""
     return np.fromiter(map(_rgamma, s.tolist()), float, s.size)
 
 
@@ -363,19 +346,30 @@ def _q_series(s: float, x: np.ndarray) -> np.ndarray:
 
 def _gammaincc(s: float, x: np.ndarray) -> np.ndarray:
     """Regularized upper incomplete gamma function Q(s, x) = Gamma(s, x) / Gamma(s) for
-    0 < s <= 1 on a 1-D array x >= 0: within 2e-14 relative.
+    s > 0 on a 1-D array x >= 0: within 2e-14 relative for s <= 1.
 
     The series of :func:`_q_series` below x = 1.5 and the Gauss-Laguerre rule of
     :func:`_laguerre` from there; Q(s, 0) = 1, and Q = 0 from x = 746, where
-    e**-x underflows.
+    e**-x underflows.  A larger s = f + n, f in (0, 1], adds the n positive terms
+    of ``Q(s, x) = Q(f, x) + sum_{k<n} x**(f+k) e**-x / Gamma(f+k+1)`` (DLMF 8.8.2),
+    each a few ulps more while e**-x is a normal float (x < 708).
     """
+    if not s > 0.0:
+        raise DomainError(f"Q(s, x) needs s > 0, got {s}")
+    n = math.ceil(s) - 1
+    f = s - n
     out = np.where(x < _GAMMA_ZERO_X, 1.0, 0.0)
     big = (x >= _LAGUERRE_X) & (x < _GAMMA_ZERO_X)
     small = (x < _LAGUERRE_X) & (x > 0.0)
     if np.count_nonzero(small):
-        out[small] = _q_series(s, x[small])
+        out[small] = _q_series(f, x[small])
     if np.count_nonzero(big):
-        out[big] = _laguerre(s, x[big]) * _rgamma(s)
+        out[big] = _laguerre(f, x[big]) * _rgamma(f)
+    if n:
+        term = x**f * np.exp(-x) * _rgamma(f + 1.0)
+        for k in range(n):
+            out += term
+            term *= x / (f + k + 1.0)
     return out
 
 
@@ -387,6 +381,8 @@ def _gamma_upper(s: float, x: np.ndarray) -> np.ndarray:
     at large x (0 from x = 746); below, ``(Gamma(s + 1, x) - x**s e**-x) / s``,
     whose two parts cancel by up to about 1/|s| there.
     """
+    if not -1.0 < s < 0.0:
+        raise DomainError(f"Gamma(s, x) here needs -1 < s < 0, got {s}")
     out = np.zeros(x.shape)
     small = x < _LAGUERRE_X
     big = ~small & (x < _GAMMA_ZERO_X)
@@ -636,20 +632,28 @@ _TAIL_TERMS = 24  # terms of the HN tail expansion
 
 def _hn_tail(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """``1 - x**(alpha beta) E[alpha, 1 + alpha beta; beta](-x**alpha)`` on a 1-D array x > 1,
-    in relative precision: NaN where its expansion does not serve.
+    0 < alpha < 1, in relative precision: NaN where its expansion does not serve.
 
     That is the HN relaxation at x = t/tau.  The expansion of the Prabhakar
     term starts with exactly 1, so the difference is the rest,
     ``-sum_{j>=1} (-1)**j (beta)_j x**(-alpha j) / (j! Gamma(1 - alpha j))``,
     with no cancellation against the 1.  Its first 24 terms are summed from the
-    small end, on a row of :func:`_rgamma_row`; a point is NaN where the last of
-    them is not below 1e-17 of the sum or the terms cancel by more than 2x.
+    small end, on a row of :func:`_rgamma_row`.  By reflection each term is at
+    most ``e_j = |(beta)_j| Gamma(alpha j) x**(-alpha j) / (j! pi)``, a bound that
+    a pole of 1/Gamma (alpha j an integer) does not zero; a point is NaN unless
+    ``e_25``, that of the first term left out, is below 1e-17 of the sum and
+    below ``e_24``, and the terms cancel by at most 2x.
     """
     j = np.arange(1.0, _TAIL_TERMS + 1.0)
-    coef = (np.cumprod(-(beta - 1.0 + j) / j) * _rgamma_row(1.0 - alpha * j))[::-1]
+    rising = np.cumprod(-(beta - 1.0 + j) / j)  # (-1)**j (beta)_j / j!
+    coef = (rising * _rgamma_row(1.0 - alpha * j))[::-1]
     powers = np.power.outer(x, -alpha * j[::-1])  # the small end first
     total, size = -np.einsum("ij,j->i", powers, coef), np.einsum("ij,j->i", powers, np.abs(coef))
-    ok = (powers[:, 0] * abs(coef[0]) <= 1e-17 * np.abs(total)) & (size <= 2.0 * np.abs(total))
+    n = float(_TAIL_TERMS)
+    e_last = abs(rising[-1]) * math.gamma(alpha * n) / math.pi * powers[:, 0]
+    ratio = (beta + n) / (n + 1.0) * math.gamma(alpha * (n + 1.0)) / math.gamma(alpha * n)
+    ratio = ratio * powers[:, -1]  # e_25 / e_24
+    ok = (e_last * ratio <= 1e-17 * np.abs(total)) & (ratio < 1.0) & (size <= 2.0 * np.abs(total))
     return np.where(ok, total, np.nan)
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaxkit import KernelConfig, ModelSpec, memory_k_time, specfun
+from relaxkit.exceptions import DomainError
 
 
 @settings(max_examples=300, deadline=None)
@@ -42,6 +43,31 @@ def test_gammaincc_matches_mpmath(s, log_x):
         exact = float(mpmath.gammainc(s, x) * mpmath.rgamma(s))
     # past x = 700 Q leaves the normal range, where only its absolute size is kept
     assert specfun._gammaincc(s, np.array([x]))[0] == pytest.approx(exact, rel=3e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 7.3, 20.2])
+def test_gammaincc_above_one_matches_mpmath(s):
+    # cd n with beta > 1 (allow_unphysical): Q(f, x) plus positive terms, f = s - n
+    x = np.array([1e-3, 0.1, 1.0, 1.49, 1.5, 3.0, 10.0, 30.0, 100.0, 300.0, 700.0])
+    with mpmath.workdps(40):
+        exact = [float(mpmath.gammainc(s, v) * mpmath.rgamma(s)) for v in x]
+    got = specfun._gammaincc(s, x).tolist()
+    assert got == pytest.approx(exact, rel=3e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("s", [0.0, -0.5])
+def test_gammaincc_rejects_a_nonpositive_s(s):
+    with pytest.raises(DomainError):
+        specfun._gammaincc(s, np.array([1.0]))
+
+
+@pytest.mark.parametrize("b", [1.5, 2.0, 3.0])
+def test_cd_k_kernel_rejects_beta_above_one(b):
+    # Gamma(-b, x) is taken for -1 < -b < 0 only; beyond, the kernel raises rather
+    # than read the series outside its range
+    spec = ModelSpec("cd", beta=b, allow_unphysical=True)
+    with pytest.raises(DomainError):
+        memory_k_time(KernelConfig(spec), np.array([0.5, 3.0]))
 
 
 @pytest.mark.parametrize("b", [0.3, 0.5, 0.9])

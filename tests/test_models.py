@@ -845,3 +845,37 @@ def test_hn_relaxation_tail_in_relative_precision(alpha, beta, log_t):
     t = 10.0**log_t
     got = relaxation(ModelSpec("hn", alpha=alpha, beta=beta), t)
     assert got == pytest.approx(hn_tail_reference(alpha, beta, t), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, t, rel",
+    [
+        (0.5, 1e5, 1e-13),
+        (0.5, 1e6, 1e-13),
+        (0.75, 1e5, 1e-13),
+        (0.75, 1e6, 1e-13),
+        # 24 terms do not reach 1e-17 here (the 25th is 2e-12 of the sum): the HN form
+        # serves, to its own 1.6e-13
+        (1.0 / 12.0, 1e5, 5e-13),
+        (1.0 / 12.0, 1e6, 1e-13),
+    ],
+)
+def test_hn_tail_where_a_gamma_pole_zeroes_the_last_term(alpha, t, rel):
+    # 1 - 24 alpha is a pole of 1/Gamma, so the tail's 24th term is exactly 0 and
+    # says nothing of the terms left out
+    got = relaxation(ModelSpec("hn", alpha=alpha, beta=0.5), t)
+    assert got == pytest.approx(hn_tail_reference(alpha, 0.5, t), rel=rel, abs=0.0)
+
+
+def test_hn_tail_is_not_taken_where_its_terms_grow():
+    # hn(0.5, 2.5) beyond the regime at t/tau = 2: the rule does not serve (a b > 1), and
+    # the tail's odd terms grow about 6x a step, so only the HN form holds; against
+    # 1 - x**(ab) E[a, 1+ab; b](-x**a) from its power series, to 40 digits
+    alpha, beta, x = 0.5, 2.5, 2.0
+    with mp.workdps(40):
+        a, b, z = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x) ** mp.mpf(alpha)
+        e = mp.fsum(mp.rf(b, k) * (-z) ** k / (mp.factorial(k) * mp.gamma(a * k + 1 + a * b))
+                    for k in range(120))
+        exact = float(1 - mp.mpf(x) ** (a * b) * e)
+    got = relaxation(ModelSpec("hn", alpha=alpha, beta=beta, allow_unphysical=True), x)
+    assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
