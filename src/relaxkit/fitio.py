@@ -700,8 +700,30 @@ def _damped_step(S: list, s: list, c: list, lam: float) -> Optional[list]:
 def _cholesky(S: list, lam: float) -> Optional[list]:
     """The lower Cholesky factor of ``S + lam I`` (``S`` symmetric, nested lists, a few rows),
     or None when a pivot is not positive."""
-    L, _, null = _skipping_cholesky(S, lam)
-    return None if null else L
+    L = _cholesky_rows(S, lam)
+    return L if len(L) == len(S) else None
+
+
+def _cholesky_rows(S: list, lam: float) -> list:
+    """The rows of the lower Cholesky factor of ``S + lam I`` before the first whose pivot is
+    not positive (NaN too): all of them when ``S + lam I`` is positive definite."""
+    L = []
+    for i, S_i in enumerate(S):
+        L_i = []
+        for j in range(i):
+            L_j = L[j]
+            v = S_i[j]
+            for k in range(j):
+                v -= L_i[k] * L_j[k]
+            L_i.append(v / L_j[j])
+        v = S_i[i] + lam
+        for k in range(i):
+            v -= L_i[k] * L_i[k]
+        if not v > 0.0:
+            break
+        L_i.append(math.sqrt(v))
+        L.append(L_i)
+    return L
 
 
 def _forward_substitute(L: list, c: list) -> list:
@@ -732,34 +754,21 @@ def _cholesky_solve(L: list, c: list) -> list:
     return _back_substitute(L, _forward_substitute(L, c))
 
 
-def _skipping_cholesky(S: list, lam: float = 0.0) -> tuple[list, list, list]:
-    """The Cholesky factor of ``S + lam I`` (``S`` symmetric, nested lists) over the columns
-    whose pivots are positive, their indices, and a null direction for each column left out.
+def _skipping_cholesky(S: list) -> tuple[list, list, list]:
+    """The Cholesky factor of ``S`` (symmetric, nested lists) over the columns whose pivots
+    are positive, their indices, and a null direction of ``S`` for each column left out.
 
-    A column whose pivot is not positive (NaN too) lies, to rounding, in the span of
-    the kept columns before it, ``S[:, i] = S[:, K] y``; its null direction ``z`` has
+    A column whose pivot is not positive lies (to rounding) in the span of the kept
+    columns before it, ``S[:, i] = S[:, K] y``; its null direction ``z`` has
     ``z_i = 1``, ``z_K = -y`` with ``L L.T y = S[K, i]`` over those columns, and 0
-    elsewhere.
+    elsewhere.  The kept columns are factored again after each one left out.
     """
-    L, kept, null = [], [], []
-    for i, S_i in enumerate(S):
-        row = []  # forward substitution of S[K, i]
-        for L_j, j in zip(L, kept):
-            v = S_i[j]
-            for k, x in enumerate(row):
-                v -= x * L_j[k]
-            row.append(v / L_j[-1])
-        v = S_i[i] + lam
-        for x in row:
-            v -= x * x
-        if v > 0.0:
-            row.append(math.sqrt(v))
-            L.append(row)
-            kept.append(i)
-            continue
+    kept, null = list(range(len(S))), []
+    while len(L := _cholesky_rows([[S[i][j] for j in kept] for i in kept], 0.0)) < len(kept):
+        i = kept.pop(len(L))
         z = [0.0] * len(S)
         z[i] = 1.0
-        for j, y_j in zip(kept, _back_substitute(L, row)):
+        for j, y_j in zip(kept, _cholesky_solve(L, [S[i][j] for j in kept[: len(L)]])):
             z[j] = -y_j
         null.append(z)
     return L, kept, null

@@ -208,7 +208,7 @@ def _kernel(cfg: KernelConfig, t: np.ndarray, which: str):
     if law == "cd":
         # B Gamma(-b, x) / |Gamma(-b)| = B b Gamma(-b, x) / Gamma(1 - b), with Gamma(-b, x)
         # itself from x = 1.5 (no cancellation there): within 2e-14 relative from there,
-        # 3e-15 / b below
+        # 3e-15 / b below; DomainError for b > 1, where -b leaves (-1, 0)
         return B * b * _rgamma(1.0 - b) * _gamma_upper(-b, x), zero
     # jws / mcd: k_hat(s) = B tau p**(a-1) w / g(w) with p = s tau, w = p**-a; its
     # leading term p**(a-1) / b inverts in closed form (for mcd, a = 1, it is the
