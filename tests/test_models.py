@@ -840,6 +840,10 @@ def hn_tail_reference(alpha, beta, x):
 )
 @example(alpha=0.95, beta=0.25, log_t=math.log10(1.74e5))
 @example(alpha=0.9, beta=0.9, log_t=6.0)
+@example(alpha=0.5, beta=0.5, log_t=5.0)  # 1/Gamma(1 - 24 alpha) = 0: the 24th term is 0
+@example(alpha=0.5, beta=0.5, log_t=6.0)
+@example(alpha=0.75, beta=0.5, log_t=5.0)
+@example(alpha=0.75, beta=0.5, log_t=6.0)
 def test_hn_relaxation_tail_in_relative_precision(alpha, beta, log_t):
     # beyond the rule's window, 1 - x**(ab) E[a, 1+ab; b](-x**a) would cancel to about eps / n
     t = 10.0**log_t
@@ -847,24 +851,12 @@ def test_hn_relaxation_tail_in_relative_precision(alpha, beta, log_t):
     assert got == pytest.approx(hn_tail_reference(alpha, beta, t), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize(
-    "alpha, t, rel",
-    [
-        (0.5, 1e5, 1e-13),
-        (0.5, 1e6, 1e-13),
-        (0.75, 1e5, 1e-13),
-        (0.75, 1e6, 1e-13),
-        # 24 terms do not reach 1e-17 here (the 25th is 2e-12 of the sum): the HN form
-        # serves, to its own 1.6e-13
-        (1.0 / 12.0, 1e5, 5e-13),
-        (1.0 / 12.0, 1e6, 1e-13),
-    ],
-)
-def test_hn_tail_where_a_gamma_pole_zeroes_the_last_term(alpha, t, rel):
-    # 1 - 24 alpha is a pole of 1/Gamma, so the tail's 24th term is exactly 0 and
-    # says nothing of the terms left out
-    got = relaxation(ModelSpec("hn", alpha=alpha, beta=0.5), t)
-    assert got == pytest.approx(hn_tail_reference(alpha, 0.5, t), rel=rel, abs=0.0)
+@pytest.mark.parametrize("t", [1e5, 1e6])
+def test_hn_tail_at_small_alpha_keeps_the_hn_form_where_24_terms_do_not_reach(t):
+    # at alpha = 1/12 the tail's 24th term is 0 (1 - 24 alpha is a pole of 1/Gamma) and
+    # says nothing of the 25th, 2e-12 of the sum at 1e5: the HN form serves, to 1.6e-13
+    got = relaxation(ModelSpec("hn", alpha=1.0 / 12.0, beta=0.5), t)
+    assert got == pytest.approx(hn_tail_reference(1.0 / 12.0, 0.5, t), rel=5e-13, abs=0.0)
 
 
 def test_hn_tail_is_not_taken_where_its_terms_grow():
