@@ -6,7 +6,8 @@ Everything the relaxation models need in the time domain reduces to
 * power series, with log-gamma/sign bookkeeping and a cancellation monitor;
 * fixed-Talbot contour inversion of the Laplace image
   ``z**(alpha*nu - mu) / (x + z**alpha)**nu`` at t = 1 (midrange workhorse);
-* large-argument algebraic expansion with optimal truncation;
+* the large-argument algebraic expansion, truncated on a pole-proof bound of
+  its terms (also the HN relaxation's long-time tail);
 * for rational ``alpha = l/k``, the finite sum of k generalized
   hypergeometric functions (cross-validation path).
 
@@ -18,9 +19,9 @@ caller picks a strategy, and no two are cross-checked.
 
 ``alpha == 1`` (mu > 0) is routed through the Kummer-transformed confluent
 series ``exp(-x) 1F1(mu - nu; mu; x) / Gamma(mu)`` below x = 50, whose terms
-are nonnegative for ``mu >= nu``, and its expansion in 1/x beyond, so the
-Debye/Cole-Davidson reductions hold to 3e-14 relative or better at any
-argument.
+are nonnegative for ``mu >= nu``, and the expansion beyond (Kummer's series
+up to x = 690 where that drops a part e**-x that shows), so the Debye and
+Cole-Davidson reductions hold to 3e-14 relative or better at any argument.
 
 One dispatcher, ``_eval_grid``, routes a 1-D array of arguments, ``mu < 0``
 included, with one call per strategy; a number is a 1-element array.  The
@@ -78,9 +79,9 @@ _REL_TOL = 1e-13
 _MAX_TERMS = 2000
 _TINY = 1e-300
 # terms per block of the array series and expansion (the blocks bound their
-# memory, and a point drops out after the block in which it converges), and
-# the expansion's term cap
-_SERIES_ROWS, _ASYM_ROWS, _ASYM_TERMS = 64, 16, 160
+# memory, and a point drops out after the block in which it converges), the
+# expansion's term cap, and the fraction of its first bound it sums down to
+_SERIES_ROWS, _ASYM_ROWS, _ASYM_TERMS, _ASYM_TOL = 64, 32, 160, 1e-17
 
 
 @dataclass(frozen=True)
@@ -464,9 +465,8 @@ def _series(alpha: float, mu: float, nu: float, x: np.ndarray):
 
 
 # alpha = 1 (Kummer): the series below _KUMMER_X in 144 terms (e**-x x**n / n! < 1e-26 at
-# n = 144, x = 50), and from there the expansion in 1/x in _KUMMER_ASYM terms or, where
-# that is not accurate, the series in _KUMMER_LONG terms (enough up to x = 690)
-_KUMMER_X, _KUMMER_ASYM, _KUMMER_LONG = 50.0, 24, 960
+# n = 144, x = 50), and from there the series in _KUMMER_LONG terms (enough up to x = 690)
+_KUMMER_X, _KUMMER_LONG = 50.0, 960
 
 
 def _expansion_serves(mu: float, nu: float) -> bool:
@@ -486,31 +486,6 @@ def _expansion_serves(mu: float, nu: float) -> bool:
         return True  # 1/Gamma(nu) = 0: no second part
     x, p = _KUMMER_X, 2.0 * nu - mu
     return p < x and p * math.log(x) - x + math.lgamma(a) - math.lgamma(nu) < -37.0
-
-
-def _kummer_expansion(mu: float, nu: float, x: np.ndarray) -> np.ndarray:
-    """``E[1, mu; nu](-x) ~ x**-nu / Gamma(mu - nu) 2F0(nu, 1 - mu + nu;; 1/x)`` on a 1-D
-    array x >= 50 (:func:`_expansion_serves` must hold), in 24 terms; NaN where the last
-    of them is not below 1e-17 of the sum or the terms cancel by more than 4x.
-
-    Term j is ``(nu)_j (1 - mu + nu)_j / j! x**-j``.  For nu > 0 and mu - nu <= 1
-    every term is positive and shrinks with x, so one check at x = 50 serves all
-    points; a 2F0 whose terms reach 0 is exact.
-    """
-    a = mu - nu
-    k = np.arange(_KUMMER_ASYM - 1.0)
-    d = np.empty(_KUMMER_ASYM)
-    d[0] = _rgamma(a)
-    np.multiply((nu + k) * (1.0 - a + k), 1.0 / (k + 1.0), out=d[1:])
-    np.cumprod(d, out=d)
-    powers = np.power.outer(x, -np.arange(float(_KUMMER_ASYM)))
-    total = np.einsum("ij,j->i", powers, d)
-    if nu > 0.0 and a <= 1.0:
-        ok = abs(d[-1]) * _KUMMER_X ** (1 - _KUMMER_ASYM) <= 1e-17 * abs(d[0])
-    else:
-        size = np.einsum("ij,j->i", powers, np.abs(d))
-        ok = (np.abs(d[-1]) * powers[:, -1] <= 1e-17 * np.abs(total)) & (size <= 4.0 * np.abs(total))
-    return np.where(ok, x**-nu * total, np.nan)
 
 
 @functools.lru_cache(maxsize=8)
@@ -558,12 +533,11 @@ def _kummer(mu: float, nu: float, x):
     ``E[1, mu; nu](-x) = e**-x 1F1(mu - nu; mu; x) / Gamma(mu)``.  Below x = 50
     the series in its first 144 terms (:func:`_kummer_series`); for mu >= nu
     every term is nonnegative, and it is within 1e-14 relative (the Debye and
-    Cole-Davidson reductions to 1e-12 and better).  From x = 50 the expansion
-    in 1/x (:func:`_kummer_expansion`, within 3e-14 relative) where it serves
-    (:func:`_expansion_serves`) and meets its checks, and otherwise the series
-    in 960 terms (:func:`_kummer_long`) up to x = 690 and NaN beyond.  mu = nu
-    gives e**-x / Gamma(mu) at any x.  For mu < nu the terms alternate; the
-    route's ``(nu - mu) x <= 36`` bounds the cancellation.
+    Cole-Davidson reductions to 1e-12 and better); from x = 50, which the route
+    sends here only where the expansion misses e**-x (:func:`_expansion_serves`),
+    the series in 960 terms (:func:`_kummer_long`) up to x = 690, NaN beyond.
+    mu = nu gives e**-x / Gamma(mu) at any x.  For mu < nu the terms alternate;
+    the route's ``(nu - mu) x <= 36`` bounds the cancellation.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     a, rg = mu - nu, _rgamma(mu)
@@ -573,88 +547,107 @@ def _kummer(mu: float, nu: float, x):
     elif not np.count_nonzero(far):
         out = _kummer_series(a, mu, arr, rg)
     else:
-        out = np.empty(arr.shape)
+        out = np.full(arr.shape, np.nan)
         out[~far] = _kummer_series(a, mu, arr[~far], rg)
-        xf = arr[far]
-        value = np.full(xf.shape, np.nan)
-        if _expansion_serves(mu, nu):
-            value = _kummer_expansion(mu, nu, xf)
-        miss = np.isnan(value) & (xf <= 690.0)
-        if np.count_nonzero(miss):
-            value[miss] = _kummer_long(a, mu, xf[miss]) * rg
-        out[far] = value
+        long = far & (arr <= 690.0)
+        out[long] = _kummer_long(a, mu, arr[long]) * rg
     return out.reshape(np.shape(x)) if isinstance(x, np.ndarray) else float(out[0])
 
 
-def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray):
-    """Algebraic large-x expansion with optimal truncation.
+def _rgamma_bound(s: float) -> float:
+    """|1/Gamma(s)|, or for s < 1/2 its reflection bound Gamma(1 - s) / pi, which no pole
+    zeroes (inf where it overflows)."""
+    if not s < 0.5:
+        return abs(_rgamma(s))
+    return 1.0 / (math.pi * _rgamma(1.0 - s)) if s > -170.0 else math.inf
 
-    E[alpha, mu; nu](-x) ~ sum_j (-1)^j (nu)_j x**(-nu-j) / (j! Gamma(mu - alpha(nu+j))),
-    summed until the terms start growing; the first omitted term bounds the
-    error.  Terms come ``_ASYM_ROWS`` to a block, and each point stops at its
-    first term that grows (not summed) or is small (summed).  A coefficient
-    whose Gamma argument lies within 1e-9 of a nonpositive integer is zero
-    (its computed 1/Gamma is rounding noise) and is skipped, so it cannot end
-    the sum.  Points whose error bound exceeds 1e-12 of the sum are NaN.
+
+@functools.lru_cache(maxsize=256)
+def _asymptotic_block(alpha: float, mu: float, nu: float, first: int, k: int) -> tuple:
+    """Block k of the expansion from j = first, cached: rows of exponents -(nu + j),
+    coefficients and bounds ``|(nu)_j / j!|`` :func:`_rgamma_bound` (s_j) for j = j0 - 1
+    .. j0 + ``_ASYM_ROWS`` - 1, j0 = first + k ``_ASYM_ROWS``, and the running product
+    block k + 1 goes on from.  Column 0, the last term of block k - 1, is there for its
+    bound (coefficient 0; bound inf at k = 0).  At alpha = 1 the coefficients are one
+    running product, and for s_j < 1/2 the bound is |coefficient| / |sin(pi s_0)|."""
+    rows = np.empty((3, _ASYM_ROWS + 1))
+    exponent, coef, bound = rows[0], rows[1], rows[2]
+    if k:
+        before, carry = _asymptotic_block(alpha, mu, nu, first, k - 1)
+        exponent[0], coef[0], bound[0] = before[0, -1], 0.0, before[2, -1]
+    else:
+        carry, exponent[0], coef[0], bound[0] = (-nu) ** first, 0.0, 0.0, math.inf
+    j0 = first + k * _ASYM_ROWS
+    j = np.arange(j0, j0 + _ASYM_ROWS, dtype=float)
+    e, run, inv = exponent[1:], np.empty(_ASYM_ROWS + 1), 1.0 / (j + 1.0)  # run[-1] starts block k + 1
+    np.subtract(-nu, j, out=e)
+    if alpha == 1.0:
+        a = mu - nu
+        run[0] = carry if k else carry * _rgamma(a - first)
+        np.multiply(e, (a - 1.0 - j) * inv, out=run[1:])  # (nu + j) (j + 1 - a) / (j + 1)
+        np.multiply.accumulate(run, out=run)
+        coef[1:] = run[:-1]
+        np.abs(coef[1:], out=bound[1:])
+        i = max(0, math.floor(a - 0.5) + 1 - j0)  # the first j - j0 with s_j < 1/2
+        sine = abs(math.sin(math.pi * (a - round(a))))
+        if i < _ASYM_ROWS and sine:
+            np.multiply(bound[1 + i :], 1.0 / sine, out=bound[1 + i :])
+    else:
+        s = mu + alpha * e
+        run[0] = carry
+        np.multiply(e, inv, out=run[1:])  # -(nu + j) / (j + 1)
+        np.multiply.accumulate(run, out=run)
+        np.multiply(run[:-1], _rgamma_row(s), out=coef[1:])
+        np.multiply(np.abs(run[:-1]), np.fromiter(map(_rgamma_bound, s.tolist()), float, s.size), out=bound[1:])
+    rows.flags.writeable = False
+    return rows, run[-1]
+
+
+def _asymptotic(alpha: float, mu: float, nu: float, x: np.ndarray, first: int = 0):
+    """Algebraic large-x expansion, truncated on a bound that no pole zeroes.
+
+    E[alpha, mu; nu](-x) ~ sum_j (-1)^j (nu)_j x**(-nu-j) / (j! Gamma(s_j)),
+    s_j = mu - alpha (nu + j), from j = ``first`` (1 drops the leading term: the
+    HN tail), each term a coefficient times a power of x (:func:`_asymptotic_block`).
+    A term is at most its bound ``|(nu)_j / j!| Gamma(1 - s_j) / pi x**(-nu-j)``
+    (|1/Gamma(s_j)| itself for s_j >= 1/2), which neither a pole of 1/Gamma nor a
+    dip of sin(pi s_j) zeroes.  A point sums while its bounds fall, down to one
+    at most 1e-17 of its first (optimal truncation), and only the points still
+    going take the next block, so each point's sum is its own row's.  The last
+    bound summed is its error: NaN where that exceeds 1e-12 of the sum.  Against
+    mpmath: 8.1e-14 at worst from u = 55 (seeded HN and JWS index families).
     """
-    log_x = np.log(x)[:, None]
-    total, err, last = np.zeros(x.size), np.full(x.size, np.inf), np.full(x.size, np.inf)
-    live = np.arange(x.size)
-    for j, poch, sign, log_fact in _term_blocks(nu, _ASYM_TERMS, _ASYM_ROWS):
-        s = mu - alpha * (nu + j)
-        rg = _rgamma_row(s)
-        keep = (rg != 0.0) & ~((s < 0.5) & (np.abs(s - np.round(s)) < 1e-9))
-        if not keep.all():
-            if not keep.any():
-                continue
-            j, poch, sign, log_fact, rg = j[keep], poch[keep], sign[keep], log_fact[keep], rg[keep]
-        mag = (poch - log_fact) - (nu + j) * log_x[live]
-        term = sign * np.exp(np.minimum(mag, 709.0)) * rg
-        size = np.abs(term)
-        grow = size > np.concatenate((last[live, None], size[:, :-1]), axis=1)
-        term[grow] = 0.0  # a growing term is not summed
-        term[:, 0] += total[live]
-        sums = np.cumsum(term, axis=1)
-        hit = grow | (size < _REL_TOL * np.maximum(np.abs(sums), _TINY))
-        done = hit.any(axis=1)
-        stop, rows = np.where(done, hit.argmax(axis=1), j.size - 1), np.arange(live.size)
-        total[live] = sums[rows, stop]
-        err[live] = np.where(done, size[rows, stop], np.inf)
-        last[live] = size[:, -1]
-        live = live[~done]
-        if not live.size:
+    xs = x
+    for k in range(-(-(_ASYM_TERMS - first) // _ASYM_ROWS)):
+        rows = _asymptotic_block(alpha, mu, nu, first, k)[0]
+        power = np.power.outer(xs, rows[0])
+        size = power * rows[2]  # column 0: the last bound of the block before
+        if not k:
+            ref = _ASYM_TOL * size[:, 1:2]
+        # terms are dropped from the first whose bound rises or follows one at most ref
+        drop = size[:, :-1] <= np.maximum(size[:, 1:], ref)
+        np.logical_or.accumulate(drop, axis=1, out=drop)
+        np.copyto(power[:, 1:], 0.0, where=drop)
+        np.copyto(size[:, 1:], np.inf, where=drop)
+        part, last = np.einsum("ij,j->i", power, rows[1]), size.min(axis=1)  # the last bound summed
+        if k:
+            total[live], err[live] = total[live] + part, last
+        else:
+            total, err = part, last
+        more = ~drop[:, -1]
+        if not np.count_nonzero(more):
             break
-    return np.where(err <= 1e-12 * np.maximum(np.abs(total), _TINY), total, np.nan)
-
-
-_TAIL_TERMS = 24  # terms of the HN tail expansion
+        live, xs, ref = live[more] if k else np.flatnonzero(more), xs[more], ref[more]
+    return np.where(err <= 1e-12 * np.abs(total), total, np.nan)
 
 
 def _hn_tail(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """``1 - x**(alpha beta) E[alpha, 1 + alpha beta; beta](-x**alpha)`` on a 1-D array x > 1,
-    0 < alpha < 1, in relative precision: NaN where its expansion does not serve.
-
-    That is the HN relaxation at x = t/tau.  The expansion of the Prabhakar
-    term starts with exactly 1, so the difference is the rest,
-    ``-sum_{j>=1} (-1)**j (beta)_j x**(-alpha j) / (j! Gamma(1 - alpha j))``,
-    with no cancellation against the 1.  Its first 24 terms are summed from the
-    small end, on a row of :func:`_rgamma_row`.  By reflection each term is at
-    most ``e_j = |(beta)_j| Gamma(alpha j) x**(-alpha j) / (j! pi)``, a bound that
-    a pole of 1/Gamma (alpha j an integer) does not zero; a point is NaN unless
-    ``e_25``, that of the first term left out, is below 1e-17 of the sum and
-    below ``e_24``, and the terms cancel by at most 2x.
-    """
-    j = np.arange(1.0, _TAIL_TERMS + 1.0)
-    rising = np.cumprod(-(beta - 1.0 + j) / j)  # (-1)**j (beta)_j / j!
-    coef = (rising * _rgamma_row(1.0 - alpha * j))[::-1]
-    powers = np.power.outer(x, -alpha * j[::-1])  # the small end first
-    total, size = -np.einsum("ij,j->i", powers, coef), np.einsum("ij,j->i", powers, np.abs(coef))
-    n = float(_TAIL_TERMS)
-    e_last = abs(rising[-1]) * math.gamma(alpha * n) / math.pi * powers[:, 0]
-    ratio = (beta + n) / (n + 1.0) * math.gamma(alpha * (n + 1.0)) / math.gamma(alpha * n)
-    ratio = ratio * powers[:, -1]  # e_25 / e_24
-    ok = (e_last * ratio <= 1e-17 * np.abs(total)) & (ratio < 1.0) & (size <= 2.0 * np.abs(total))
-    return np.where(ok, total, np.nan)
+    """The HN relaxation ``1 - x**(alpha beta) E[alpha, 1 + alpha beta; beta](-x**alpha)`` at
+    x = t/tau > 1 (a 1-D array) as its expansion without the leading 1 (:func:`_asymptotic`
+    from j = 1), so nothing cancels: within 1e-13 relative for alpha in [0.1, 0.95] beyond
+    x = 1e4, NaN where the expansion does not serve."""
+    ab = alpha * beta
+    return -(x**ab) * _asymptotic(alpha, 1.0 + ab, beta, x**alpha, first=1)
 
 
 def _contour(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
@@ -692,44 +685,45 @@ def _eval_grid(alpha: float, mu: float, nu: float, x: np.ndarray) -> np.ndarray:
     Every point takes its route, with one strategy call per route (a number is
     a 1-element array, so it equals its grid element by construction), by
     ``u = x**(1/alpha)``: x = 0 is 1/Gamma(mu); alpha = 1 with mu > 0 takes
-    Kummer while its terms alternate mildly, at any x where its expansion
-    serves from x = 50 (:func:`_expansion_serves`) and up to x = 690 where not;
-    its NaN points go on.  The series is tried once, for ``u <= _CROSSOVER_U`` (5) when mu >= 0 and
-    ``u <= _SERIES_MAX_U`` (25) when mu < 0, and kept wherever its own
-    cancellation estimate is at most
-    ``_SERIES_MAX_CANCEL`` (1e4).  Every other point with ``u >= 50`` tries the
-    expansion, and what is left takes the contour for mu >= 0; mu < 0 has no
-    Laplace image, so there it takes the recurrence
+    Kummer while its terms alternate mildly, below x = 50, and up to x = 690
+    where the expansion misses e**-x (:func:`_expansion_serves`); its NaN
+    points go on.  The series is tried once, for ``u <= _CROSSOVER_U`` (5) when
+    mu >= 0 and ``u <= _SERIES_MAX_U`` (25) when mu < 0, and kept wherever its
+    own cancellation estimate is at most ``_SERIES_MAX_CANCEL`` (1e4).  Every
+    other point with ``u >= 50``, alpha = 1 included, tries the expansion,
+    kept where the last bound it sums is at most 1e-12 of its sum
+    (:func:`_asymptotic`), and what is left takes the contour for mu >= 0;
+    mu < 0 has no Laplace image, so there it takes the recurrence
     E[a, mu; nu] = a nu E[a, mu+1; nu+1] - (a nu - mu) E[a, mu+1; nu]
     (Kilbas, Saigo & Saxena 2004) up to mu >= 0.
     """
     out = np.full(x.shape, _rgamma(mu))
     todo = x > 0.0
     if alpha == 1.0 and mu > 0.0:
-        # Kummer terms are nonnegative for mu >= nu; for mu < nu they alternate
-        # with peak ~exp(2 sqrt((nu-mu) x)) / mu, so only mild alternation is
-        # allowed, and none that overflows for a subnormal mu
-        kummer = todo & ((mu >= nu) | ((nu - mu) * x <= min(36.0, 1e300 * mu)))
-        if not _expansion_serves(mu, nu):  # beyond x = 690 Kummer's series overflows
-            kummer &= x <= 690.0
-        if kummer.any():
+        # from x = 50 the expansion where it is the whole value; Kummer's series up to
+        # x = 690 where not (beyond, it overflows)
+        kummer = todo & ((x < _KUMMER_X) if _expansion_serves(mu, nu) else (x <= 690.0))
+        if mu < nu:  # Kummer's terms alternate, with peak ~exp(2 sqrt((nu-mu) x)) / mu: only
+            # mild alternation is allowed, and none that overflows for a subnormal mu
+            kummer &= (nu - mu) * x <= min(36.0, 1e300 * mu)
+        if np.count_nonzero(kummer):
             out[kummer] = value = _kummer(mu, nu, x[kummer])
             todo[kummer] = np.isnan(value)
-    if not todo.any():
+    if not np.count_nonzero(todo):
         return out
-    u = x ** (1.0 / alpha)
+    u = x if alpha == 1.0 else x ** (1.0 / alpha)
     series = todo & (u <= (_CROSSOVER_U if mu >= 0.0 else _SERIES_MAX_U))
     if mu >= 0.0 and nu > 20.0:
         # a caller's large nu makes the series predictably cancel: straight to the image
         series &= nu * x <= 10.0
-    if series.any():
+    if np.count_nonzero(series):
         out[series], cancel = _series(alpha, mu, nu, x[series])
         todo[series] = cancel > _SERIES_MAX_CANCEL
     asym = todo & (u >= _ASYM_SAFE_U)
-    if asym.any():
+    if np.count_nonzero(asym):
         out[asym] = value = _asymptotic(alpha, mu, nu, x[asym])
         todo[asym] = np.isnan(value)
-    if not todo.any():
+    if not np.count_nonzero(todo):
         return out
     if mu >= 0.0:
         out[todo] = _contour(alpha, mu, nu, x[todo])
@@ -744,9 +738,10 @@ def prabhakar(params: PrabhakarParams, x: float) -> float:
 
     Each point takes its route by ``u = x**(1/alpha)``: the power series
     where it cancels by at most 1e4 at ``u <= 5`` (``u <= 25`` for mu < 0),
-    the algebraic expansion from ``u >= 50``, and contour inversion (mu >= 0)
-    or the recurrence in mu (mu < 0) for every other point; see
-    :func:`_eval_grid`.
+    the algebraic expansion from ``u >= 50`` where its pole-proof error bound is
+    at most 1e-12 of the sum (within 8.1e-14 of mpmath on seeded draws), and
+    the contour (mu >= 0) or the recurrence in mu (mu < 0) for every other
+    point; alpha = 1 takes Kummer's series below x = 50.  See :func:`_eval_grid`.
     """
     return prabhakar_eval(params.alpha, params.mu, params.nu, x)
 
@@ -757,7 +752,9 @@ def prabhakar_eval(alpha: float, mu: float, nu: float, x):
     A negative ``nu`` is evaluated as well; second derivatives of the
     relaxation functions need ``mu < 0``.  Same contract and the same route
     as :func:`prabhakar` otherwise: the series where its cancellation is at
-    most 1e4, else the expansion, the contour or the recurrence in mu.
+    most 1e4, else the expansion (truncated on a pole-proof bound, kept within
+    1e-12 of the sum; 8.1e-14 at worst against mpmath), the contour or the
+    recurrence in mu.
     ``x`` is a number (a float result) or an array (an array of its shape); both
     go through :func:`_eval_grid`, a number as a 1-element array, so it gives
     exactly the element of a grid call.  A negative or NaN ``x`` raises

@@ -140,11 +140,11 @@ def test_levy_parent_composition_calls_the_kernel_a_few_times(kind, parent):
 
 def test_tanh_sinh_takes_scalar_only_and_zero_dimensional_integrands():
     value, _ = quadrature.tanh_sinh(math.log, 0.0, 1.0)
-    assert value == pytest.approx(-1.0, rel=1e-11)
+    assert value == pytest.approx(-1.0, rel=1e-11, abs=0.0)
     value, _ = quadrature.tanh_sinh(lambda u: 1.0, 0.0, 2.0)
-    assert value == pytest.approx(2.0, rel=1e-12)
+    assert value == pytest.approx(2.0, rel=1e-12, abs=0.0)
     value, _ = quadrature.tanh_sinh(lambda u: u if u < 2.0 else 0.0, 0.0, 1.0)
-    assert value == pytest.approx(0.5, rel=1e-12)
+    assert value == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 def test_array_fn_reraises_domain_errors_without_falling_back():
@@ -217,9 +217,9 @@ def test_engine_matches_the_point_by_point_rule(f, f_array, a, b, rel_tol):
     sampled = call_levels(a, b, calls)
     assert sampled[0] == range(4) and all(p.stop == r.start for p, r in zip(sampled, sampled[1:]))
     assert levels - 1 in sampled[-1] and all(np.ndim(x) == 1 for x in calls)
-    assert value == pytest.approx(ref_value, rel=1e-14)
+    assert value == pytest.approx(ref_value, rel=1e-14, abs=0.0)
     assert abs(err - ref_err) <= 1e-14 * abs(ref_value)
-    assert quadrature.tanh_sinh(f, a, b, rel_tol=rel_tol)[0] == pytest.approx(value, rel=1e-14)
+    assert quadrature.tanh_sinh(f, a, b, rel_tol=rel_tol)[0] == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
 def per_level_integrate_rows(f, a, b, n_rows, rel_tol, max_level):
@@ -286,7 +286,7 @@ def test_rows_stop_at_their_own_levels():
         for calls in (joint, seen):
             mine = [levels for rows, levels in calls if r in rows]
             assert last[r] in mine[-1] and mine == [levels for _, levels in calls][:len(mine)]
-    assert value == pytest.approx([4.0 / 3.0, 100.0 * math.atan(100.0)], rel=1e-12)
+    assert value == pytest.approx([4.0 / 3.0, 100.0 * math.atan(100.0)], rel=1e-12, abs=0.0)
 
 
 def peaks(widths):
@@ -521,7 +521,7 @@ def test_subordination_kernel_keeps_its_small_u_limit(alpha, u, t):
         u_, t_, a = mp.mpf(u), mp.mpf(t), mp.mpf(alpha)
         expected = float(t_ * series_oracle(alpha, t_ * u_ ** (-1 / a)) / (a * u_ ** (1 + 1 / a)))
     limit = math.gamma(1.0 + alpha) * math.sin(math.pi * alpha) * t**-alpha / (math.pi * alpha)
-    assert expected == pytest.approx(limit, rel=1e-8)
+    assert expected == pytest.approx(limit, rel=1e-8, abs=0.0)
     assert laplace.subordination_kernel(alpha, u, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -544,7 +544,7 @@ def test_subordination_kernel_at_subnormal_t_and_tiny_u():
         u_, t_ = mp.mpf(u), mp.mpf(t)
         x = t_ / u_**2
         expected = t_ * x**-1.5 * mp.exp(-1 / (4 * x)) / (2 * mp.sqrt(mp.pi)) / (u_**3 / 2)
-    assert value == pytest.approx(float(expected), rel=1e-11)
+    assert value == pytest.approx(float(expected), rel=1e-11, abs=0.0)
 
 
 def test_levy_density_keeps_its_accuracy_where_it_is_subnormal():

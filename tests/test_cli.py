@@ -54,7 +54,7 @@ def test_eval_relaxation_grid_headers(capsys):
     first = float(lines[1].split(",")[1])
     from relaxkit.models import ModelSpec, relaxation
 
-    assert first == pytest.approx(relaxation(ModelSpec("hn", alpha=0.5, beta=0.5), 0.01), rel=1e-9)
+    assert first == pytest.approx(relaxation(ModelSpec("hn", alpha=0.5, beta=0.5), 0.01), rel=1e-9, abs=0.0)
 
 
 def test_eval_pdf_cd_zero_below_one(capsys):

@@ -153,7 +153,7 @@ def test_synthesize_deterministic():
 def test_synthesize_time_domain():
     spec = ModelSpec("kww", alpha=0.6, tau=2.0)
     ds = synthesize(spec, None, np.logspace(-2, 1, 20), 0.0, seed=0, domain="time")
-    assert ds.n[0] == pytest.approx(math.exp(-((0.01 / 2.0) ** 0.6)), rel=1e-12)
+    assert ds.n[0] == pytest.approx(math.exp(-((0.01 / 2.0) ** 0.6)), rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_fit_debye_noiseless():
     ds = synthesize(ModelSpec("debye", tau=1.0), SCALE, GRID, 0.0, seed=1)
     res = fit(ds, "debye")
     assert res.converged
-    assert res.spec.tau == pytest.approx(1.0, rel=1e-6)
+    assert res.spec.tau == pytest.approx(1.0, rel=1e-6, abs=0.0)
     assert res.residual_norm < 1e-10
 
 
@@ -173,11 +173,11 @@ def test_fit_hn_noiseless_recovery():
     truth = ModelSpec("hn", alpha=0.75, beta=1.0 / 3.0, tau=1.0)
     ds = synthesize(truth, SCALE, GRID, 0.0, seed=7)
     res = fit(ds, "hn")
-    assert res.spec.alpha == pytest.approx(0.75, rel=1e-6)
-    assert res.spec.beta == pytest.approx(1.0 / 3.0, rel=1e-6)
-    assert res.spec.tau == pytest.approx(1.0, rel=1e-6)
-    assert res.scale.eps_static == pytest.approx(5.0, rel=1e-6)
-    assert res.scale.eps_inf == pytest.approx(2.0, rel=1e-6)
+    assert res.spec.alpha == pytest.approx(0.75, rel=1e-6, abs=0.0)
+    assert res.spec.beta == pytest.approx(1.0 / 3.0, rel=1e-6, abs=0.0)
+    assert res.spec.tau == pytest.approx(1.0, rel=1e-6, abs=0.0)
+    assert res.scale.eps_static == pytest.approx(5.0, rel=1e-6, abs=0.0)
+    assert res.scale.eps_inf == pytest.approx(2.0, rel=1e-6, abs=0.0)
     assert res.residual_norm < 1e-10
 
 
@@ -203,7 +203,7 @@ def test_fit_scale_equivariance():
     c = 1000.0
     shifted = SpectrumDataset(base.omega * c, base.eps_re, base.eps_im)
     r1, r2 = fit(base, "hn"), fit(shifted, "hn")
-    assert r2.spec.tau * c == pytest.approx(r1.spec.tau, rel=1e-5)
+    assert r2.spec.tau * c == pytest.approx(r1.spec.tau, rel=1e-5, abs=0.0)
     assert r2.spec.alpha == pytest.approx(r1.spec.alpha, abs=1e-6)
     assert r2.spec.beta == pytest.approx(r1.spec.beta, abs=1e-6)
 
@@ -218,8 +218,8 @@ def test_fit_time_domain_kww():
     grid = np.logspace(-2, 1.5, 30)
     ds = synthesize(ModelSpec("kww", alpha=0.65, tau=1.3), None, grid, 0.0, seed=2, domain="time")
     res = fit(ds, "kww")
-    assert res.spec.alpha == pytest.approx(0.65, rel=1e-6)
-    assert res.spec.tau == pytest.approx(1.3, rel=1e-6)
+    assert res.spec.alpha == pytest.approx(0.65, rel=1e-6, abs=0.0)
+    assert res.spec.tau == pytest.approx(1.3, rel=1e-6, abs=0.0)
 
 
 def test_fit_kww_rejects_frequency_data():
@@ -283,7 +283,7 @@ def test_auto_time_fit_survives_sigmoid_saturation():
     text = "t,n\n" + "".join(f"{t:.12g},{n:.12g}\n" for t, n in zip(ds.t, ds.n))
     res = fit(parse_csv(io.StringIO(text), "time"), "auto")
     assert res.spec.kind == "jws"
-    assert res.spec.alpha == pytest.approx(0.85, rel=1e-6)
+    assert res.spec.alpha == pytest.approx(0.85, rel=1e-6, abs=0.0)
 
 
 def test_compare_single_candidate():
@@ -547,8 +547,8 @@ def test_jws_decay_fit_survives_a_failing_trial_step():
     ds = synthesize(spec, None, np.logspace(-3, 3, 40), 0.0, seed=0, domain="time")
     res = fit(_csv_round_trip(ds), "jws")
     assert res.converged
-    assert res.spec.alpha == pytest.approx(0.54, rel=1e-6)
-    assert res.spec.beta == pytest.approx(0.55, rel=1e-6)
+    assert res.spec.alpha == pytest.approx(0.54, rel=1e-6, abs=0.0)
+    assert res.spec.beta == pytest.approx(0.55, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:first relaxation sample")
@@ -557,7 +557,7 @@ def test_auto_decay_fit_survives_a_failing_candidate_step():
     ds = synthesize(spec, None, np.logspace(-3, 3, 40), 0.0, seed=0, domain="time")
     res = fit(_csv_round_trip(ds), "auto")
     assert res.converged and res.spec.kind == "hn"
-    assert res.spec.alpha == pytest.approx(0.39, rel=1e-6)
+    assert res.spec.alpha == pytest.approx(0.39, rel=1e-6, abs=0.0)
 
 
 def test_a_trial_step_that_raises_is_rejected(monkeypatch):
@@ -574,7 +574,7 @@ def test_a_trial_step_that_raises_is_rejected(monkeypatch):
     monkeypatch.setattr(_Problem, "residuals", residuals)
     res = fit(ds, "hn")
     assert len(calls) > 3 and res.converged
-    assert res.spec.alpha == pytest.approx(0.75, rel=1e-6)
+    assert res.spec.alpha == pytest.approx(0.75, rel=1e-6, abs=0.0)
 
 
 def test_unpack_raises_a_domain_error_where_tau_or_the_strength_overflows():
@@ -819,7 +819,7 @@ def test_stderr_matches_the_inverse_normal_matrix(monkeypatch, kind, domain, noi
     expected = _packed_delta_method(*calls[0])
     assert res.param_stderr.keys() == expected.keys()
     for name, value in expected.items():
-        assert res.param_stderr[name] == pytest.approx(value, rel=1e-10)
+        assert res.param_stderr[name] == pytest.approx(value, rel=1e-10, abs=0.0)
 
 
 def _physical_delta_method(problem, u, r):
@@ -852,7 +852,7 @@ def test_stderr_is_finite_where_alpha_saturates(monkeypatch, data, kind, domain,
     assert res.param_stderr.keys() == expected.keys()
     for name, value in expected.items():
         assert math.isfinite(res.param_stderr[name])
-        assert res.param_stderr[name] == pytest.approx(value, rel=1e-10)
+        assert res.param_stderr[name] == pytest.approx(value, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("kind,domain,alpha,beta,seed", FLOOR_FITS)

@@ -269,5 +269,6 @@ def test_kummer_route_matches_mpmath(mu, nu, x):
     assert mu > 0.0 and x <= 690.0 and (mu >= nu or (nu - mu) * x <= 36.0)
     with mpmath.workdps(40):
         exact = float(mpmath.hyp1f1(nu, mu, -x) / mpmath.gamma(mu))
-    assert specfun._kummer(mu, nu, x) == pytest.approx(exact, rel=1e-11)
-    assert prabhakar_eval(1.0, mu, nu, np.array([x]))[0] == pytest.approx(exact, rel=1e-11)
+    if x < 50.0 or not specfun._expansion_serves(mu, nu):  # from x = 50 the route takes the expansion
+        assert specfun._kummer(mu, nu, x) == pytest.approx(exact, rel=1e-11, abs=0.0)
+    assert prabhakar_eval(1.0, mu, nu, np.array([x]))[0] == pytest.approx(exact, rel=1e-11, abs=0.0)

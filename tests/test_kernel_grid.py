@@ -152,7 +152,7 @@ def test_scalar_calls_return_floats_and_arrays_keep_their_shape():
     grid = np.array([[0.1, 0.5], [1.0, 1.5]])
     values, bounds = memory_time_with_bound(cfg, grid, "M")
     assert values.shape == bounds.shape == (2, 2)
-    assert values[0, 1] == pytest.approx(value, rel=1e-12)
+    assert values[0, 1] == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_grid_through_the_former_handoff_matches_mpmath():
@@ -224,13 +224,13 @@ def test_series_past_the_float_range_now_matches_mpmath(capsys, kind, alpha, bet
     # the renewal series needed (t/tau)**(alpha beta r) past the float range here
     cfg = KernelConfig(ModelSpec(kind, alpha=alpha, beta=beta))
     ref = mp_kernel("M", kind, alpha, beta, t)
-    assert memory_M_time(cfg, t) == pytest.approx(ref, rel=1e-10)
-    assert memory_M_time(cfg, np.array([1.0, t]))[1] == pytest.approx(ref, rel=1e-10)
+    assert memory_M_time(cfg, t) == pytest.approx(ref, rel=1e-10, abs=0.0)
+    assert memory_M_time(cfg, np.array([1.0, t]))[1] == pytest.approx(ref, rel=1e-10, abs=0.0)
     argv = ["eval", "kernelM", "--model", kind, "--alpha", repr(alpha), "--beta", repr(beta),
             "--at", repr(t)]
     assert cli.main(argv) == cli.EXIT_OK
     rows = [line for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()]
-    assert len(rows) == 1 and float(rows[0].split(",")[1]) == pytest.approx(ref, rel=1e-10)
+    assert len(rows) == 1 and float(rows[0].split(",")[1]) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("kind, which, alpha, beta", [

@@ -71,20 +71,20 @@ def test_config_validation():
 def test_memory_M_hat_debye():
     cfg = KernelConfig(ModelSpec("debye", tau=2.0), rate_B=3.0)
     for s in (0.3, 1.0, 4.0):
-        assert memory_M_hat(cfg, s) == pytest.approx(1.0 / (3.0 * 2.0 * s), rel=1e-14)
+        assert memory_M_hat(cfg, s) == pytest.approx(1.0 / (3.0 * 2.0 * s), rel=1e-14, abs=0.0)
 
 
 def test_memory_M_hat_hn_value():
     cfg = KernelConfig(ModelSpec("hn", alpha=0.5, beta=0.5))
-    assert memory_M_hat(cfg, 1.0) == pytest.approx(1.0 / (SQRT2 - 1.0), rel=1e-13)
+    assert memory_M_hat(cfg, 1.0) == pytest.approx(1.0 / (SQRT2 - 1.0), rel=1e-13, abs=0.0)
 
 
 def test_memory_k_hat_values():
     assert memory_k_hat(KernelConfig(ModelSpec("debye", tau=1.0)), 0.7) == pytest.approx(
-        1.0, rel=1e-14
+        1.0, rel=1e-14, abs=0.0
     )
     cfg = KernelConfig(ModelSpec("hn", alpha=0.5, beta=0.5))
-    assert memory_k_hat(cfg, 1.0) == pytest.approx(SQRT2 - 1.0, rel=1e-13)
+    assert memory_k_hat(cfg, 1.0) == pytest.approx(SQRT2 - 1.0, rel=1e-13, abs=0.0)
 
 
 def test_sonine_identity_exact():
@@ -106,10 +106,10 @@ def test_memory_M_hat_monotone_decreasing():
 
 def test_characteristic_exponent_forms():
     deb = KernelConfig(ModelSpec("debye", tau=2.0), rate_B=3.0)
-    assert characteristic_exponent(deb, 0.7) == pytest.approx(3.0 * 2.0 * 0.7, rel=1e-14)
+    assert characteristic_exponent(deb, 0.7) == pytest.approx(3.0 * 2.0 * 0.7, rel=1e-14, abs=0.0)
     cc = KernelConfig(ModelSpec("cc", alpha=0.6, tau=2.0), rate_B=1.5)
     for s in (0.2, 1.0, 5.0):
-        assert characteristic_exponent(cc, s) == pytest.approx(1.5 * (2.0 * s) ** 0.6, rel=1e-13)
+        assert characteristic_exponent(cc, s) == pytest.approx(1.5 * (2.0 * s) ** 0.6, rel=1e-13, abs=0.0)
 
 
 def test_characteristic_exponent_vanishes_at_origin():
@@ -130,9 +130,9 @@ def test_characteristic_exponent_bernstein_shape():
 def test_memory_M_time_debye_constant():
     cfg = KernelConfig(ModelSpec("debye", tau=2.0), rate_B=3.0)
     for t in (0.1, 1.0, 10.0):
-        assert memory_M_time(cfg, t) == pytest.approx(1.0 / 6.0, rel=1e-13)
+        assert memory_M_time(cfg, t) == pytest.approx(1.0 / 6.0, rel=1e-13, abs=0.0)
     # verified against Talbot inversion of 1/(B tau s)
-    assert inverse_laplace(hat_image(cfg, "M"), 1.0) == pytest.approx(1.0 / 6.0, rel=1e-9)
+    assert inverse_laplace(hat_image(cfg, "M"), 1.0) == pytest.approx(1.0 / 6.0, rel=1e-9, abs=0.0)
 
 
 def test_debye_k_is_pure_point_mass():
@@ -143,7 +143,7 @@ def test_debye_k_is_pure_point_mass():
 
 def test_mcd_k_point_mass_weight():
     cfg = KernelConfig(ModelSpec("mcd", beta=0.5, tau=2.0), rate_B=1.5)
-    assert kernel_singular_weight(cfg, "k") == pytest.approx(1.5 * 2.0 / 0.5, rel=1e-14)
+    assert kernel_singular_weight(cfg, "k") == pytest.approx(1.5 * 2.0 / 0.5, rel=1e-14, abs=0.0)
 
 
 def test_time_kernels_match_hat_inversion():
@@ -187,7 +187,7 @@ def test_b_independence():
     assert r1 == pytest.approx(r2, abs=1e-12)
     p1 = characteristic_exponent(KernelConfig(spec, rate_B=1.0), 1.3)
     p2 = characteristic_exponent(KernelConfig(spec, rate_B=7.3), 1.3)
-    assert p2 / 7.3 == pytest.approx(p1, rel=1e-14)
+    assert p2 / 7.3 == pytest.approx(p1, rel=1e-14, abs=0.0)
     prod = 1.3 * memory_M_hat(KernelConfig(spec, rate_B=7.3), 1.3) * memory_k_hat(
         KernelConfig(spec, rate_B=7.3), 1.3
     )

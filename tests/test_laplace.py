@@ -22,20 +22,20 @@ from relaxkit.quadrature import tanh_sinh
 
 def test_tanh_sinh_endpoint_singularity():
     value, err = tanh_sinh(lambda t: t**-0.5, 0.0, 1.0)
-    assert value == pytest.approx(2.0, rel=1e-12)
+    assert value == pytest.approx(2.0, rel=1e-12, abs=0.0)
     value, _ = tanh_sinh(lambda t: math.log(t), 0.0, 1.0)
-    assert value == pytest.approx(-1.0, rel=1e-11)
+    assert value == pytest.approx(-1.0, rel=1e-11, abs=0.0)
 
 
 def test_inverse_debye_pair():
     image = LaplaceImage(lambda z: 1.0 / (1.0 + z))
-    assert inverse_laplace(image, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-10)
-    assert gaver_stehfest(image.regular, 1.0, 14) == pytest.approx(math.exp(-1.0), rel=1e-5)
+    assert inverse_laplace(image, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-10, abs=0.0)
+    assert gaver_stehfest(image.regular, 1.0, 14) == pytest.approx(math.exp(-1.0), rel=1e-5, abs=0.0)
 
 
 def test_inverse_unit_step():
     image = LaplaceImage(lambda z: 1.0 / z)
-    assert inverse_laplace(image, 2.0) == pytest.approx(1.0, rel=1e-10)
+    assert inverse_laplace(image, 2.0) == pytest.approx(1.0, rel=1e-10, abs=0.0)
 
 
 def test_inverse_branch_point_image():
@@ -48,7 +48,7 @@ def test_inverse_branch_point_image():
     assert fw == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     image = LaplaceImage(lambda z: z**-0.5 * cmath.exp(-(z**0.5)))
-    assert inverse_laplace(image, 1.0) == pytest.approx(original(1.0), rel=1e-9)
+    assert inverse_laplace(image, 1.0) == pytest.approx(original(1.0), rel=1e-9, abs=0.0)
 
 
 def test_methods_agree_on_smooth_images():
@@ -88,14 +88,14 @@ def test_singular_weight_not_folded():
     # image = 2 + 1/(1+z): the constant is a point mass, the pointwise value
     # must stay exp(-t)
     image = LaplaceImage(lambda z: 2.0 + 1.0 / (1.0 + z), singular_weight=2.0)
-    assert inverse_laplace(image, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-9)
+    assert inverse_laplace(image, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-9, abs=0.0)
     for weight in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             LaplaceImage(lambda z: z, singular_weight=weight)
 
 
 def test_forward_exponential():
-    assert forward_laplace(lambda t: math.exp(-t), 1.0) == pytest.approx(0.5, rel=1e-9)
+    assert forward_laplace(lambda t: math.exp(-t), 1.0) == pytest.approx(0.5, rel=1e-9, abs=0.0)
 
 
 def test_forward_levy_identity():
@@ -109,7 +109,7 @@ def test_forward_power_law_pair():
     value = forward_laplace(
         lambda t: t**-0.5 / math.gamma(0.5), 4.0, tail_exponent=-0.5
     )
-    assert value == pytest.approx(0.5, rel=1e-8)
+    assert value == pytest.approx(0.5, rel=1e-8, abs=0.0)
 
 
 def test_forward_heavy_tail_exponent():
@@ -118,7 +118,7 @@ def test_forward_heavy_tail_exponent():
         lambda t: t**-0.5 * (1.0 + t) ** -1.0, 1.0, tail_exponent=-1.5
     )
     oracle, _ = quad(lambda t: math.exp(-t) * t**-0.5 / (1.0 + t), 0.0, np.inf, limit=200)
-    assert value == pytest.approx(oracle, rel=1e-8)
+    assert value == pytest.approx(oracle, rel=1e-8, abs=0.0)
 
 
 def test_forward_rejects_nonpositive_z():
@@ -185,7 +185,7 @@ def test_levy_parent_composition_away_from_alpha_half(kind, parent, alpha, beta,
 def test_subordination_kernel_closed_form():
     # f(1/2; 1, 1) = exp(-1/4)/sqrt(pi)
     assert subordination_kernel(0.5, 1.0, 1.0) == pytest.approx(
-        math.exp(-0.25) / math.sqrt(math.pi), rel=1e-10
+        math.exp(-0.25) / math.sqrt(math.pi), rel=1e-10, abs=0.0
     )
 
 

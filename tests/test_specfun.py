@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 from scipy import special as sc
 from scipy.integrate import quad
 
@@ -55,8 +57,8 @@ def test_pochhammer_empty_product():
 
 def test_pochhammer_third():
     # (1/3)(4/3)(7/3) = 28/27
-    assert pochhammer(1.0 / 3.0, 3) == pytest.approx(rising_product(1.0 / 3.0, 3), rel=1e-15)
-    assert pochhammer(1.0 / 3.0, 3) == pytest.approx(28.0 / 27.0, rel=1e-14)
+    assert pochhammer(1.0 / 3.0, 3) == pytest.approx(rising_product(1.0 / 3.0, 3), rel=1e-15, abs=0.0)
+    assert pochhammer(1.0 / 3.0, 3) == pytest.approx(28.0 / 27.0, rel=1e-14, abs=0.0)
 
 
 def test_pochhammer_negative_integer_terminates():
@@ -74,7 +76,7 @@ def test_pochhammer_overflow_warns():
 
 
 def test_pfq_geometric():
-    assert hyper_pfq([1.0], [], 0.5) == pytest.approx(2.0, rel=1e-13)
+    assert hyper_pfq([1.0], [], 0.5) == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
 
 def test_pfq_at_zero_is_one():
@@ -89,12 +91,12 @@ def test_pfq_confluent_against_brute_force():
     for r in range(200):
         total += term
         term *= (0.5 + r) * (-1.0) / ((1.0 + r) * (r + 1.0))
-    assert hyper_pfq([0.5], [1.0], -1.0) == pytest.approx(total, rel=1e-13)
+    assert hyper_pfq([0.5], [1.0], -1.0) == pytest.approx(total, rel=1e-13, abs=0.0)
 
 
 def test_pfq_terminating_numerator_exact():
     # 1F0(-3; ; 2) = (1 - 2)^3 = -1, exact despite |x| >= 1
-    assert hyper_pfq([-3.0], [], 2.0) == pytest.approx(-1.0, rel=1e-14)
+    assert hyper_pfq([-3.0], [], 2.0) == pytest.approx(-1.0, rel=1e-14, abs=0.0)
 
 
 def test_pfq_divergent_domain_error():
@@ -118,13 +120,13 @@ def test_pfq_denominator_pole():
 
 
 def test_prabhakar_exponential_reduction():
-    assert prabhakar(PrabhakarParams(1.0, 1.0, 1.0), 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert prabhakar(PrabhakarParams(1.0, 1.0, 1.0), 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0.0)
 
 
 def test_prabhakar_at_zero():
     for mu in (0.25, 1.0, 1.7):
         assert prabhakar(PrabhakarParams(0.6, mu, 0.9), 0.0) == pytest.approx(
-            1.0 / math.gamma(mu), rel=1e-14
+            1.0 / math.gamma(mu), rel=1e-14, abs=0.0
         )
 
 
@@ -134,15 +136,15 @@ def test_prabhakar_erfc_oracle():
     series_oracle = sum(
         (-1.0) ** r / math.gamma(0.5 * r + 1.0) for r in range(300)
     )
-    assert oracle == pytest.approx(series_oracle, rel=1e-13)
-    assert prabhakar(PrabhakarParams(0.5, 1.0, 1.0), 1.0) == pytest.approx(oracle, rel=1e-12)
+    assert oracle == pytest.approx(series_oracle, rel=1e-13, abs=0.0)
+    assert prabhakar(PrabhakarParams(0.5, 1.0, 1.0), 1.0) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_prabhakar_debye_reduction_tight():
     # exp(-x) to 1e-12 relative across [0, 20]
     p = PrabhakarParams(1.0, 1.0, 1.0)
     for x in np.linspace(0.0, 20.0, 50):
-        assert prabhakar(p, float(x)) == pytest.approx(math.exp(-float(x)), rel=1e-12)
+        assert prabhakar(p, float(x)) == pytest.approx(math.exp(-float(x)), rel=1e-12, abs=0.0)
 
 
 def test_prabhakar_rejects_negative_argument():
@@ -193,7 +195,7 @@ def test_rational_order_validation():
 
 def test_rational_exponential_case():
     assert prabhakar_rational(RationalOrder(1, 1), 1.0, 1.0, 1.0) == pytest.approx(
-        math.exp(-1.0), rel=1e-13
+        math.exp(-1.0), rel=1e-13, abs=0.0
     )
 
 
@@ -201,7 +203,7 @@ def test_rational_matches_auto():
     for (mu, nu, x) in ((1.0, 1.0, 0.5), (0.5, 0.5, 0.3)):
         direct = prabhakar(PrabhakarParams(0.5, mu, nu), x)
         reduced = prabhakar_rational(RationalOrder(1, 2), mu, nu, x)
-        assert reduced == pytest.approx(direct, rel=1e-10)
+        assert reduced == pytest.approx(direct, rel=1e-10, abs=0.0)
 
 
 def test_rational_convergence_safeguard():
@@ -222,7 +224,7 @@ def test_rational_reduction_matches_mpmath_at_the_poles_of_gamma(alpha):
             assert np.all(np.abs(value - exact) <= 1e-12 * np.maximum(np.abs(exact), 1.0))
     if alpha == 1 / 4:
         assert prabhakar_rational(order, 0.0, 1.0, 1.0) == pytest.approx(
-            -0.06382225757900062, rel=1e-12
+            -0.06382225757900062, rel=1e-12, abs=0.0
         )
 
 
@@ -233,7 +235,7 @@ def test_rational_reduction_matches_mpmath_at_the_poles_of_gamma(alpha):
 
 def test_derivative_exponential():
     p = PrabhakarParams(1.0, 1.0, 1.0)
-    assert prabhakar_derivative(p, -1.0, 1.0) == pytest.approx(-math.exp(-1.0), rel=1e-12)
+    assert prabhakar_derivative(p, -1.0, 1.0) == pytest.approx(-math.exp(-1.0), rel=1e-12, abs=0.0)
 
 
 def test_derivative_matches_central_difference():
@@ -244,13 +246,13 @@ def test_derivative_matches_central_difference():
         return x ** (p.mu - 1.0) * prabhakar(p, x**p.alpha)
 
     fd = (base(1.0 + h) - base(1.0 - h)) / (2.0 * h)
-    assert prabhakar_derivative(p, -1.0, 1.0) == pytest.approx(fd, rel=1e-6)
+    assert prabhakar_derivative(p, -1.0, 1.0) == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
 def test_derivative_zero_scale_power_rule():
     p = PrabhakarParams(0.7, 1.4, 0.9)
     expected = (p.mu - 1.0) * 2.0 ** (p.mu - 2.0) / math.gamma(p.mu)
-    assert prabhakar_derivative(p, 0.0, 2.0) == pytest.approx(expected, rel=1e-13)
+    assert prabhakar_derivative(p, 0.0, 2.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_derivative_rejects_positive_scale():
@@ -300,7 +302,7 @@ def test_negative_mu_where_the_series_cancels_matches_mpmath(alpha, mu, nu, u):
             lambda j: mpmath.rf(nu, j) * z**j / mpmath.factorial(j) * mpmath.rgamma(a * j + mu),
             [0, mpmath.inf],
         )
-    assert prabhakar_eval(alpha, mu, nu, x) == pytest.approx(float(exact), rel=1e-9)
+    assert prabhakar_eval(alpha, mu, nu, x) == pytest.approx(float(exact), rel=1e-9, abs=0.0)
 
 
 def mp_prabhakar(alpha, mu, nu, xs, dps):
@@ -357,6 +359,27 @@ def test_auto_matches_the_80_digit_defining_series_on_seeded_draws(draw):
     assert prabhakar_eval(alpha, mu, nu, x) == pytest.approx(exact, rel=2e-8, abs=0.0)
 
 
+@seed(20261022)
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=st.floats(0.3, 0.95),
+    nu=st.floats(0.25, 1.0),
+    family=st.integers(0, 3),
+    log_u=st.floats(math.log(55.0), math.log(200.0)),
+)
+@example(alpha=0.4004, nu=0.5, family=0, log_u=math.log(80.0))
+@example(alpha=0.5001, nu=1.0, family=0, log_u=math.log(80.0))
+def test_expansion_route_matches_mpmath_beyond_u_55(alpha, nu, family, log_u):
+    # the n and phi index families of HN and JWS at u = x**(1/alpha) in [55, 200], where
+    # the expansion serves; near a pole (alpha = 0.4004, 0.5001) 1/Gamma(s_j) dips, and
+    # the dip must not end the sum
+    mu = (0.0, 1.0, alpha * nu, 1.0 + alpha * nu)[family]
+    u = math.exp(log_u)
+    x = u**alpha
+    exact = float(mp_prabhakar(alpha, mu, nu, [x], int(40 + u / 2.3))[0])
+    assert prabhakar_eval(alpha, mu, nu, x) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "alpha, beta, x",
     [
@@ -376,7 +399,7 @@ def test_expansion_skips_gamma_pole_coefficients(alpha, beta, x):
         a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
         e = mp_prabhakar(a, 1 + a * b, b, [mpmath.mpf(x) ** a], 200)[0]
         exact = float(1 - mpmath.mpf(x) ** (a * b) * e)
-    assert relaxation(spec, x) == pytest.approx(exact, rel=1e-10)
+    assert relaxation(spec, x) == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_cm_fails_below_alpha_nu():
@@ -433,7 +456,7 @@ def levy_half_closed_form(x):
 
 def test_levy_half_closed_form():
     for x in (0.25, 0.5, 1.0, 2.0, 10.0):
-        assert levy_stable_density(0.5, x) == pytest.approx(levy_half_closed_form(x), rel=1e-9)
+        assert levy_stable_density(0.5, x) == pytest.approx(levy_half_closed_form(x), rel=1e-9, abs=0.0)
     # forward-check the oracle itself: its transform is exp(-sqrt(z))
     fw, _ = quad(lambda u: math.exp(-u) * levy_half_closed_form(u), 0.0, np.inf, limit=300)
     assert fw == pytest.approx(math.exp(-1.0), abs=1e-9)
