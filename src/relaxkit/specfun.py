@@ -81,7 +81,7 @@ _TINY = 1e-300
 # terms per block of the array series and expansion (the blocks bound their
 # memory, and a point drops out after the block in which it converges), the
 # expansion's term cap, and the fraction of its first bound it sums down to
-_SERIES_ROWS, _ASYM_ROWS, _ASYM_TERMS, _ASYM_TOL = 64, 32, 160, 1e-17
+_SERIES_ROWS, _ASYM_ROWS, _ASYM_TERMS, _ASYM_TOL = 64, 24, 160, 1e-17
 
 
 @dataclass(frozen=True)
