@@ -11,8 +11,10 @@ needs them: its lower and upper halves are the two rows of one tanh-sinh run,
 so it evaluates h and its kernel once for levels 0-3 and once per batch of
 the further levels the run predicts it needs, both halves together; the Levy
 kernel sends the points its series misses straight to the density's theta
-quadrature, all as rows of one run, and the subordination pdf samples the
-exponent once per call and hands its image to ``inversion.talbot_sum``.
+quadrature, all as rows of one fixed-level pass (levels 0-6 at once, finer
+levels only for the rows whose level-5 and level-6 sums disagree), and the
+subordination pdf samples the exponent once per call and hands its image to
+``inversion.talbot_sum``.
 """
 
 from __future__ import annotations

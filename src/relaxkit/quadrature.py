@@ -25,13 +25,18 @@ summation makes a row's value independent of the other rows evaluated with
 it and of the levels sampled in the same call.  The stop test runs level by
 level, so values, error estimates and stop levels do not depend on how the
 levels are grouped into calls.
+
+The Levy density's theta integral, whose rows cost little per node and much
+per numpy call, takes a fixed-level pass (:func:`_fixed_level_rows`): levels
+0-6 at once, a row done where its level-5 and level-6 sums agree to
+``rel_tol``, the others one level finer per call under the engine's cap rule.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +48,7 @@ _BLOCK = 2**14  # largest rows x abscissae block handed to a row integrand
 _FIRST_TEST = 3  # the first level whose estimate meets the stop test
 _LOOKAHEAD = 3  # most levels one predicted integrand call samples
 _MAX_LEVEL = 12
+_FIXED_LEVEL = 6  # the fixed-level pass samples levels 0 to this at once and tests it first
 _LEVELS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -96,33 +102,30 @@ def _nodes(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 @functools.lru_cache(maxsize=64)
-def _batch(a: float, b: float, first: int, last: int) -> tuple[np.ndarray, tuple]:
-    """(abscissae, weights per level) of levels first..last on (a, b).
+def _batch(a: float, b: float, first: int, last: int) -> tuple:
+    """(abscissae, weights per level, weights, endpoint distances) of levels first..last on (a, b).
 
     The levels' :func:`_nodes` one after the other: the nodes of one integrand
     call, whose level sums each take their own slice.  Read-only, like theirs.
     """
     parts = [_nodes(a, b, k) for k in range(first, last + 1)]
-    x = parts[0][0] if len(parts) == 1 else np.concatenate([p[0] for p in parts])
-    x.flags.writeable = False
-    return x, tuple(p[1] for p in parts)
+    x, w, dist = (v[0] if len(parts) == 1 else np.concatenate(v) for v in zip(*parts))
+    x.flags.writeable = w.flags.writeable = dist.flags.writeable = False
+    return x, tuple(p[1] for p in parts), w, dist
 
 
-@functools.lru_cache(maxsize=64)
-def _call_levels(a: float, b: float, first_node: float, size: int) -> range:
-    """The levels whose :func:`_nodes` on (a, b) make up an integrand call.
+class _Span(NamedTuple):
+    """Consecutive ``levels`` of the nodes on (a, b), which one call of the fixed-level pass
+    samples: hashable, so an integrand can key factors of its nodes on it."""
 
-    A call holds the nodes of whole consecutive levels, so its first node,
-    which is the first node of exactly one level (the centre at level 0, the
-    innermost left node after it), tells the first level, and its size the
-    last.
-    """
-    first = next(k for k in range(_MAX_LEVEL + 1) if _nodes(a, b, k)[0][0] == first_node)
-    last, n = first, _nodes(a, b, first)[0].size
-    while n < size:
-        last += 1
-        n += _nodes(a, b, last)[0].size
-    return range(first, last + 1)
+    a: float
+    b: float
+    levels: range
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(abscissae, weights, endpoint distances) of the levels, one after the other."""
+        x, _, w, dist = _batch(self.a, self.b, self.levels[0], self.levels[-1])
+        return x, w, dist
 
 
 def array_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -214,7 +217,7 @@ def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float,
     active = np.arange(n_rows)
     first, last, speculate = 0, min(_FIRST_TEST, max_level), True
     while True:
-        x, weights = _batch(a, b, first, last)
+        x, weights = _batch(a, b, first, last)[:2]
         try:
             sums = _level_sums(f, x, weights, active)
         except Exception:  # whatever it is, a level some row reaches raises it again below
@@ -242,12 +245,55 @@ def _integrate_rows(f, a: float, b: float, n_rows: int, rel_tol: float,
         if speculate:
             last += _predicted_levels(estimate[active], err[active], rel_tol) - 1
         last = min(last + 1, max_level)
-    # rows left at the cap pass if converged short of tolerance (err says so)
-    short = err[active] > math.sqrt(rel_tol) * np.abs(estimate[active])
+    _check_cap(estimate, err, active, rel_tol, max_level)
+    return estimate, err
+
+
+def _check_cap(estimate: np.ndarray, err: np.ndarray, rows: np.ndarray, rel_tol: float,
+               max_level: int) -> None:
+    """Rows left at the level cap pass if converged short of tolerance (err says so):
+    :class:`QuadratureFailure` unless each of ``rows`` is within ``sqrt(rel_tol)``."""
+    short = err[rows] > math.sqrt(rel_tol) * np.abs(estimate[rows])
     if short.any():
-        i = active[short][0]
+        i = rows[short][0]
         raise QuadratureFailure(f"tanh-sinh did not converge (level {max_level}, "
                                 f"err {err[i]:.3g}, value {estimate[i]:.6g})")
+
+
+def _fixed_level_rows(f, a: float, b: float, n_rows: int, rel_tol: float,
+                      max_level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate ``n_rows`` integrands over (a, b) in one fixed-level pass; (values, errors).
+
+    ``f(span, rows)`` returns rows ``rows`` at the nodes of the :class:`_Span` ``span`` as a new
+    array, which the pass scales in place, on row blocks of at most ``_BLOCK`` values.  Two row
+    sums over levels 0-6 (471 nodes) give every row's level-5 and level-6 estimates; a row whose
+    two differ by more than ``rel_tol`` of the latter goes on one level per call, new nodes
+    only, up to ``max_level`` and its rule (:func:`_check_cap`).  A non-finite sum raises; each
+    row is summed on its own."""
+    half = 0.5 * (b - a)
+    estimate, err = np.empty(n_rows), np.empty(n_rows)
+    active = np.arange(n_rows)
+    span = _Span(a, b, range(_FIXED_LEVEL + 1))
+    cut = span.nodes()[0].size - _nodes(a, b, _FIXED_LEVEL)[0].size  # where level 6 starts
+    while True:
+        w, level = span.nodes()[1], span.levels[-1]
+        sums, step = np.empty((2, active.size)), max(1, _BLOCK // w.size)
+        for start in range(0, active.size, step):
+            values = f(span, active[start:start + step])
+            values *= w
+            sums[0, start:start + step] = values[:, :cut].sum(axis=1)
+            sums[1, start:start + step] = values[:, cut:].sum(axis=1)
+        if not np.isfinite(sums).all():
+            raise QuadratureFailure("integrand returned a non-finite value")
+        h = 2.0**-level * half
+        prev = sums[0] * (2.0 * h) if cut else estimate[active]
+        estimate[active] = new = 0.5 * prev + sums[1] * h
+        err[active] = np.abs(new - prev)
+        active = active[err[active] > rel_tol * np.abs(new)]
+        if not active.size or level >= max_level:
+            break
+        span, cut = _Span(a, b, range(level + 1, level + 2)), 0
+    _check_cap(estimate, err, active, rel_tol, max_level)
     return estimate, err
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .exceptions import DomainError, NonConvergent
 from .inversion import talbot_sum
-from .quadrature import _BLOCK, _call_levels, _integrate_rows, _nodes
+from .quadrature import _BLOCK, _fixed_level_rows, _Span
 
 __all__ = [
     "PrabhakarParams",
@@ -554,19 +554,31 @@ def _kummer(mu: float, nu: float, x):
     return out.reshape(np.shape(x)) if isinstance(x, np.ndarray) else float(out[0])
 
 
-def _rgamma_bound(s: float) -> float:
-    """|1/Gamma(s)|, or for s < 1/2 its reflection bound Gamma(1 - s) / pi, which no pole
-    zeroes (inf where it overflows)."""
-    if not s < 0.5:
-        return abs(_rgamma(s))
-    return 1.0 / (math.pi * _rgamma(1.0 - s)) if s > -170.0 else math.inf
+@functools.lru_cache(maxsize=256)
+def _asymptotic_rows(alpha: float, s0: float, j0: int) -> np.ndarray:
+    """Rows 1/Gamma(s_j), a bound on it that no pole zeroes, j and 1/(j + 1) of the block from
+    j0, s_j = s0 - alpha j: its rows that do not depend on nu, cached (s0 = mu - alpha nu is 1 on
+    every HN tail).  The bound is |1/Gamma(s)| for s >= 1/2, else Gamma(1 - s) / pi (inf where
+    it overflows), and one gamma call gives both: 1/Gamma(s) = sin(pi s) Gamma(1 - s) / pi."""
+    rows = np.empty((4, _ASYM_ROWS))
+    rows[2] = np.arange(j0, j0 + _ASYM_ROWS)
+    rows[3] = 1.0 / (rows[2] + 1.0)
+    for i, s in enumerate(s0 - alpha * j for j in range(j0, j0 + _ASYM_ROWS)):
+        if s >= 0.5 or s <= -170.0:
+            g = _rgamma(s)
+            rows[:2, i] = g, abs(g) if s >= 0.5 else math.inf
+        else:
+            n, b = round(s), math.gamma(1.0 - s) / math.pi
+            rows[:2, i] = math.sin(math.pi * (s - n)) * (-1) ** n * b, b
+    rows.flags.writeable = False
+    return rows
 
 
 @functools.lru_cache(maxsize=256)
 def _asymptotic_block(alpha: float, mu: float, nu: float, first: int, k: int) -> tuple:
     """Block k of the expansion from j = first, cached: rows of exponents -(nu + j),
-    coefficients and bounds ``|(nu)_j / j!|`` :func:`_rgamma_bound` (s_j) for j = j0 - 1
-    .. j0 + ``_ASYM_ROWS`` - 1, j0 = first + k ``_ASYM_ROWS``, and the running product
+    coefficients and bounds ``(nu)_j / j!`` times the rows of :func:`_asymptotic_rows`, for
+    j = j0 - 1 .. j0 + ``_ASYM_ROWS`` - 1, j0 = first + k ``_ASYM_ROWS``, and the running product
     block k + 1 goes on from.  Column 0, the last term of block k - 1, is there for its
     bound (coefficient 0; bound inf at k = 0).  At alpha = 1 the coefficients are one
     running product, and for s_j < 1/2 the bound is |coefficient| / |sin(pi s_0)|."""
@@ -578,8 +590,13 @@ def _asymptotic_block(alpha: float, mu: float, nu: float, first: int, k: int) ->
     else:
         carry, exponent[0], coef[0], bound[0] = (-nu) ** first, 0.0, 0.0, math.inf
     j0 = first + k * _ASYM_ROWS
-    j = np.arange(j0, j0 + _ASYM_ROWS, dtype=float)
-    e, run, inv = exponent[1:], np.empty(_ASYM_ROWS + 1), 1.0 / (j + 1.0)  # run[-1] starts block k + 1
+    if alpha == 1.0:
+        j = np.arange(j0, j0 + _ASYM_ROWS, dtype=float)
+        inv = 1.0 / (j + 1.0)
+    else:
+        table = _asymptotic_rows(alpha, mu - alpha * nu, j0)  # 1/Gamma, its bound, j, 1/(j+1)
+        j, inv = table[2], table[3]
+    e, run = exponent[1:], np.empty(_ASYM_ROWS + 1)  # run[-1] starts block k + 1
     np.subtract(-nu, j, out=e)
     if alpha == 1.0:
         a = mu - nu
@@ -593,12 +610,11 @@ def _asymptotic_block(alpha: float, mu: float, nu: float, first: int, k: int) ->
         if i < _ASYM_ROWS and sine:
             np.multiply(bound[1 + i :], 1.0 / sine, out=bound[1 + i :])
     else:
-        s = mu + alpha * e
         run[0] = carry
         np.multiply(e, inv, out=run[1:])  # -(nu + j) / (j + 1)
         np.multiply.accumulate(run, out=run)
-        np.multiply(run[:-1], _rgamma_row(s), out=coef[1:])
-        np.multiply(np.abs(run[:-1]), np.fromiter(map(_rgamma_bound, s.tolist()), float, s.size), out=bound[1:])
+        np.multiply(run[:-1], table[:2], out=rows[1:, 1:])
+        np.abs(bound, out=bound)
     rows.flags.writeable = False
     return rows, run[-1]
 
@@ -920,27 +936,41 @@ def _levy_series(alpha: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _levy_angles(alpha: float, levels: range) -> tuple[np.ndarray, np.ndarray]:
-    """(log a(theta), a(theta) - a(0+)) on the nodes new at ``levels`` on (0, pi).
+def _log_sin_ratios(cs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """log(sin(c theta) / (c sin(theta))) for theta in (0, pi/2] (rows) and c in ``cs`` (columns)
+    to a few ulps of its size: ``sin(c theta) - c sin(theta)`` is the Taylor series
+    sum_k (-1)**k theta**n (c**n - c) / n!, n = 2k + 1, below 1e-17 of its first term by k = 11."""
+    n = np.arange(3.0, 26.0, 2.0)[:, None]
+    coef = (-1.0) ** (n // 2) * (cs**n - cs) / np.cumprod(np.arange(1.0, 26.0))[2::2, None]
+    even = np.cumprod(np.broadcast_to((theta * theta)[:, None], (theta.size, n.size)), axis=1)
+    return np.log1p(theta[:, None] * (even @ coef) / (cs * np.sin(theta)[:, None]))
 
-    The levels of one integrand call of the theta quadrature
-    (``quadrature._call_levels``), so (alpha, levels) keys one call.
-    sin(theta) is taken as the sine of the node's distance from the nearer
-    endpoint, which keeps its relative accuracy next to pi.  Where
-    a > e**690 the factor exp(-scale * a) has long since underflowed: log a is
-    -inf there and a is capped at e**690, so the integrand is 0.
+
+@functools.lru_cache(maxsize=64)
+def _levy_angles(alpha: float, span: _Span) -> tuple[np.ndarray, np.ndarray]:
+    """(log a(theta), a(theta) - a(0+)) on the nodes of ``span`` on (0, pi), which key one
+    integrand call of the fixed-level pass (levels 0-6, or one finer level).
+
+    On (0, pi/2], where the integrand peaks at small x, log(a / a(0+)) comes from the Taylor
+    series of :func:`_log_sin_ratios`, so s (a - a(0+)) keeps its relative accuracy: taken as
+    the sum of the sines' logs it put errors of up to 4e-12 into the density at
+    s a(0+) = 540.  Beyond pi/2 sin(theta) is the sine of the node's distance from pi,
+    accurate next to pi.  Where a > e**690 the factor exp(-scale * a) has long since
+    underflowed: log a is -inf there and a is capped at e**690, so the integrand is 0.
     """
-    theta, dist = (np.concatenate([_nodes(0.0, math.pi, k)[i] for k in levels]) for i in (0, 2))
-    q = alpha / (1.0 - alpha)
+    theta, _, dist = span.nodes()
+    q, a_left = alpha / (1.0 - alpha), alpha ** (alpha / (1.0 - alpha)) * (1.0 - alpha)
     log_a = (
         q * np.log(np.sin(alpha * theta))
         + np.log(np.sin((1.0 - alpha) * theta))
         - (1.0 + q) * np.log(np.sin(dist))
     )
-    # a rises from a(0+) = alpha**q (1 - alpha); the clip keeps rounding from
-    # turning the shift negative, which the scale would blow up
-    shift = np.maximum(np.exp(np.minimum(log_a, 690.0)) - alpha**q * (1.0 - alpha), 0.0)
+    # a rises from a(0+); the clip keeps rounding from turning the shift
+    # negative, which the scale would blow up
+    shift = np.maximum(np.exp(np.minimum(log_a, 690.0)) - a_left, 0.0)
+    left = theta <= 0.5 * math.pi
+    log_ratio = _log_sin_ratios(np.array([alpha, 1.0 - alpha]), theta[left]) @ [q, 1.0]
+    log_a[left], shift[left] = math.log(a_left) + log_ratio, a_left * np.expm1(log_ratio)
     log_a[log_a > 690.0] = -np.inf
     log_a.flags.writeable = shift.flags.writeable = False
     return log_a, shift
@@ -949,8 +979,10 @@ def _levy_angles(alpha: float, levels: range) -> tuple[np.ndarray, np.ndarray]:
 def _levy_theta(alpha: float, x: np.ndarray) -> np.ndarray:
     """The Levy density at the points of the 1-D array ``x`` by the angular quadrature alone.
 
-    The integrals of all points are rows of one tanh-sinh run over theta.
-    The angle factors log a(th) and a(th) - a(0+) depend on alpha and the
+    The integrals of all points are rows of one fixed-level tanh-sinh pass over theta
+    (``quadrature._fixed_level_rows``): levels 0-6 at once, a row done where its level-5
+    and level-6 sums agree to 1e-12, the others one level finer per call up to
+    ``_LEVY_MAX_LEVEL``.  The angle factors log a(th) and a(th) - a(0+) depend on alpha and the
     call's nodes only, so they are computed once per (alpha, integrand call) and cached
     (:func:`_levy_angles`); a point's work is ``exp(log a - s (a - a(0+)))``.
     The factor ``exp(-s a(0+))`` joins the prefactor in log space, so the
@@ -975,16 +1007,16 @@ def _levy_theta(alpha: float, x: np.ndarray) -> np.ndarray:
     if body.any():
         row_scale = scale[body]
 
-        def integrand(theta, rows):
-            levels = _call_levels(0.0, math.pi, float(theta[0]), theta.size)
-            log_a, shift = _levy_angles(alpha, levels)
+        def integrand(span, rows):
+            log_a, shift = _levy_angles(alpha, span)
             with np.errstate(over="ignore"):
-                expo = log_a - row_scale[rows, None] * shift
+                expo = row_scale[rows, None] * shift
+            np.subtract(log_a, expo, out=expo)
             # exp(-inf) = 0 takes numpy's fast path; the lanes below -745 would not
             expo[~(expo > -745.0)] = -math.inf
             return np.exp(expo, out=expo)
 
-        value, _ = _integrate_rows(integrand, 0.0, math.pi, row_scale.size, 1e-12, _LEVY_MAX_LEVEL)
+        value = _fixed_level_rows(integrand, 0.0, math.pi, row_scale.size, 1e-12, _LEVY_MAX_LEVEL)[0]
         out[body] = np.exp(log_prefactor[body] + np.log(value))
     return out
 
@@ -1018,9 +1050,11 @@ def levy_stable_density(alpha: float, x):
     within the table (at most 256 terms) and cancels by at most 10x, which
     holds up to about ``s a(0+) = 2`` for alpha <= 0.9 and covers every point
     with ``s a(0+) < 1e-8`` for alpha <= 0.95; ``x = inf`` gives 0.  Every other
-    point takes the angular quadrature (:func:`_levy_theta`).  The tests check
-    both routes against a 30-digit quadrature of the Zolotarev integral at
-    1e-12 relative.
+    point takes the angular quadrature (:func:`_levy_theta`): one fixed-level
+    tanh-sinh pass on levels 0-6, finer only for rows whose level-5 and level-6
+    sums differ by more than 1e-12.  The tests check both routes against a
+    30-digit quadrature of the Zolotarev integral at 1e-12 relative, the
+    quadrature up to s a(0+) = 700.
     The alpha = 1/2 closed form ``x**-1.5 exp(-1/(4x)) / (2 sqrt(pi))`` is
     exposed in the tests as an oracle, never used here.
     """

@@ -7,7 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaxkit import laplace, quadrature, specfun
@@ -180,9 +180,25 @@ def point_by_point_tanh_sinh(f, a, b, rel_tol, max_level):
     return estimate, err, levels
 
 
+def levels_of_call(a, b, first_node, size):
+    """The levels whose nodes on (a, b) make up an integrand call of the adaptive engine.
+
+    A call holds the nodes of whole consecutive levels, so its first node, which is the
+    first node of exactly one level (the centre at level 0, the innermost left node after
+    it), tells the first level, and its size the last.
+    """
+    first = next(k for k in range(quadrature._MAX_LEVEL + 1)
+                 if quadrature._nodes(a, b, k)[0][0] == first_node)
+    last, n = first, quadrature._nodes(a, b, first)[0].size
+    while n < size:
+        last += 1
+        n += quadrature._nodes(a, b, last)[0].size
+    return range(first, last + 1)
+
+
 def call_levels(a, b, calls):
     """The levels of each integrand call on (a, b), checked against the nodes of those levels."""
-    levels = [quadrature._call_levels(a, b, float(x[0]), x.size) for x in calls]
+    levels = [levels_of_call(a, b, float(x[0]), x.size) for x in calls]
     for x, r in zip(calls, levels):
         assert x.tolist() == quadrature._batch(a, b, r[0], r[-1])[0].tolist()
     return levels
@@ -269,7 +285,7 @@ def test_rows_stop_at_their_own_levels():
     seen = []
 
     def rows_fn(x, rows):
-        seen.append((rows.tolist(), quadrature._call_levels(0.0, 1.0, float(x[0]), x.size)))
+        seen.append((rows.tolist(), levels_of_call(0.0, 1.0, float(x[0]), x.size)))
         return np.array([1.0 + x * x if r == 0 else 1.0 / (1e-4 + x * x) for r in rows])
 
     value, err = quadrature._integrate_rows(rows_fn, 0.0, 1.0, 2, 1e-12, 12)
@@ -300,7 +316,7 @@ def test_rows_stopping_at_three_levels_of_one_batch_match_the_per_level_engine()
     rows_fn, seen = peaks([1.0, 0.03, 1e-4]), []
 
     def counted(x, rows):
-        seen.append(quadrature._call_levels(0.0, 1.0, float(x[0]), x.size))
+        seen.append(levels_of_call(0.0, 1.0, float(x[0]), x.size))
         return rows_fn(x, rows)
 
     value, err = quadrature._integrate_rows(counted, 0.0, 1.0, 3, 1e-12, 12)
@@ -316,7 +332,7 @@ def test_a_failure_at_a_level_no_row_reaches_does_not_fail_the_run(failure):
     rows_fn, seen = peaks([1e-5]), []
 
     def failing(x, rows):
-        seen.append(quadrature._call_levels(0.0, 1.0, float(x[0]), x.size))
+        seen.append(levels_of_call(0.0, 1.0, float(x[0]), x.size))
         values = rows_fn(x, rows)
         if 6 in seen[-1]:
             if failure == "error":
@@ -436,22 +452,26 @@ def zolotarev_oracle(alpha, x):
     """The Levy density by mpmath.quad over the Zolotarev integral at 30 digits.  (0, pi/2)
     is split in halves; (pi/2, pi) is taken in phi = pi - theta, which keeps sin(theta)
     accurate next to pi, and is split around phi = sin(pi alpha) x**-alpha, where the
-    integrand peaks at large x, as narrowly as that."""
+    integrand peaks at large x, as narrowly as that.  The factor exp(-s a(0+)) is taken out
+    of the integrand, whose largest value is then about a(0+): mpmath.quad stops on an
+    absolute error, which would pass at once on an integrand of size e**-(s a(0+))."""
     with mp.workdps(30):
         a, x = mp.mpf(alpha), mp.mpf(x)
         q = a / (1 - a)
         scale = x**-q
+        a_left = a**q * (1 - a)
 
         def integrand(theta, sin_theta):
             angle = mp.sin(a * theta) ** q * mp.sin((1 - a) * theta) / sin_theta ** (1 / (1 - a))
-            return angle * mp.exp(-scale * angle)
+            return angle * mp.exp(-scale * (angle - a_left))
 
         peak = mp.sin(mp.pi * a) * x**-a
         cuts = {peak * 10**j for j in range(-2, 3) if peak * 10**j < mp.pi / 2}
         cuts = sorted(cuts | {mp.pi / 4})
         left = mp.quad(lambda th: integrand(th, mp.sin(th)), [0, mp.pi / 4, mp.pi / 2])
         right = mp.quad(lambda ph: integrand(mp.pi - ph, mp.sin(ph)), [0] + cuts + [mp.pi / 2])
-        return float(a / (mp.pi * (1 - a)) * x ** (-1 / (1 - a)) * (left + right))
+        prefactor = a / (mp.pi * (1 - a)) * x ** (-1 / (1 - a)) * mp.exp(-scale * a_left)
+        return float(prefactor * (left + right))
 
 
 def series_oracle(alpha, x):
@@ -491,11 +511,68 @@ def test_levy_density_matches_the_zolotarev_integral_on_both_routes(alpha, where
     assert levy_stable_density(alpha, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(0.1, 0.95), s_a=st.floats(2.0, 700.0))
+@example(alpha=0.99, s_a=700.0)
+def test_theta_route_matches_the_zolotarev_integral_at_small_x(alpha, s_a):
+    # s a(0+) up to 700, where the density is about e**-700: the integrand is a spike at
+    # theta = 0 whose exponent s (a - a(0+)) must keep its relative accuracy; from s a(0+) = 3
+    # on (and below it where the series fails) the density is this quadrature
+    x = x_at(alpha, s_a)
+    value = specfun._levy_theta(alpha, np.array([x]))[0]
+    assert value == pytest.approx(zolotarev_oracle(alpha, x), rel=1e-12, abs=0.0)
+    if s_a >= 3.0 or not takes_series(alpha, [x])[0]:
+        assert levy_stable_density(alpha, x) == value
+
+
+def spans_sampled(monkeypatch):
+    """The levels of each integrand call of the theta pass, recorded from then on."""
+    seen, angles = [], specfun._levy_angles
+
+    def recorded(alpha, span):
+        seen.append(span.levels)
+        return angles(alpha, span)
+
+    monkeypatch.setattr(specfun, "_levy_angles", recorded)
+    return seen
+
+
+def test_rows_that_miss_level_6_go_one_level_finer(monkeypatch):
+    # near alpha = 1 and s a(0+) = 1/2 the level-5 and level-6 sums differ by more than 1e-12
+    seen = spans_sampled(monkeypatch)
+    x = np.array([x_at(0.99, 0.5), x_at(0.99, 5.0)])
+    value = specfun._levy_theta(0.99, x)
+    assert seen == [range(7), range(7, 8)]
+    seen.clear()
+    assert specfun._levy_theta(0.99, x[1:]).tolist() == value[1:].tolist() and seen == [range(7)]
+    expected = [zolotarev_oracle(0.99, v) for v in x]
+    np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
+
+
+def test_theta_pass_blocks_stay_within_the_block_size(monkeypatch):
+    shapes, pass_ = [], quadrature._fixed_level_rows
+
+    def recorded(f, *args):
+        def g(span, rows):
+            values = f(span, rows)
+            shapes.append(values.shape)
+            return values
+        return pass_(g, *args)
+
+    x = x_at(0.6, 1.0) * np.geomspace(1.0, 1e-2, 2000)  # s a(0+) from 1 to about 1000
+    monkeypatch.setattr(specfun, "_fixed_level_rows", recorded)
+    value = specfun._levy_theta(0.6, x)
+    assert len(shapes) > 1 and all(r * n <= quadrature._BLOCK for r, n in shapes)
+    # a row's sum is its own: each point alone gives its element of the large call
+    alone = [specfun._levy_theta(0.6, x[i:i + 1])[0] for i in range(0, 2000, 199)]
+    assert value[::199].tolist() == alone
+
+
 def test_no_point_past_the_old_tail_switch_reaches_the_quadrature(monkeypatch):
     def no_quadrature(*args):
         raise AssertionError("a point reached the theta quadrature")
 
-    monkeypatch.setattr(specfun, "_integrate_rows", no_quadrature)
+    monkeypatch.setattr(specfun, "_fixed_level_rows", no_quadrature)
     for alpha in (0.2, 0.5, 0.8, 0.9, 0.95):
         x = tail_start(alpha) * np.geomspace(1.0, 1e12, 30)
         assert (levy_stable_density(alpha, x) > 0.0).all()
@@ -567,16 +644,19 @@ def test_levy_density_does_not_depend_on_earlier_calls():
     for alpha in np.linspace(0.2, 0.9, 40):  # more (alpha, level) pairs than the caches hold
         levy_stable_density(alpha, x)
     assert levy_stable_density(0.6, x).tolist() == first.tolist()
-    for cached in (specfun._levy_angles, specfun._levy_series_table, quadrature._nodes):
+    for cached in (specfun._levy_angles, specfun._levy_series_table, quadrature._nodes,
+                   quadrature._batch):
         info = cached.cache_info()
         assert info.currsize <= info.maxsize == 64
-    # the angle factors are keyed by the levels of an integrand call of (0, pi), which its
-    # first node and size tell
-    top = specfun._LEVY_MAX_LEVEL
-    for first in range(top + 1):
-        for last in range(first, top + 1):
-            x = quadrature._batch(0.0, math.pi, first, last)[0]
-            assert quadrature._call_levels(0.0, math.pi, float(x[0]), x.size) == range(first, last + 1)
+    # the angle factors are keyed by the span of an integrand call of the theta pass, levels
+    # 0-6 or one finer level on (0, pi), whose nodes are those levels' one after the other
+    for levels in [range(7)] + [range(k, k + 1) for k in range(7, specfun._LEVY_MAX_LEVEL + 1)]:
+        span = quadrature._Span(0.0, math.pi, levels)
+        for i, v in enumerate(span.nodes()):
+            parts = [quadrature._nodes(0.0, math.pi, k)[i] for k in levels]
+            assert v.tolist() == np.concatenate(parts).tolist() and not v.flags.writeable
+        again = quadrature._Span(0.0, math.pi, levels)
+        assert specfun._levy_angles(0.6, span) is specfun._levy_angles(0.6, again)
 
 
 def test_node_distances_are_the_offsets_from_the_nearer_endpoint():

@@ -8,8 +8,9 @@ Two checkouts whose quadrature groups its levels into integrand calls
 differently must print the same hashes: the sweep covers the Levy-parent
 Efros compositions, the subordination kernel, the Levy density, the
 Debye-parent compositions, the evolution residuals and ``tanh_sinh``.  It
-also prints, per Levy-parent composition, the kernel calls and the integrand
-calls of the density's theta quadrature, for comparing call schedules.
+also prints, per Levy-parent composition, the kernel calls, the passes of the
+density's theta quadrature and the levels past 6 those passes went on to,
+for comparing call schedules.
 """
 
 from __future__ import annotations
@@ -31,18 +32,25 @@ def digest(values) -> str:
 
 
 def levy_compositions():
-    """(values, kernel calls, theta integrand calls) of hn/jws over alpha x beta x t."""
-    theta_calls = [0]
-    rows = specfun._integrate_rows
+    """(values, kernel calls, theta passes, theta levels past 6) of hn/jws over alpha x beta x t."""
+    counts = {"passes": 0, "deeper": 0}
+    theta_pass = specfun._fixed_level_rows
 
-    def counted_rows(f, *args):
-        def g(x, r):
-            theta_calls[0] += 1
-            return f(x, r)
-        return rows(g, *args)
+    def counted_pass(f, *args):
+        levels = set()
 
-    specfun._integrate_rows = counted_rows
-    values, kernel_calls, theta = [], [], []
+        def g(span, rows):
+            levels.add(span.levels[-1])
+            return f(span, rows)
+
+        counts["passes"] += 1
+        try:
+            return theta_pass(g, *args)
+        finally:
+            counts["deeper"] += len(levels) - 1
+
+    specfun._fixed_level_rows = counted_pass
+    values, kernel_calls, passes, deeper = [], [], [], []
     try:
         for kind, parent in (("hn", "cd"), ("jws", "mcd")):
             for a in ALPHAS:
@@ -55,22 +63,24 @@ def levy_compositions():
                             return laplace.subordination_kernel(a, u, tt)
 
                         spec = ModelSpec(parent, 1.0, b)
-                        theta_calls[0] = 0
+                        counts.update(passes=0, deeper=0)
                         values.append(laplace.efros_compose(
                             lambda u, spec=spec: relaxation(spec, u), kernel, t, rel_tol=1e-8))
                         kernel_calls.append(calls[0])
-                        theta.append(theta_calls[0])
+                        passes.append(counts["passes"])
+                        deeper.append(counts["deeper"])
     finally:
-        specfun._integrate_rows = rows
-    return values, kernel_calls, theta
+        specfun._fixed_level_rows = theta_pass
+    return values, kernel_calls, passes, deeper
 
 
 def main() -> None:
     out = {}
-    values, kernel_calls, theta = levy_compositions()
+    values, kernel_calls, passes, deeper = levy_compositions()
     out["levy_compositions"] = [len(values), digest(values)]
     out["kernel_calls_per_composition"] = [sum(kernel_calls) / len(kernel_calls), max(kernel_calls)]
-    out["theta_calls_per_composition"] = sum(theta) / len(theta)
+    out["theta_passes_per_composition"] = sum(passes) / len(passes)
+    out["theta_levels_past_6_per_composition"] = sum(deeper) / len(deeper)
 
     u = np.geomspace(1e-4, 1e3, 4001)
     grid = [laplace.subordination_kernel(a, u, t) for a in ALPHAS for t in (0.3, 1.0, 3.0, 10.0)]
